@@ -6,7 +6,6 @@ leaves every pairing unchanged.
 """
 
 import numpy as np
-import scipy.linalg
 
 from liepoisson import operators as op
 from liepoisson import orbits as orb
@@ -46,7 +45,7 @@ def main():
     print(f"well-defined under commutant shift of x: "
           f"{orb.kks_welldefined_defect(rho, x, x + shift, y):.3e}")
 
-    g = scipy.linalg.expm(
+    g = op.expm(
         0.3 * op.skew_hermitian_part(seeded_random_state(SEED + 3,
                                                          "general", N)))
     moved = orb.coadjoint_act(g, rho)

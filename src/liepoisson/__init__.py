@@ -62,6 +62,7 @@ from .operators import (
     as_matrix,
     commutator,
     elementary,
+    expm,
     hermitian_part,
     identity,
     matrix_from_json,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -98,8 +99,10 @@ def _positive_number(raw, label: str, default=None) -> float:
     if raw is None:
         _require(default is not None, f"{label} is required")
         return default
+    # the upper bound also keeps float(raw) from overflowing on huge integers
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool)
-             and raw > 0, f"{label} must be a positive number")
+             and 0 < raw <= sys.float_info.max,
+             f"{label} must be a positive finite number")
     return float(raw)
 
 
@@ -210,7 +213,9 @@ def _validate_params(rc: RunConfig) -> None:
         _require(1 <= hk_max <= 8, "hk_max must be in 1..8")
         _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
         if "t_end" in p:
-            _positive_number(p["t_end"], "t_end")
+            t_end = _positive_number(p["t_end"], "t_end")
+            _require(math.isfinite(t_end / rc.integrator.dt),
+                     "t_end / integrator.dt must give a finite step count")
     elif rc.command == "reduce-demo":
         n = _uint(p.get("N"), "N", 4)
         _require(n >= 2, "N must be >= 2")

@@ -9,6 +9,10 @@ object, and adding new kinds later cannot disturb existing streams.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random lazily, on first attribute access; importing it
+# here keeps that load (bit generators, hashlib, secrets) in package import
+# instead of inside the first run that draws a fixture
+import numpy.random
 
 from .toda import TodaState, default_weights
 

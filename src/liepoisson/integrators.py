@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .brackets import FULL, BracketSpec, MatrixLinearMap, Observable, ham_field
-from .operators import as_matrix, commutator
+from .operators import as_matrix, commutator, expm
 
 __all__ = [
     "IntegratorConfig",

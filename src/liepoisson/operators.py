@@ -24,6 +24,7 @@ __all__ = [
     "as_matrix",
     "commutator",
     "elementary",
+    "expm",
     "hermitian_part",
     "identity",
     "matrix_from_json",
@@ -121,6 +122,66 @@ def project_upper_plus(x: np.ndarray) -> np.ndarray:
 def project_strictly_lower(x: np.ndarray) -> np.ndarray:
     """Keep entries with column < row; complement of project_upper_plus."""
     return np.tril(as_matrix(x), -1)
+
+
+# Higham (2005), "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26(4): for each Pade degree m, the
+# largest 1-norm theta_m at which the [m/m] approximant to exp keeps its
+# backward error below the double unit roundoff (Table 2.3), and the
+# approximant's coefficients b_0..b_m.
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                              302702400.0, 30270240.0, 2162160.0, 110880.0,
+                              3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152e0
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Higham's scaling and squaring with a diagonal Pade approximant.
+
+    The degree m in {3, 5, 7, 9} is the lowest whose theta_m bounds the
+    1-norm of a; above theta_9, a is scaled by 2^-s into the degree-13 range
+    and the result squared s times.  The approximant r = q^-1 p is formed as
+    p = V + U, q = V - U from its even part V and odd part U.  Trusts its
+    input to be a square complex matrix with finite entries (see as_matrix).
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=0).max())
+    eye = np.eye(a.shape[0], dtype=complex)
+    a2 = a @ a
+    for m, theta, b in _PADE:
+        if norm <= theta:
+            u, v = b[3] * a2 + b[1] * eye, b[2] * a2 + b[0] * eye
+            power = a2
+            for k in range(4, m, 2):
+                power = power @ a2
+                u += b[k + 1] * power
+                v += b[k] * power
+            u = a @ u
+            return np.linalg.solve(v - u, v + u)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    a = a / 2.0 ** s
+    a2 = a2 / 4.0 ** s
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    b = _B13
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

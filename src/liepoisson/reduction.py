@@ -171,7 +171,13 @@ def closure_defect(op: ReductionOp, x, y) -> float:
 
 
 def contraction_check(op: ReductionOp, rho, tol: float = 1e-10) -> bool:
-    """Whether ||R(rho)||_1 <= ||rho||_1 (+ tol), as every R here satisfies."""
+    """Whether ||R(rho)||_1 <= ||rho||_1 (+ tol) at this rho.
+
+    The bound is a law for ``measurement`` and ``group_average``, which are
+    averages of unitary conjugations.  ``lower_triangularize`` is not a
+    trace-norm contraction and can increase the trace norm: it takes
+    [[.5, .4], [.4, .5]] (norm 1) to [[.5, 0], [.4, .5]] (norm 1.077).
+    """
     return trace_norm(apply(op, rho)) <= trace_norm(rho) + tol
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import brackets as bk
 from . import integrators as it
@@ -54,7 +53,7 @@ REQUIRED_OPS = frozenset({
     "operators.commutator", "operators.project_lower",
     "operators.project_strictly_upper", "operators.project_upper_plus",
     "operators.project_strictly_lower", "operators.hermitian_part",
-    "operators.skew_hermitian_part", "operators.validate",
+    "operators.skew_hermitian_part", "operators.validate", "operators.expm",
     "operators.validate_decomposition", "operators.standard_basis_decomposition",
     "operators.spectral_projectors", "operators.matrix_to_json",
     "operators.matrix_from_json",
@@ -442,12 +441,12 @@ def _orbit_checks(fx) -> List[CheckResult]:
                       float(abs(orb.characteristic_rank(state) - (2 * n - 2))), 0.0,
                       ("orbits.rank_one_state", "orbits.characteristic_rank")))
 
-    g = expm(0.5 * op.skew_hermitian_part(fx["draw"]()) + 0.2 * np.eye(n))
+    g = op.expm(0.5 * op.skew_hermitian_part(fx["draw"]()) + 0.2 * np.eye(n))
     moved = orb.coadjoint_act(g, rho)
     ev0 = np.sort(np.linalg.eigvals(rho).real)
     ev1 = np.sort(np.linalg.eigvals(moved).real)
     out.append(_check("coadjoint_isospectral", float(np.max(np.abs(ev1 - ev0))),
-                      1e-9, ("orbits.coadjoint_act",)))
+                      1e-9, ("operators.expm", "orbits.coadjoint_act")))
 
     d = abs(orb.kks_eval(moved, orb.coadjoint_act(g, x), orb.coadjoint_act(g, y))
             - orb.kks_eval(rho, x, y))

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import liepoisson
 from liepoisson import cli
 from liepoisson import operators as op
 from liepoisson import verification as vf
@@ -144,6 +149,21 @@ def test_toda_run_aborts_on_overflowing_positions(tmp_path):
     assert not (out_dir / "toda_trajectory.csv").exists()
 
 
+def test_toda_run_rejects_non_finite_time_spans(tmp_path):
+    cases = [
+        {"params": {"t_end": float("inf")}},
+        {"params": {"t_end": float("nan")}},
+        {"params": {"t_end": 10**400}},
+        {"params": {"t_end": 1.0}, "integrator": {"dt": float("inf")}},
+        # each number is finite, but t_end / dt overflows
+        {"params": {"t_end": 1e300}, "integrator": {"dt": 1e-10}},
+    ]
+    for k, payload in enumerate(cases):
+        code, out_dir = _run(tmp_path, "toda-run", payload, out=f"out{k}")
+        assert code == 2, payload
+        assert not out_dir.exists()
+
+
 def test_reduce_demo_all_kinds(tmp_path):
     full_kind = {"measurement": "measurement", "lower": "lower_triangularize",
                  "group": "group_average"}
@@ -228,3 +248,58 @@ def test_seeded_random_state_reexport():
     a = cli.seeded_random_state(1, "general", 3)
     b = cli.seeded_random_state(1, "general", 3)
     assert np.array_equal(a, b)
+
+
+def _python(tmp_path, code):
+    """Run code in a fresh interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liepoisson.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    done = _python(tmp_path, """
+        import json, sys
+        sys.modules["scipy"] = None  # any scipy import now fails
+        import liepoisson.cli as cli
+        iso = {"params": {"N": 4}, "integrator":
+               {"dt": 1e-3, "steps": 50, "method": "isospectral"}}
+        for command, payload in (("verify", {}), ("lvn-run", iso)):
+            with open(command + ".json", "w") as fh:
+                json.dump(payload, fh)
+            code = cli.main([command, "--config", command + ".json",
+                             "--out", command])
+            assert code == 0, (command, code)
+        """)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_run_loads_no_modules(tmp_path):
+    # every module the runs need is loaded by `import liepoisson.cli`; a lazy
+    # import inside cli.run would move start-up cost into the run itself
+    done = _python(tmp_path, """
+        import contextlib, io, json, sys
+        import liepoisson.cli as cli
+        iso = {"integrator": {"method": "isospectral"}}
+        configs = [(c, {}) for c in cli.COMMANDS] + [("lvn-run", iso)]
+        loaded, active = [], [False]
+        def hook(event, args):
+            if event == "import" and active[0]:
+                loaded.append(args[0])
+        sys.addaudithook(hook)
+        for k, (command, payload) in enumerate(configs):
+            with open(f"{k}.json", "w") as fh:
+                json.dump(payload, fh)
+            rc = cli.load_config(f"{k}.json", command, f"out{k}")
+            active[0] = True
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run(rc)
+            active[0] = False
+            assert code == 0, (command, code)
+            assert not loaded, (command, payload, loaded)
+        """)
+    assert done.returncode == 0, done.stderr

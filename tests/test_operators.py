@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from liepoisson import operators as op
@@ -173,6 +174,41 @@ def test_matrix_from_json_rejects_malformed():
         op.matrix_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
     with pytest.raises((ValueError, KeyError, TypeError)):
         op.matrix_from_json({"dim": 2, "re": [[1, 0], [0, 1]]})
+
+
+# 1-norms on both sides of Higham's thresholds theta_3 ~ 0.015,
+# theta_5 ~ 0.25, theta_7 ~ 0.95, theta_9 ~ 2.1 and theta_13 ~ 5.4, so every
+# Pade degree is used; 20 and 200 take the scaling and squaring branch.
+EXPM_NORMS = (1e-3, 1e-2, 0.2, 0.9, 2.0, 5.0, 20.0, 200.0)
+
+
+def _non_normal(seed, n, norm):
+    g = seeded_random_state(seed, "general", n)
+    a = g + 3.0 * np.triu(g, 1)
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+def test_expm_matches_scipy_on_non_normal_matrices():
+    for n in range(1, 33):
+        for k, norm in enumerate(EXPM_NORMS):
+            a = _non_normal(100 * n + k, n, norm)
+            want = scipy.linalg.expm(a)
+            gap = np.linalg.norm(op.expm(a) - want, 1) / np.linalg.norm(want, 1)
+            assert gap <= 1e-12, (n, norm, gap)
+
+
+def test_expm_inverse_and_diagonal_identities():
+    # the product's roundoff scales with |e^a| |e^-a|, so norms stay below
+    # the scaling branch, where that factor is still of order one
+    for n in (1, 2, 4, 8, 16, 32):
+        for norm in EXPM_NORMS[:6]:
+            a = _non_normal(n, n, norm)
+            product = op.expm(a) @ op.expm(-a)
+            assert np.max(np.abs(product - np.eye(n))) <= 1e-12, (n, norm)
+    d = np.array([0.0, 1e-3, -0.5 + 2j, 3j, 7.0, -40.0 + 1j, 150.0])
+    e = op.expm(np.diag(d))
+    assert np.all(e[~np.eye(d.size, dtype=bool)] == 0.0)
+    assert np.max(np.abs(np.diag(e) / np.exp(d) - 1.0)) <= 1e-13
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
