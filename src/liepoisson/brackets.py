@@ -26,6 +26,10 @@ Sign conventions (fixed, and asserted by tests):
 
 A zero state gives bracket value 0 for every variant (the structures are
 linear in the state); that case is ordinary, not an error.
+
+``lp_bracket`` and ``ham_field`` validate the state once, on entry (see
+``_state``); from there the gradients an observable returns are taken as
+they come and every formula runs on the trusted kernels of ``operators``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ import numpy as np
 from .operators import (
     DEFAULT_TOL,
     ClassTag,
+    _commutator,
+    _holds,
+    _skew_hermitian_part,
+    _trace_pairing,
     as_matrix,
     commutator,
     elementary,
@@ -45,7 +53,6 @@ from .operators import (
     project_upper_plus,
     skew_hermitian_part,
     trace_pairing,
-    validate,
 )
 
 __all__ = [
@@ -272,36 +279,42 @@ class Observable:
         )
 
 
-def _check_state(spec: BracketSpec, state, tol: float) -> None:
+def _state(spec: BracketSpec, state, tol: float):
+    """The state as validated matrices (a pair of them for a product spec).
+
+    Raises ValueError unless the state lies in the spec's state space.
+    """
     if spec.kind == "product":
         if not (isinstance(state, tuple) and len(state) == 2):
             raise ValueError("product bracket expects a pair state")
-        _check_state(spec.left, state[0], tol)
-        _check_state(spec.right, state[1], tol)
-        return
+        return (_state(spec.left, state[0], tol),
+                _state(spec.right, state[1], tol))
+    if spec.kind not in ("full", "lower_coinduced", "hermitian_real"):
+        raise ValueError(f"unknown bracket spec {spec!r}")
+    rho = as_matrix(state)
     if spec.kind == "lower_coinduced":
-        if not validate(ClassTag.LOWER_TRIANGULAR, state, tol):
+        if not _holds(ClassTag.LOWER_TRIANGULAR, rho, tol):
             raise ValueError("lower_coinduced bracket needs a lower-triangular state")
     elif spec.kind == "hermitian_real":
-        if not validate(ClassTag.SKEW_HERMITIAN, state, tol):
+        if not _holds(ClassTag.SKEW_HERMITIAN, rho, tol):
             raise ValueError("hermitian_real bracket needs a skew-Hermitian state")
-    elif spec.kind != "full":
-        raise ValueError(f"unknown bracket spec {spec!r}")
+    return rho
 
 
 def _canonical_grad(spec: BracketSpec, g):
     """Project a gradient onto the representative subspace of the spec."""
+    g = np.asarray(g, dtype=complex)
     if spec.kind == "lower_coinduced":
-        return project_upper_plus(g)
+        return np.triu(g)
     if spec.kind == "hermitian_real":
-        return skew_hermitian_part(g)
-    return as_matrix(g)
+        return _skew_hermitian_part(g)
+    return g
 
 
 def _partial_bracket(spec: BracketSpec, df, dg, rho):
     df = _canonical_grad(spec, df)
     dg = _canonical_grad(spec, dg)
-    value = trace_pairing(commutator(df, dg), rho)
+    value = _trace_pairing(_commutator(df, dg), rho)
     if spec.kind == "hermitian_real":
         return float(value.real)
     return value
@@ -314,7 +327,7 @@ def lp_bracket(spec: BracketSpec, f: Observable, g: Observable, state,
     Returns a complex number for full/lower_coinduced/product and a float for
     hermitian_real (a bracket of real functions on a real subspace).
     """
-    _check_state(spec, state, tol)
+    state = _state(spec, state, tol)
     if spec.kind == "product":
         gf1, gf2 = f.grad(state)
         gg1, gg2 = g.grad(state)
@@ -327,13 +340,13 @@ def _partial_field(spec: BracketSpec, dh, rho):
     dh = _canonical_grad(spec, dh)
     if spec.kind == "lower_coinduced":
         # opposite composite order; see module docstring
-        return project_lower(commutator(as_matrix(rho), dh))
-    return commutator(dh, as_matrix(rho))
+        return np.tril(_commutator(rho, dh))
+    return _commutator(dh, rho)
 
 
 def ham_field(spec: BracketSpec, h: Observable, state, tol: float = DEFAULT_TOL):
     """Hamiltonian vector field of h at the state, per the fixed conventions."""
-    _check_state(spec, state, tol)
+    state = _state(spec, state, tol)
     if spec.kind == "product":
         gh1, gh2 = h.grad(state)
         return (
@@ -379,18 +392,18 @@ def bracket_observable(spec: BracketSpec, f: Observable, g: Observable,
                 df1, df2 = f.grad(rr)
                 dg1, dg2 = g.grad(rr)
                 return (
-                    commutator(_canonical_grad(spec.left, df1),
-                               _canonical_grad(spec.left, dg1)),
-                    commutator(_canonical_grad(spec.right, df2),
-                               _canonical_grad(spec.right, dg2)),
+                    _commutator(_canonical_grad(spec.left, df1),
+                                _canonical_grad(spec.left, dg1)),
+                    _commutator(_canonical_grad(spec.right, df2),
+                                _canonical_grad(spec.right, dg2)),
                 )
 
             return Observable(lambda rr: lp_bracket(spec, f, g, rr),
                               gradient_pair, linear=True, name=name)
 
         def gradient(rho):
-            return commutator(_canonical_grad(spec, f.grad(rho)),
-                              _canonical_grad(spec, g.grad(rho)))
+            return _commutator(_canonical_grad(spec, f.grad(rho)),
+                               _canonical_grad(spec, g.grad(rho)))
 
         return Observable(lambda rho: lp_bracket(spec, f, g, rho),
                           gradient, linear=True, name=name)

@@ -16,7 +16,8 @@ directory).  Runs are deterministic: identical config and library versions
 give byte-identical output files.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 config error (nothing is
-written); 3 numerical abort (NaN or overflow during integration).
+written); 3 numerical abort (NaN, overflow, or a lost invariant during
+integration).
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ DEFAULT_OUTPUT = {
     "reduce-demo": "reduction_report.json",
     "orbit-kks": "orbit_report.json",
 }
+
+# orbit-kks takes the SVD of N^2 x N^2 matrices, O(N^6) work
+ORBIT_MAX_N = 32
 
 
 class ConfigError(ValueError):
@@ -227,7 +231,8 @@ def _validate_params(rc: RunConfig) -> None:
                        ("random-psd", "random"))
         _positive_number(p.get("tol"), "tol", 1e-10)
     elif rc.command == "orbit-kks":
-        _require(_uint(p.get("N"), "N", 4) >= 2, "N must be >= 2")
+        _require(2 <= _uint(p.get("N"), "N", 4) <= ORBIT_MAX_N,
+                 f"N must be in 2..{ORBIT_MAX_N}")
         _matrix_or_tag(p.get("state", "random-hermitian"), "state",
                        ("random-hermitian", "rank-one"))
         samples = _uint(p.get("samples"), "samples", 6)
@@ -342,9 +347,10 @@ def _lvn_inputs(rc: RunConfig):
 def _run_lvn(rc: RunConfig) -> int:
     h, rho0 = _lvn_inputs(rc)
     tol = rc.params.get("drift_tol", 1e-8)
+    gen = -1j * h
 
     def generator(r):
-        return -1j * h
+        return gen
 
     monitors = {"energy": lambda r: float(np.real(np.trace(h @ r)))}
     for k in (1, 2, 3, 4):
@@ -355,7 +361,7 @@ def _run_lvn(rc: RunConfig) -> int:
         traj = evolve(rho0, rc.integrator, hgrad=generator, monitors=monitors)
     else:
         traj = evolve(rho0, rc.integrator,
-                      rhs=lambda t, r: op.commutator(generator(r), r),
+                      rhs=lambda t, r: op._commutator(gen, r),
                       monitors=monitors)
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
@@ -372,9 +378,21 @@ def _run_lvn(rc: RunConfig) -> int:
     return 0 if ok else 1
 
 
+def _flow_state(y, template: td.TodaState) -> td.TodaState:
+    """unpack for integrated states, where a broken invariant is numerical.
+
+    RK4 keeps the total momentum at zero only up to roundoff; a flow that
+    diverges loses it entirely, and that is an abort, not a config fault.
+    """
+    try:
+        return td.unpack(y, template)
+    except ValueError as exc:
+        raise NumericalAbort(f"canonical Toda flow broke an invariant: {exc}") from exc
+
+
 def _toda_monitors(template: td.TodaState, hk_max: int):
     def value(y, k):
-        lax = td.flaschka(td.unpack(y, template)).lax
+        lax = td.flaschka(_flow_state(y, template)).lax
         return float(np.real(np.trace(np.linalg.matrix_power(lax, k)))) / k
 
     return {f"h{k}": (lambda y, k=k: value(y, k)) for k in range(1, hk_max + 1)}
@@ -403,7 +421,7 @@ def _run_toda(rc: RunConfig) -> int:
                       flatten=(td.toda_columns(state0.n),
                                lambda y: np.asarray(y, dtype=float)))
         spectrum = [np.sort(np.linalg.eigvals(
-            td.flaschka(td.unpack(y, state0)).lax).real) for y in traj.states]
+            td.flaschka(_flow_state(y, state0)).lax).real) for y in traj.states]
     else:
         pair0 = td.flaschka(state0)
         monitors = {

@@ -8,6 +8,14 @@ package is taken with respect to.
 
 Matrices are plain ``numpy.ndarray`` values with dtype complex128; nothing here
 mutates its inputs, so values can be shared freely between threads.
+
+Validation happens once, where a matrix enters.  Every public function
+coerces its matrix arguments with ``as_matrix`` (square, at least 1 x 1,
+finite entries) and raises ``ValueError`` otherwise.  The underscored
+kernels (``_commutator``, ``_trace_pairing``, ``_skew_hermitian_part``,
+``_holds``) hold the formulas and trust their input to be such a matrix
+already; the step loops and the brackets call only kernels, and
+``integrators.evolve`` owns the one per-step finiteness check.
 """
 
 from __future__ import annotations
@@ -72,21 +80,30 @@ def elementary(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] = xy - yx."""
+def _matrix_pair(x, y):
     x, y = as_matrix(x), as_matrix(y)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return x, y
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
+
+
+def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] = xy - yx."""
+    return _commutator(*_matrix_pair(x, y))
+
+
+def _trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:
+    # tr(x rho) = sum_ij x_ij rho_ji without forming the product.
+    return complex(np.sum(x * rho.T))
 
 
 def trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:
     """<x, rho> = tr(x rho), the duality pairing of bounded against trace class."""
-    x, rho = as_matrix(x), as_matrix(rho)
-    if x.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {rho.shape}")
-    # tr(x rho) = sum_ij x_ij rho_ji without forming the product.
-    return complex(np.sum(x * rho.T))
+    return _trace_pairing(*_matrix_pair(x, rho))
 
 
 def trace_norm(rho: np.ndarray) -> float:
@@ -189,10 +206,13 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _skew_hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m - m.conj().T) / 2.0
+
+
 def skew_hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m - m*) / 2, the projector onto the skew-Hermitian real subspace."""
-    m = as_matrix(m)
-    return (m - m.conj().T) / 2.0
+    return _skew_hermitian_part(as_matrix(m))
 
 
 class ClassTag(enum.Enum):
@@ -213,7 +233,10 @@ class ClassTag(enum.Enum):
 
 def validate(tag: ClassTag, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff the tag's defining predicate holds on m within tol."""
-    m = as_matrix(m)
+    return _holds(tag, as_matrix(m), tol)
+
+
+def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
     if tag in (ClassTag.TRACE_CLASS, ClassTag.BOUNDED):
         return True  # finiteness already enforced by as_matrix
     if tag is ClassTag.LOWER_TRIANGULAR:
@@ -278,7 +301,7 @@ def spectral_projectors(h: np.ndarray, tol: float = 1e-8) -> DecompositionOfUnit
     eigenvalue order of ``numpy.linalg.eigh``.
     """
     h = as_matrix(h)
-    if not validate(ClassTag.HERMITIAN, h, 1e-10):
+    if not _holds(ClassTag.HERMITIAN, h, 1e-10):
         raise ValueError("spectral_projectors needs a Hermitian matrix")
     w, v = np.linalg.eigh(h)
     blocks = []

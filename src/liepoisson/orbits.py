@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_matrix, commutator, elementary, trace_pairing
+from .operators import as_matrix, commutator, trace_pairing
 
 __all__ = [
     "OrbitPoint",
@@ -108,6 +108,26 @@ def _svd_rank(m: np.ndarray) -> int:
     return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
+def _tangent_matrix(rho: np.ndarray) -> np.ndarray:
+    """x -> [x, rho] on row-major vectorized matrices: I (x) rho^T - rho (x) I.
+
+    Column i*n + j is vec([E_ij, rho]).
+    """
+    eye = np.eye(rho.shape[0])
+    return np.kron(eye, rho.T) - np.kron(rho, eye)
+
+
+def _kks_gram(rho: np.ndarray) -> np.ndarray:
+    """G[(ab),(cd)] = omega(rho)([E_ab, rho], [E_cd, rho]) = tr([E_ab, E_cd] rho).
+
+    Since [E_ab, E_cd] = d_bc E_ad - d_da E_cb, the entries are
+    d_bc rho_da - d_da rho_bc, that is T - T^T for T[(ab),(cd)] = d_bc rho_da.
+    """
+    n = rho.shape[0]
+    t = np.einsum("bc,da->abcd", np.eye(n), rho).reshape(n * n, n * n)
+    return t - t.T
+
+
 def characteristic_rank(point) -> int:
     """dim { [x, rho] : x arbitrary }, the orbit's tangent dimension at rho.
 
@@ -115,13 +135,7 @@ def characteristic_rank(point) -> int:
     SVD rank of x -> [x, rho] over the elementary-matrix basis, singular
     values cut at 1e-10 relative.
     """
-    rho = _state_of(point)
-    n = rho.shape[0]
-    cols = np.empty((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            cols[:, i * n + j] = commutator(elementary(n, i, j), rho).reshape(-1)
-    return _svd_rank(cols)
+    return _svd_rank(_tangent_matrix(_state_of(point)))
 
 
 def kks_form_rank(point) -> int:
@@ -131,14 +145,7 @@ def kks_form_rank(point) -> int:
     equals ``characteristic_rank``; the two are compared by the verification
     suite rather than assumed.
     """
-    rho = _state_of(point)
-    n = rho.shape[0]
-    basis = [elementary(n, i, j) for i in range(n) for j in range(n)]
-    gram = np.empty((n * n, n * n), dtype=complex)
-    for a, xa in enumerate(basis):
-        for b, xb in enumerate(basis):
-            gram[a, b] = kks_eval(rho, xa, xb)
-    return _svd_rank(gram)
+    return _svd_rank(_kks_gram(_state_of(point)))
 
 
 def rank_one_state(v) -> np.ndarray:

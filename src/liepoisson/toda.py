@@ -23,6 +23,11 @@ Poisson-commute under the lower-coinduced bracket (``involution_defect``).
 
 Positions above ~700 overflow exp; those evaluations raise NumericalAbort
 rather than return inf.
+
+``LaxPair`` and ``lax_rhs(a)`` validate their matrices when they are built;
+the Lax field itself (``_lax_field``) trusts them, so an RK4 stage costs two
+matrix products and two masked selections, and a diverging flow reaches the
+integrator's finiteness check instead of failing inside a stage.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .brackets import LOWER_COINDUCED, Observable, lp_bracket
 from .integrators import NumericalAbort
-from .operators import as_matrix, commutator, project_lower, project_upper_plus
+from .operators import _commutator, as_matrix
 
 __all__ = [
     "LaxPair",
@@ -215,14 +220,18 @@ def flaschka_tangent(state: TodaState, xdot, pdot) -> np.ndarray:
     return d
 
 
+def _check_index(k: int) -> None:
+    if k < 1:
+        raise ValueError("index must be a positive integer")
+
+
 def toda_hk(k: int, a) -> Observable:
     """h_k(rho) = tr((rho + a)^k) / k on lower-triangular states.
 
     Gradient representative: pi+ ((rho + a)^(k-1)).  h_2 is the image of the
     canonical Hamiltonian under the Flaschka map.
     """
-    if k < 1:
-        raise ValueError("index must be a positive integer")
+    _check_index(k)
     a = as_matrix(a)
 
     def evaluate(rho):
@@ -230,25 +239,45 @@ def toda_hk(k: int, a) -> Observable:
         return complex(np.trace(np.linalg.matrix_power(lax, k))) / k
 
     def gradient(rho):
-        lax = as_matrix(rho) + a
-        return project_upper_plus(np.linalg.matrix_power(lax, k - 1))
+        return np.triu(np.linalg.matrix_power(rho + a, k - 1))
 
     return Observable(evaluate, gradient, domain="lower",
                       name=f"tr((rho+a)^{k})/{k}")
 
 
+def _triangle_masks(n: int):
+    """Boolean masks of the lower (row >= column) and upper-plus parts.
+
+    ``np.where(mask, m, 0)`` with them gives the same bits as ``np.tril(m)``
+    and ``np.triu(m)``, which build such a mask on every call.
+    """
+    lower = np.tri(n, dtype=bool)
+    return lower, np.ascontiguousarray(lower.T)
+
+
+def _lax_field(rho, a, k: int, lower, upper) -> np.ndarray:
+    m = np.where(upper, np.linalg.matrix_power(rho + a, k - 1), 0)
+    return np.where(lower, _commutator(rho, m), 0)
+
+
 def lax_field(pair: LaxPair, k: int = 2) -> np.ndarray:
     """pi_lower([rho, pi+ (rho + a)^(k-1)]), the h_k flow of the pair."""
-    m = project_upper_plus(np.linalg.matrix_power(pair.lax, k - 1))
-    return project_lower(commutator(pair.rho, m))
+    _check_index(k)
+    return _lax_field(pair.rho, pair.a, k, *_triangle_masks(pair.rho.shape[0]))
 
 
 def lax_rhs(a, k: int = 2):
-    """rhs(t, rho) for integrating the Lax flow at fixed a."""
+    """rhs(t, rho) for integrating the Lax flow at fixed a.
+
+    a is validated here, once; the returned closure trusts rho to be a
+    finite matrix of a's shape (``evolve`` checks each step's state).
+    """
+    _check_index(k)
     a = as_matrix(a)
+    lower, upper = _triangle_masks(a.shape[0])
 
     def rhs(t, rho):
-        return lax_field(LaxPair(rho, a), k)
+        return _lax_field(rho, a, k, lower, upper)
 
     return rhs
 

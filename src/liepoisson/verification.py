@@ -586,7 +586,7 @@ def _toda_checks(fx) -> List[CheckResult]:
         pushed = td.flaschka(td.unpack(y, state)).rho
         worst = max(worst, float(np.max(np.abs(pushed - rho_l))))
     out.append(_check("toda_canonical_vs_lax_trajectory", worst, 1e-6,
-                      ("toda.lax_field", "toda.flaschka")))
+                      ("toda.lax_rhs", "toda.flaschka")))
 
     out.append(_check("toda_lax_spectrum_drift",
                       it.spectral_drift(it.Trajectory(

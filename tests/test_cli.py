@@ -149,6 +149,53 @@ def test_toda_run_aborts_on_overflowing_positions(tmp_path):
     assert not (out_dir / "toda_trajectory.csv").exists()
 
 
+def _cli_process(tmp_path, command, payload, out="out"):
+    """Run the CLI in a fresh interpreter, as the console script does."""
+    cfg = _write_config(tmp_path, payload)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liepoisson.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out_dir = tmp_path / out
+    done = subprocess.run(
+        [sys.executable, "-m", "liepoisson.cli", command, "--config", cfg,
+         "--out", str(out_dir)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    return done, out_dir
+
+
+def _assert_numerical_abort(done, out_dir, message):
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"numerical abort: {message}" in done.stderr
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_diverging_lax_toda_run_aborts(tmp_path):
+    payload = {"command": "toda-run", "seed": 1,
+               "params": {"N": 8, "flow": "lax"},
+               "integrator": {"dt": 5.0, "steps": 200, "stride": 1}}
+    done, out_dir = _cli_process(tmp_path, "toda-run", payload)
+    _assert_numerical_abort(done, out_dir, "non-finite state after step")
+
+
+def test_diverging_lvn_run_aborts(tmp_path):
+    payload = {"command": "lvn-run", "seed": 1, "params": {"N": 8},
+               "integrator": {"dt": 50.0, "steps": 200, "stride": 1}}
+    done, out_dir = _cli_process(tmp_path, "lvn-run", payload)
+    _assert_numerical_abort(done, out_dir, "non-finite state after step")
+
+
+def test_diverging_canonical_toda_run_aborts(tmp_path):
+    # RK4 at this dt scrambles the momentum cancellation long before any
+    # entry overflows; losing the invariant is a numerical abort
+    payload = {"command": "toda-run", "seed": 1,
+               "params": {"N": 8, "flow": "canonical"},
+               "integrator": {"dt": 5.0, "steps": 200, "stride": 1}}
+    done, out_dir = _cli_process(tmp_path, "toda-run", payload)
+    _assert_numerical_abort(done, out_dir, "canonical Toda flow broke an invariant")
+
+
 def test_toda_run_rejects_non_finite_time_spans(tmp_path):
     cases = [
         {"params": {"t_end": float("inf")}},
@@ -208,6 +255,18 @@ def test_orbit_kks_rank_one_state(tmp_path):
     assert code == 0
     report = json.loads((out_dir / "orbit_report.json").read_text())
     assert report["characteristic_rank"] == 8  # 2(N - 1) on a projector orbit
+
+
+def test_orbit_kks_dimension_is_capped(tmp_path):
+    # the rank computations are O(N^6); a config past the cap never runs
+    for n in (1, cli.ORBIT_MAX_N + 1, 10**6):
+        code, out_dir = _run(tmp_path, "orbit-kks", {"params": {"N": n}},
+                             out=f"out{n}")
+        assert code == 2
+        assert not out_dir.exists()
+    path = _write_config(tmp_path, {"params": {"N": cli.ORBIT_MAX_N}})
+    rc = cli.load_config(path, "orbit-kks", str(tmp_path / "unused"))
+    assert rc.params["N"] == 32
 
 
 def test_unknown_config_keys_are_rejected(tmp_path):

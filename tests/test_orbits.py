@@ -91,6 +91,51 @@ def test_form_rank_agrees_with_characteristic_rank():
         assert orb.kks_form_rank(rho) == orb.characteristic_rank(rho)
 
 
+def _tangent_matrix_loop(rho):
+    # column i*n + j is vec([E_ij, rho]), one commutator per basis element
+    n = rho.shape[0]
+    cols = np.empty((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            cols[:, i * n + j] = op.commutator(op.elementary(n, i, j), rho).reshape(-1)
+    return cols
+
+
+def _kks_gram_loop(rho):
+    n = rho.shape[0]
+    basis = [op.elementary(n, i, j) for i in range(n) for j in range(n)]
+    gram = np.empty((n * n, n * n), dtype=complex)
+    for a, xa in enumerate(basis):
+        for b, xb in enumerate(basis):
+            gram[a, b] = orb.kks_eval(rho, xa, xb)
+    return gram
+
+
+def _closed_form_states(n):
+    seed = 300 + 10 * n
+    u, _ = np.linalg.qr(seeded_random_state(seed, "general", n))
+    repeated = np.repeat(np.arange(1.0, n // 2 + 2.0), 2)[:n]  # 1, 1, 2, 2, ...
+    return {
+        "hermitian": seeded_random_state(seed + 1, "hermitian", n),
+        "general": seeded_random_state(seed + 2, "general", n),
+        "psd": seeded_random_state(seed + 3, "psd", n),
+        "rank-one": orb.rank_one_state(seeded_random_state(seed + 4, "general", n)[0]),
+        "repeated": u @ np.diag(repeated).astype(complex) @ u.conj().T,
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_form_rank_matrices_match_the_basis_loops(n):
+    for kind, rho in _closed_form_states(n).items():
+        cols = _tangent_matrix_loop(rho)
+        gram = _kks_gram_loop(rho)
+        assert np.array_equal(orb._tangent_matrix(rho), cols), kind
+        assert np.array_equal(orb._kks_gram(rho), gram), kind
+        assert orb.characteristic_rank(rho) == orb._svd_rank(cols), kind
+        assert orb.kks_form_rank(rho) == orb._svd_rank(gram), kind
+        assert orb.kks_form_rank(rho) == orb.characteristic_rank(rho), kind
+
+
 def test_coadjoint_action_preserves_spectrum_and_form():
     rho = seeded_random_state(141, "hermitian", 4)
     skew = op.skew_hermitian_part(seeded_random_state(142, "general", 4))
