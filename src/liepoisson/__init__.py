@@ -81,7 +81,6 @@ from .operators import (
     validate_decomposition,
 )
 from .orbits import (
-    OrbitPoint,
     characteristic_rank,
     coadjoint_act,
     kks_eval,
@@ -123,6 +122,6 @@ from .toda import (
     toda_to_json,
     unpack,
 )
-from .verification import CheckResult, REQUIRED_OPS, report_payload, run_all
+from .verification import CheckResult, report_payload, run_all
 
 __version__ = "0.1.0"

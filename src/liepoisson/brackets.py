@@ -142,17 +142,22 @@ def fd_gradient(func: Callable, rho, step: float = FD_STEP):
         return tuple(grads)
 
     rho = as_matrix(rho)
+    return _wirtinger_gradient(func, rho, step, np.ndindex(rho.shape))
+
+
+def _wirtinger_gradient(func: Callable, rho: np.ndarray, step: float, entries):
+    """G[j, i] = d f / d rho_ij by central differences, for each (i, j) in
+    ``entries``; the other entries of G stay zero."""
     n = rho.shape[0]
     g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = step
-            d_re = (func(rho + e) - func(rho - e)) / (2.0 * step)
-            d_im = (func(rho + 1j * e) - func(rho - 1j * e)) / (2.0 * step)
-            # Wirtinger derivative; equals the complex derivative for
-            # holomorphic (polynomial-in-entries) observables.
-            g[j, i] = 0.5 * (d_re - 1j * d_im)
+    for i, j in entries:
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = step
+        d_re = (func(rho + e) - func(rho - e)) / (2.0 * step)
+        d_im = (func(rho + 1j * e) - func(rho - 1j * e)) / (2.0 * step)
+        # Wirtinger derivative; equals the complex derivative for
+        # holomorphic (polynomial-in-entries) observables.
+        g[j, i] = 0.5 * (d_re - 1j * d_im)
     return g
 
 
@@ -164,16 +169,7 @@ def fd_gradient_lower(func: Callable, rho, step: float = FD_STEP):
     for every lower-triangular delta.
     """
     rho = as_matrix(rho)
-    n = rho.shape[0]
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = step
-            d_re = (func(rho + e) - func(rho - e)) / (2.0 * step)
-            d_im = (func(rho + 1j * e) - func(rho - 1j * e)) / (2.0 * step)
-            g[j, i] = 0.5 * (d_re - 1j * d_im)
-    return g
+    return _wirtinger_gradient(func, rho, step, zip(*np.tril_indices(rho.shape[0])))
 
 
 def fd_gradient_skew(func: Callable, rho, step: float = FD_STEP):

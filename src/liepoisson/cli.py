@@ -39,7 +39,7 @@ from . import reduction as red
 from . import toda as td
 from .fixtures import seeded_random_state
 from .integrators import IntegratorConfig, NumericalAbort, evolve
-from .verification import report_payload, run_all
+from .verification import _check, _reduction_op, _write_report, run_all
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
            "seeded_random_state"]
@@ -53,6 +53,10 @@ DEFAULT_OUTPUT = {
     "reduce-demo": "reduction_report.json",
     "orbit-kks": "orbit_report.json",
 }
+
+# reduce-demo kinds, and the reduction kind each one builds
+REDUCE_KINDS = {"measurement": "measurement", "lower": "lower_triangularize",
+                "group": "group_average"}
 
 # orbit-kks takes the SVD of N^2 x N^2 matrices, O(N^6) work
 ORBIT_MAX_N = 32
@@ -223,8 +227,7 @@ def _validate_params(rc: RunConfig) -> None:
     elif rc.command == "reduce-demo":
         n = _uint(p.get("N"), "N", 4)
         _require(n >= 2, "N must be >= 2")
-        kind = _choice(p.get("kind"), "kind",
-                       ("measurement", "lower", "group"), "measurement")
+        kind = _choice(p.get("kind"), "kind", REDUCE_KINDS, "measurement")
         _require(kind != "group" or n % 2 == 0,
                  "the demo sign group needs an even N")
         _matrix_or_tag(p.get("state", "random-psd"), "state",
@@ -274,31 +277,6 @@ def _lvn_dim(rc: RunConfig) -> int:
 
 # -------------------------------------------------------------- reporting
 
-def _check_row(name: str, defect: float, tol: float) -> dict:
-    return {"name": name, "defect": float(defect), "tol": float(tol),
-            "pass": bool(float(defect) <= float(tol))}
-
-
-def _bool_row(name: str, ok: bool) -> dict:
-    return _check_row(name, 0.0 if ok else 1.0, 0.0)
-
-
-def _emit(rows, stream=None) -> bool:
-    stream = sys.stdout if stream is None else stream
-    width = max(len(r["name"]) for r in rows)
-    for r in rows:
-        flag = "PASS" if r["pass"] else "FAIL"
-        print(f"{flag}  {r['name']:<{width}}  defect={r['defect']:.3e}  "
-              f"tol={r['tol']:.3e}", file=stream)
-    return all(r["pass"] for r in rows)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _artifact_path(rc: RunConfig, name: Optional[str] = None) -> str:
     os.makedirs(rc.out_dir, exist_ok=True)
     return os.path.join(rc.out_dir, name if name else rc.output_path)
@@ -321,11 +299,8 @@ def _relative_drift(series: np.ndarray) -> float:
 
 def _run_verify(rc: RunConfig) -> int:
     results = run_all(seed=rc.seed, dim=rc.params.get("dim", 4))
-    payload = report_payload(results)
-    _write_json(_artifact_path(rc), payload)
-    ok = _emit(payload["checks"])
-    print(f"report: {_artifact_path(rc)}")
-    return 0 if ok else 1
+    path = _artifact_path(rc)
+    return _write_report(path, results, f"report: {path}")
 
 
 def _lvn_inputs(rc: RunConfig):
@@ -366,16 +341,10 @@ def _run_lvn(rc: RunConfig) -> int:
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
 
-    rows = [_check_row(f"T{k}_relative_drift",
-                       _relative_drift(traj.monitors[f"T{k}"]), tol)
-            for k in (1, 2, 3, 4)]
-    rows.append(_check_row("energy_relative_drift",
-                           _relative_drift(traj.monitors["energy"]), tol))
-    payload = {"checks": rows, "pass": all(r["pass"] for r in rows)}
-    _write_json(_artifact_path(rc, _summary_name(rc)), payload)
-    ok = _emit(rows)
-    print(f"trajectory: {csv_path}")
-    return 0 if ok else 1
+    rows = [_check(f"{key}_relative_drift", _relative_drift(traj.monitors[key]),
+                   tol) for key in ("T1", "T2", "T3", "T4", "energy")]
+    return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
+                         f"trajectory: {csv_path}")
 
 
 def _flow_state(y, template: td.TodaState) -> td.TodaState:
@@ -388,14 +357,6 @@ def _flow_state(y, template: td.TodaState) -> td.TodaState:
         return td.unpack(y, template)
     except ValueError as exc:
         raise NumericalAbort(f"canonical Toda flow broke an invariant: {exc}") from exc
-
-
-def _toda_monitors(template: td.TodaState, hk_max: int):
-    def value(y, k):
-        lax = td.flaschka(_flow_state(y, template)).lax
-        return float(np.real(np.trace(np.linalg.matrix_power(lax, k)))) / k
-
-    return {f"h{k}": (lambda y, k=k: value(y, k)) for k in range(1, hk_max + 1)}
 
 
 def _run_toda(rc: RunConfig) -> int:
@@ -413,54 +374,45 @@ def _run_toda(rc: RunConfig) -> int:
         cfg = IntegratorConfig(dt=cfg.dt, steps=steps,
                                stride=min(cfg.stride, steps), method=cfg.method)
 
-    flow = p.get("flow", "canonical")
-    if flow == "canonical":
-        monitors = _toda_monitors(state0, hk_max)
-        traj = evolve(td.pack(state0), cfg, rhs=td.canonical_rhs(state0),
-                      monitors=monitors,
-                      flatten=(td.toda_columns(state0.n),
-                               lambda y: np.asarray(y, dtype=float)))
-        spectrum = [np.sort(np.linalg.eigvals(
-            td.flaschka(_flow_state(y, state0)).lax).real) for y in traj.states]
+    if p.get("flow", "canonical") == "canonical":
+        y0, rhs = td.pack(state0), td.canonical_rhs(state0)
+        flatten = (td.toda_columns(state0.n), lambda y: np.asarray(y, dtype=float))
+
+        def lax_of(y):
+            return td.flaschka(_flow_state(y, state0)).lax
     else:
         pair0 = td.flaschka(state0)
-        monitors = {
-            f"h{k}": (lambda r, k=k, a=pair0.a: float(np.real(np.trace(
-                np.linalg.matrix_power(r + a, k)))) / k)
-            for k in range(1, hk_max + 1)
-        }
-        traj = evolve(pair0.rho, cfg, rhs=td.lax_rhs(pair0.a), monitors=monitors)
-        spectrum = [np.sort(np.linalg.eigvals(r + pair0.a).real)
-                    for r in traj.states]
+        y0, rhs, flatten = pair0.rho, td.lax_rhs(pair0.a), None
+
+        def lax_of(r):
+            return r + pair0.a
+
+    # one Lax matrix per recorded state feeds every h_k and the spectrum.
+    # evolve runs the monitors in order, so h1 builds it; that also stops a
+    # canonical flow at the first recorded state that lost its momentum.
+    laxes = []
+
+    def h(k):
+        def monitor(y):
+            if k == 1:
+                laxes.append(lax_of(y))
+            return float(np.real(np.trace(np.linalg.matrix_power(laxes[-1], k)))) / k
+        return monitor
+
+    traj = evolve(y0, cfg, rhs=rhs, flatten=flatten,
+                  monitors={f"h{k}": h(k) for k in range(1, hk_max + 1)})
+    spectrum = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
 
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
 
-    rows = [_check_row(f"h{k}_relative_drift",
-                       _relative_drift(traj.monitors[f"h{k}"]), tol)
-            for k in range(1, hk_max + 1)]
-    spectrum = np.array(spectrum)
+    rows = [_check(f"h{k}_relative_drift", _relative_drift(traj.monitors[f"h{k}"]),
+                   tol) for k in range(1, hk_max + 1)]
     spread = max(float(np.max(np.abs(spectrum[0]))), 1e-30)
-    rows.append(_check_row("lax_spectrum_relative_drift",
-                           float(np.max(np.abs(spectrum - spectrum[0]))) / spread,
-                           tol))
-    payload = {"checks": rows, "pass": all(r["pass"] for r in rows)}
-    _write_json(_artifact_path(rc, _summary_name(rc)), payload)
-    ok = _emit(rows)
-    print(f"trajectory: {csv_path}")
-    return 0 if ok else 1
-
-
-def _demo_reduction(kind: str, n: int) -> red.ReductionOp:
-    if kind == "measurement":
-        half = n // 2
-        p1 = np.diag(np.array([1.0] * half + [0.0] * (n - half), dtype=complex))
-        return red.measurement([p1, np.eye(n, dtype=complex) - p1])
-    if kind == "lower":
-        return red.lower_triangularize(op.standard_basis_decomposition(n))
-    d1 = np.diag(np.array([1, -1] * (n // 2), dtype=complex))
-    d2 = np.diag(np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=complex))
-    return red.group_average([np.eye(n, dtype=complex), d1, d2, d1 @ d2])
+    rows.append(_check("lax_spectrum_relative_drift",
+                       float(np.max(np.abs(spectrum - spectrum[0]))) / spread, tol))
+    return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
+                         f"trajectory: {csv_path}")
 
 
 def _run_reduce(rc: RunConfig) -> int:
@@ -475,7 +427,7 @@ def _run_reduce(rc: RunConfig) -> int:
     else:
         rho = op.matrix_from_json(raw_state)
         _require(rho.shape[0] == n, "state dimension does not match N")
-    rop = _demo_reduction(kind, n)
+    rop = _reduction_op(REDUCE_KINDS[kind], n)
 
     image = red.apply(rop, rho)
     rng = _aux_rng(rc.seed)
@@ -483,46 +435,40 @@ def _run_reduce(rc: RunConfig) -> int:
     y = _draw_general(rng, n)
 
     rows = [
-        _check_row("idempotence",
-                   float(np.max(np.abs(red.apply(rop, image) - image))), 1e-12),
-        _check_row("closure_defect", red.closure_defect(rop, x, y), 1e-12),
-        _check_row("adjointness",
-                   abs(op.trace_pairing(red.apply_dual(rop, x), rho)
-                       - op.trace_pairing(x, red.apply(rop, rho))), tol),
-        _check_row("reduction_condition",
-                   bk.reduction_condition_defect(
-                       lambda m: red.apply(rop, m),
-                       lambda m: red.apply_dual(rop, m),
-                       bk.Observable.linear_form(x),
-                       bk.Observable.linear_form(y), rho), tol),
+        _check("idempotence",
+               float(np.max(np.abs(red.apply(rop, image) - image))), 1e-12),
+        _check("closure_defect", red.closure_defect(rop, x, y), 1e-12),
+        _check("adjointness",
+               abs(op.trace_pairing(red.apply_dual(rop, x), rho)
+                   - op.trace_pairing(x, red.apply(rop, rho))), tol),
+        _check("reduction_condition",
+               bk.reduction_condition_defect(
+                   lambda m: red.apply(rop, m),
+                   lambda m: red.apply_dual(rop, m),
+                   bk.Observable.linear_form(x),
+                   bk.Observable.linear_form(y), rho), tol),
     ]
     # the trace-norm bound is a law only for pinching and averaging;
     # triangular truncation can expand, so report its excess as data
     trace_norm_excess = float(op.trace_norm(image) - op.trace_norm(rho))
     if kind != "lower":
-        rows.append(_bool_row("trace_norm_contraction",
-                              red.contraction_check(rop, rho)))
-        rows.append(_check_row("trace_preserved",
-                               abs(np.trace(image) - np.trace(rho)), 1e-12))
+        contracts = red.contraction_check(rop, rho)
+        rows.append(_check("trace_norm_contraction", 0.0 if contracts else 1.0, 0.0))
+        rows.append(_check("trace_preserved",
+                           abs(np.trace(image) - np.trace(rho)), 1e-12))
         try:
-            rows.append(_bool_row("positivity_preserved",
-                                  bool(red.positivity_check(rop, rho))))
+            positive = red.positivity_check(rop, rho)
+            rows.append(_check("positivity_preserved",
+                               0.0 if positive else 1.0, 0.0))
         except ValueError:
             pass  # positivity is only meaningful for density-like inputs
 
-    payload = {
-        "kind": rop.kind,
-        "before": op.matrix_to_json(rho),
-        "after": op.matrix_to_json(image),
-        "dual_sample": op.matrix_to_json(red.apply_dual(rop, x)),
-        "trace_norm_excess": trace_norm_excess,
-        "checks": rows,
-        "pass": all(r["pass"] for r in rows),
-    }
-    _write_json(_artifact_path(rc), payload)
-    ok = _emit(rows)
-    print(f"report: {_artifact_path(rc)}")
-    return 0 if ok else 1
+    path = _artifact_path(rc)
+    return _write_report(
+        path, rows, f"report: {path}", kind=rop.kind,
+        before=op.matrix_to_json(rho), after=op.matrix_to_json(image),
+        dual_sample=op.matrix_to_json(red.apply_dual(rop, x)),
+        trace_norm_excess=trace_norm_excess)
 
 
 def _run_orbit(rc: RunConfig) -> int:
@@ -556,23 +502,15 @@ def _run_orbit(rc: RunConfig) -> int:
     char_rank = orb.characteristic_rank(rho)
     form_rank = orb.kks_form_rank(rho)
     rows = [
-        _check_row("kks_antisymmetry", antisym, tol),
-        _check_row("kks_pairing_identity", pairing, tol),
-        _check_row("rank_consistency", float(abs(form_rank - char_rank)), 0.0),
+        _check("kks_antisymmetry", antisym, tol),
+        _check("kks_pairing_identity", pairing, tol),
+        _check("rank_consistency", float(abs(form_rank - char_rank)), 0.0),
     ]
-    payload = {
-        "dim": n,
-        "state": op.matrix_to_json(rho),
-        "characteristic_rank": int(char_rank),
-        "kks_form_rank": int(form_rank),
-        "samples": samples,
-        "checks": rows,
-        "pass": all(r["pass"] for r in rows),
-    }
-    _write_json(_artifact_path(rc), payload)
-    ok = _emit(rows)
-    print(f"report: {_artifact_path(rc)}")
-    return 0 if ok else 1
+    path = _artifact_path(rc)
+    return _write_report(
+        path, rows, f"report: {path}", dim=n, state=op.matrix_to_json(rho),
+        characteristic_rank=int(char_rank), kks_form_rank=int(form_rank),
+        samples=samples)
 
 
 _RUNNERS = {

@@ -223,8 +223,6 @@ class ClassTag(enum.Enum):
     satisfy (triangularity, symmetry), not a different representation.
     """
 
-    TRACE_CLASS = "trace_class"
-    BOUNDED = "bounded"
     LOWER_TRIANGULAR = "lower_triangular"
     STRICTLY_UPPER = "strictly_upper"
     HERMITIAN = "hermitian"
@@ -237,8 +235,6 @@ def validate(tag: ClassTag, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
-    if tag in (ClassTag.TRACE_CLASS, ClassTag.BOUNDED):
-        return True  # finiteness already enforced by as_matrix
     if tag is ClassTag.LOWER_TRIANGULAR:
         return float(np.max(np.abs(np.triu(m, 1)), initial=0.0)) <= tol
     if tag is ClassTag.STRICTLY_UPPER:

@@ -15,14 +15,11 @@ generators has exactly the rank of the tangent space itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import as_matrix, commutator, trace_pairing
 
 __all__ = [
-    "OrbitPoint",
     "characteristic_rank",
     "coadjoint_act",
     "kks_eval",
@@ -39,36 +36,10 @@ COND_LIMIT = 1e12
 _RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A base point on a coadjoint orbit."""
-
-    rho: np.ndarray
-
-    def __init__(self, rho):
-        object.__setattr__(self, "rho", as_matrix(rho))
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
-    def tangent(self, x) -> np.ndarray:
-        return tangent_vector(x, self.rho)
-
-    def kks(self, x, y) -> complex:
-        return kks_eval(self.rho, x, y)
-
-
-def _state_of(point) -> np.ndarray:
-    if isinstance(point, OrbitPoint):
-        return point.rho
-    return as_matrix(point)
-
-
 def coadjoint_act(g, point) -> np.ndarray:
     """g rho g^(-1), refusing ill-conditioned g (cond > 1e12)."""
     g = as_matrix(g)
-    rho = _state_of(point)
+    rho = as_matrix(point)
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(f"conjugating element too ill-conditioned (cond={cond:.3g})")
@@ -78,12 +49,12 @@ def coadjoint_act(g, point) -> np.ndarray:
 
 def tangent_vector(x, point) -> np.ndarray:
     """[x, rho]: the orbit direction generated by x at rho."""
-    return commutator(as_matrix(x), _state_of(point))
+    return commutator(as_matrix(x), as_matrix(point))
 
 
 def kks_eval(point, x, y) -> complex:
     """omega(rho)([x, rho], [y, rho]) = tr([x, y] rho)."""
-    rho = _state_of(point)
+    rho = as_matrix(point)
     return trace_pairing(commutator(as_matrix(x), as_matrix(y)), rho)
 
 
@@ -93,7 +64,7 @@ def kks_welldefined_defect(point, x1, x2, y, tol: float = 1e-10) -> float:
     x1 and x2 must generate the same tangent vector at rho ([x1 - x2, rho] = 0
     to tol); anything else is a usage error, not a defect, and raises.
     """
-    rho = _state_of(point)
+    rho = as_matrix(point)
     mismatch = float(np.max(np.abs(commutator(as_matrix(x1) - as_matrix(x2), rho))))
     if mismatch > tol:
         raise ValueError(
@@ -135,7 +106,7 @@ def characteristic_rank(point) -> int:
     SVD rank of x -> [x, rho] over the elementary-matrix basis, singular
     values cut at 1e-10 relative.
     """
-    return _svd_rank(_tangent_matrix(_state_of(point)))
+    return _svd_rank(_tangent_matrix(as_matrix(point)))
 
 
 def kks_form_rank(point) -> int:
@@ -145,7 +116,7 @@ def kks_form_rank(point) -> int:
     equals ``characteristic_rank``; the two are compared by the verification
     suite rather than assumed.
     """
-    return _svd_rank(_kks_gram(_state_of(point)))
+    return _svd_rank(_kks_gram(as_matrix(point)))
 
 
 def rank_one_state(v) -> np.ndarray:

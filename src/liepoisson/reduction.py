@@ -77,26 +77,24 @@ class ReductionOp:
         return f"ReductionOp({self.kind}, {len(self)} x {self.dim}d)"
 
 
-def _coerce_projectors(projectors) -> tuple:
+def _decomposition_op(kind: str, projectors, tol: float) -> ReductionOp:
     if isinstance(projectors, DecompositionOfUnity):
-        return projectors.projectors
-    return tuple(as_matrix(p) for p in projectors)
+        ps = projectors.projectors
+    else:
+        ps = tuple(as_matrix(p) for p in projectors)
+    if not validate_decomposition(DecompositionOfUnity(ps), tol):
+        raise ValueError("projectors do not form a decomposition of unity")
+    return ReductionOp(kind, ps)
 
 
 def measurement(projectors, tol: float = 1e-10) -> ReductionOp:
     """Block-diagonal pinching over a decomposition of unity."""
-    ps = _coerce_projectors(projectors)
-    if not validate_decomposition(DecompositionOfUnity(ps), tol):
-        raise ValueError("projectors do not form a decomposition of unity")
-    return ReductionOp("measurement", ps)
+    return _decomposition_op("measurement", projectors, tol)
 
 
 def lower_triangularize(projectors, tol: float = 1e-10) -> ReductionOp:
     """Block lower-triangular truncation; the order of projectors matters."""
-    ps = _coerce_projectors(projectors)
-    if not validate_decomposition(DecompositionOfUnity(ps), tol):
-        raise ValueError("projectors do not form a decomposition of unity")
-    return ReductionOp("lower_triangularize", ps)
+    return _decomposition_op("lower_triangularize", projectors, tol)
 
 
 def group_average(unitaries: Sequence, tol: float = 1e-10) -> ReductionOp:

@@ -126,15 +126,19 @@ def toda_hamiltonian(state: TodaState) -> float:
     return float(0.5 * np.sum(state.p ** 2) + np.sum(pot))
 
 
-def canonical_field(state: TodaState):
-    """(xdot, pdot) of the canonical equations of motion."""
-    c = state.alpha * state.lam * _bond_exponentials(state.x)  # bond forces
-    xdot = state.p[:-1] - state.p[1:]
-    pdot = np.empty_like(state.p)
+def _canonical_field(x, p, alpha, lam):
+    c = alpha * lam * _bond_exponentials(x)  # bond forces
+    xdot = p[:-1] - p[1:]
+    pdot = np.empty_like(p)
     pdot[0] = -c[0]
     pdot[1:-1] = c[:-1] - c[1:]
     pdot[-1] = c[-1]
     return xdot, pdot
+
+
+def canonical_field(state: TodaState):
+    """(xdot, pdot) of the canonical equations of motion."""
+    return _canonical_field(state.x, state.p, state.alpha, state.lam)
 
 
 def pack(state: TodaState) -> np.ndarray:
@@ -157,14 +161,7 @@ def canonical_rhs(template: TodaState):
     alpha, lam, n = template.alpha, template.lam, template.n
 
     def rhs(t, y):
-        x, p = y[:n - 1], y[n - 1:]
-        c = alpha * lam * _bond_exponentials(x)
-        xdot = p[:-1] - p[1:]
-        pdot = np.empty_like(p)
-        pdot[0] = -c[0]
-        pdot[1:-1] = c[:-1] - c[1:]
-        pdot[-1] = c[-1]
-        return np.concatenate([xdot, pdot])
+        return np.concatenate(_canonical_field(y[:n - 1], y[n - 1:], alpha, lam))
 
     return rhs
 

@@ -108,8 +108,6 @@ def test_validate_class_tags():
     assert op.validate(op.ClassTag.SKEW_HERMITIAN, op.skew_hermitian_part(m))
     assert op.validate(op.ClassTag.LOWER_TRIANGULAR, op.project_lower(m))
     assert op.validate(op.ClassTag.STRICTLY_UPPER, op.project_strictly_upper(m))
-    assert op.validate(op.ClassTag.TRACE_CLASS, m)
-    assert op.validate(op.ClassTag.BOUNDED, m)
     assert not op.validate(op.ClassTag.HERMITIAN, m + 1j * np.eye(3))
     assert not op.validate(op.ClassTag.LOWER_TRIANGULAR, m + np.triu(np.ones(3), 1))
 

@@ -168,16 +168,6 @@ def test_coadjoint_action_rejects_singular_conjugation():
         orb.coadjoint_act(bad, rho)
 
 
-def test_orbit_point_wrappers_delegate():
-    rho = seeded_random_state(149, "hermitian", 3)
-    pt = orb.OrbitPoint(rho)
-    x = seeded_random_state(150, "general", 3)
-    y = seeded_random_state(151, "general", 3)
-    assert pt.dim == 3
-    assert np.array_equal(pt.tangent(x), orb.tangent_vector(x, rho))
-    assert pt.kks(x, y) == orb.kks_eval(rho, x, y)
-
-
 def test_rank_one_state_validation():
     with pytest.raises(ValueError):
         orb.rank_one_state(np.zeros(3))

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+
 import pytest
 
+import liepoisson
+from liepoisson import brackets as bk
+from liepoisson import integrators as it
+from liepoisson import operators as op
+from liepoisson import orbits as orb
+from liepoisson import toda as td
 from liepoisson import verification as vf
 
 
@@ -20,14 +29,75 @@ def test_registry_is_green_on_other_seeds_and_dims():
             r.name for r in results if not r.passed]
 
 
-def test_every_required_operation_is_exercised():
+RECORDED = ("operators", "brackets", "reduction", "orbits", "integrators",
+            "toda", "fixtures")
+
+
+def _public_functions():
+    names = set()
+    for mod_name in RECORDED:
+        mod = importlib.import_module(f"liepoisson.{mod_name}")
+        names.update(f"{mod_name}.{attr}" for attr in mod.__all__
+                     if inspect.isfunction(getattr(mod, attr)))
+    return names
+
+
+def _coverage_row(results):
+    assert results[-1].name == "coverage_all_operations"
+    return results[-1]
+
+
+def test_recorded_ops_cover_every_public_function():
     results = vf.run_all(seed=2024, dim=4)
-    covered = set()
-    for r in results:
-        covered.update(r.ops)
-    assert vf.REQUIRED_OPS <= covered
-    names = [r.name for r in results]
-    assert "coverage_all_operations" in names
+    covered = set().union(*(r.ops for r in results))
+    assert covered == _public_functions()
+    row = _coverage_row(results)
+    assert row.passed and row.defect == 0.0 and row.ops == ()
+
+
+def test_coverage_reports_an_uncalled_public_function(monkeypatch):
+    def unused_operation(state):
+        return state
+
+    unused_operation.__module__ = "liepoisson.toda"
+    monkeypatch.setattr(td, "unused_operation", unused_operation, raising=False)
+    monkeypatch.setattr(td, "__all__", [*td.__all__, "unused_operation"])
+    row = _coverage_row(vf.run_all(seed=2024, dim=4))
+    assert not row.passed and row.defect == 1.0
+    assert row.ops == ("toda.unused_operation",)
+
+
+def test_coverage_fails_without_the_toda_group(monkeypatch):
+    monkeypatch.setattr(vf, "_toda_checks", lambda fx: [])
+    results = vf.run_all(seed=2024, dim=4)
+    row = _coverage_row(results)
+    assert not row.passed and row.defect == len(row.ops) > 0
+    assert {"toda.toda_columns", "toda.intertwining_defect",
+            "toda.canonical_rhs", "toda.lax_rhs"} <= set(row.ops)
+    assert all(name.startswith("toda.") for name in row.ops)
+    assert "toda_intertwining" not in [r.name for r in results]
+
+
+def _bound_objects():
+    return (op.commutator, bk.lp_bracket, it.rk4_step, orb.commutator,
+            liepoisson.lp_bracket)
+
+
+def test_recorders_are_removed_after_the_run(monkeypatch):
+    before = _bound_objects()
+    vf.run_all(seed=2024, dim=4)
+    assert all(a is b for a, b in zip(_bound_objects(), before))
+
+    def failing_group(fx):
+        op.commutator(fx["general"], fx["hermitian"])
+        raise RuntimeError("check crashed")
+
+    monkeypatch.setattr(vf, "_orbit_checks", failing_group)
+    with pytest.raises(RuntimeError, match="check crashed"):
+        vf.run_all(seed=2024, dim=4)
+    assert all(a is b for a, b in zip(_bound_objects(), before))
+    # nothing recorded in the failed run leaks into rows built afterwards
+    assert vf._check("after", 0.0, 0.0).ops == ()
 
 
 def test_negative_controls_record_large_defects():
