@@ -17,7 +17,9 @@ give byte-identical output files.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 config error (nothing is
 written); 3 numerical abort (NaN, overflow, or a lost invariant during
-integration).
+integration).  Every config fault, also one that needs the parsed data (a
+non-Hermitian hamiltonian, a state whose size is not N), is raised by
+``load_config``, before anything runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -68,6 +70,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run with resolved ``params``: every key set (defaults
+    applied), explicit matrices as arrays, an explicit Toda ``initial`` as a
+    ``TodaState``, tags left for ``run`` to draw, and ``t_end`` in ``integrator``."""
+
     command: str
     seed: int
     params: dict
@@ -158,13 +164,14 @@ def _build_integrator(raw: Optional[dict], command: str) -> IntegratorConfig:
 
 
 def load_config(path: str, command: str, out_dir: str) -> RunConfig:
-    """Parse and fully validate a config file; raises ConfigError."""
+    """Parse, validate and resolve a config file; raises ConfigError for
+    every config fault, also one that needs the parsed data."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _only_keys(raw, {"command", "seed", "params", "integrator", "output_path"},
                "config")
@@ -184,95 +191,105 @@ def load_config(path: str, command: str, out_dir: str) -> RunConfig:
     else:
         _require("integrator" not in raw,
                  f"{command} takes no integrator block")
-    rc = RunConfig(command=command, seed=seed, params=dict(params),
-                   integrator=integrator, output_path=output_path,
-                   out_dir=out_dir)
-    _validate_params(rc)
-    return rc
+    params, integrator = _resolve_params(command, params, integrator)
+    return RunConfig(command=command, seed=seed, params=params,
+                     integrator=integrator, output_path=output_path,
+                     out_dir=out_dir)
 
 
-def _validate_params(rc: RunConfig) -> None:
-    p = rc.params
-    if rc.command == "verify":
+# tags a matrix param accepts, each with the fixture kind it draws (None:
+# the runner draws it); the first tag is the default
+_HAMILTONIAN_TAGS = {"random": "hermitian"}
+_DENSITY_TAGS = {"random-psd": "psd", "random": "general"}
+_ORBIT_TAGS = {"random-hermitian": "hermitian", "rank-one": None}
+
+
+def _parse(parse, raw: dict, label: str):
+    """The one parse of an explicit matrix or Toda state."""
+    try:
+        return parse(raw)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad {label}: {exc}") from exc
+
+
+def _matrix_or_tag(p: dict, key: str, tags: dict, n: Optional[int] = None):
+    """p[key] as one of ``tags`` or as a parsed matrix, n x n if n is given."""
+    raw = p.get(key, next(iter(tags)))
+    if isinstance(raw, str):
+        _require(raw in tags, f"{key} must be one of {sorted(tags)} "
+                              "or a matrix object")
+        return raw
+    _require(isinstance(raw, dict), f"{key} must be a tag or a matrix object")
+    m = _parse(op.matrix_from_json, raw, f"{key} matrix")
+    _require(n is None or m.shape[0] == n, f"{key} dimension does not match N")
+    return m
+
+
+def _resolve_params(command: str, p: dict, integrator):
+    """The params with every default applied and every explicit input parsed
+    and checked, and the integrator with a toda-run ``t_end`` folded in."""
+    if command == "verify":
         dim = _uint(p.get("dim"), "dim", 4)
         _require(dim >= 4 and dim % 2 == 0, "dim must be an even integer >= 4")
-    elif rc.command == "lvn-run":
-        _matrix_or_tag(p.get("hamiltonian", "random"), "hamiltonian",
-                       ("random",))
-        _matrix_or_tag(p.get("initial_state", "random-psd"), "initial_state",
-                       ("random-psd", "random"))
-        _lvn_dim(rc)
-        _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
-    elif rc.command == "toda-run":
+        return {"dim": dim}, integrator
+    if command == "lvn-run":
+        h = _matrix_or_tag(p, "hamiltonian", _HAMILTONIAN_TAGS)
+        rho = _matrix_or_tag(p, "initial_state", _DENSITY_TAGS)
+        dims = [m.shape[0] for m in (h, rho) if not isinstance(m, str)]
+        n = p.get("N")
+        if n is not None:
+            _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+                     "N must be a positive integer")
+            dims.append(n)
+        _require(len(set(dims)) <= 1,
+                 "N, hamiltonian, and initial_state disagree on the dimension")
+        drift_tol = _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
+        _require(isinstance(h, str)
+                 or op.validate(op.ClassTag.HERMITIAN, h, tol=1e-10),
+                 "hamiltonian must be Hermitian")
+        return {"N": dims[0] if dims else 6, "hamiltonian": h,
+                "initial_state": rho, "drift_tol": drift_tol}, integrator
+    if command == "toda-run":
         initial = p.get("initial", "random")
-        if initial != "random":
+        if initial == "random":
+            n = _uint(p.get("N"), "N", 8)
+            _require(n >= 2, "N must be >= 2")
+        else:
             _require(isinstance(initial, dict),
                      "initial must be \"random\" or a state object")
-            try:
-                state = td.toda_from_json(initial)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"bad initial state: {exc}") from exc
-            n = _uint(p.get("N"), "N", state.n)
-            _require(n == state.n, "N does not match the initial state")
-        else:
-            _require(_uint(p.get("N"), "N", 8) >= 2, "N must be >= 2")
-        _choice(p.get("flow"), "flow", ("canonical", "lax"), "canonical")
+            initial = _parse(td.toda_from_json, initial, "initial state")
+            n = _uint(p.get("N"), "N", initial.n)
+            _require(n == initial.n, "N does not match the initial state")
+        flow = _choice(p.get("flow"), "flow", ("canonical", "lax"), "canonical")
         hk_max = _uint(p.get("hk_max"), "hk_max", 4)
         _require(1 <= hk_max <= 8, "hk_max must be in 1..8")
-        _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
+        drift_tol = _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
         if "t_end" in p:
+            # the span replaces the step count; the stride never exceeds it
             t_end = _positive_number(p["t_end"], "t_end")
-            _require(math.isfinite(t_end / rc.integrator.dt),
+            _require(math.isfinite(t_end / integrator.dt),
                      "t_end / integrator.dt must give a finite step count")
-    elif rc.command == "reduce-demo":
+            steps = max(1, int(round(t_end / integrator.dt)))
+            integrator = replace(integrator, steps=steps,
+                                 stride=min(integrator.stride, steps))
+        return {"N": n, "initial": initial, "flow": flow, "hk_max": hk_max,
+                "drift_tol": drift_tol}, integrator
+    if command == "reduce-demo":
         n = _uint(p.get("N"), "N", 4)
         _require(n >= 2, "N must be >= 2")
         kind = _choice(p.get("kind"), "kind", REDUCE_KINDS, "measurement")
         _require(kind != "group" or n % 2 == 0,
                  "the demo sign group needs an even N")
-        _matrix_or_tag(p.get("state", "random-psd"), "state",
-                       ("random-psd", "random"))
-        _positive_number(p.get("tol"), "tol", 1e-10)
-    elif rc.command == "orbit-kks":
-        _require(2 <= _uint(p.get("N"), "N", 4) <= ORBIT_MAX_N,
-                 f"N must be in 2..{ORBIT_MAX_N}")
-        _matrix_or_tag(p.get("state", "random-hermitian"), "state",
-                       ("random-hermitian", "rank-one"))
-        samples = _uint(p.get("samples"), "samples", 6)
-        _require(samples >= 1, "samples must be >= 1")
-        _positive_number(p.get("tol"), "tol", 1e-10)
-
-
-def _matrix_or_tag(raw, label: str, tags) -> None:
-    if isinstance(raw, str):
-        _require(raw in tags, f"{label} must be one of {sorted(tags)} "
-                              "or a matrix object")
-        return
-    _require(isinstance(raw, dict), f"{label} must be a tag or a matrix object")
-    try:
-        op.matrix_from_json(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad {label} matrix: {exc}") from exc
-
-
-def _lvn_dim(rc: RunConfig) -> int:
-    """Consistent dimension across N, hamiltonian, and initial_state."""
-    p = rc.params
-    dims = []
-    for key in ("hamiltonian", "initial_state"):
-        raw = p.get(key)
-        if isinstance(raw, dict):
-            dims.append(op.matrix_from_json(raw).shape[0])
-    n = p.get("N")
-    if n is not None:
-        _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-                 "N must be a positive integer")
-        dims.append(n)
-    if not dims:
-        dims = [6]
-    _require(len(set(dims)) == 1,
-             "N, hamiltonian, and initial_state disagree on the dimension")
-    return dims[0]
+        state = _matrix_or_tag(p, "state", _DENSITY_TAGS, n)
+        tol = _positive_number(p.get("tol"), "tol", 1e-10)
+        return {"N": n, "kind": kind, "state": state, "tol": tol}, integrator
+    n = _uint(p.get("N"), "N", 4)  # orbit-kks
+    _require(2 <= n <= ORBIT_MAX_N, f"N must be in 2..{ORBIT_MAX_N}")
+    state = _matrix_or_tag(p, "state", _ORBIT_TAGS, n)
+    samples = _uint(p.get("samples"), "samples", 6)
+    _require(samples >= 1, "samples must be >= 1")
+    tol = _positive_number(p.get("tol"), "tol", 1e-10)
+    return {"N": n, "state": state, "samples": samples, "tol": tol}, integrator
 
 
 # -------------------------------------------------------------- reporting
@@ -297,31 +314,23 @@ def _relative_drift(series: np.ndarray) -> float:
 
 # ---------------------------------------------------------------- commands
 
+def _drawn(rc: RunConfig, key: str, tags: dict):
+    """rc.params[key], with a tag replaced by the seeded fixture it names."""
+    value = rc.params[key]
+    if isinstance(value, str):
+        return seeded_random_state(rc.seed, tags[value], rc.params["N"])
+    return value
+
+
 def _run_verify(rc: RunConfig) -> int:
-    results = run_all(seed=rc.seed, dim=rc.params.get("dim", 4))
+    results = run_all(seed=rc.seed, dim=rc.params["dim"])
     path = _artifact_path(rc)
     return _write_report(path, results, f"report: {path}")
 
 
-def _lvn_inputs(rc: RunConfig):
-    n = _lvn_dim(rc)
-    raw_h = rc.params.get("hamiltonian", "random")
-    h = (seeded_random_state(rc.seed, "hermitian", n) if raw_h == "random"
-         else op.matrix_from_json(raw_h))
-    _require(op.validate(op.ClassTag.HERMITIAN, h, tol=1e-10),
-             "hamiltonian must be Hermitian")
-    raw_rho = rc.params.get("initial_state", "random-psd")
-    if isinstance(raw_rho, str):
-        kind = "psd" if raw_rho == "random-psd" else "general"
-        rho = seeded_random_state(rc.seed, kind, n)
-    else:
-        rho = op.matrix_from_json(raw_rho)
-    return h, rho
-
-
 def _run_lvn(rc: RunConfig) -> int:
-    h, rho0 = _lvn_inputs(rc)
-    tol = rc.params.get("drift_tol", 1e-8)
+    h = _drawn(rc, "hamiltonian", _HAMILTONIAN_TAGS)
+    rho0 = _drawn(rc, "initial_state", _DENSITY_TAGS)
     gen = -1j * h
 
     def generator(r):
@@ -342,7 +351,8 @@ def _run_lvn(rc: RunConfig) -> int:
     traj.to_csv(csv_path)
 
     rows = [_check(f"{key}_relative_drift", _relative_drift(traj.monitors[key]),
-                   tol) for key in ("T1", "T2", "T3", "T4", "energy")]
+                   rc.params["drift_tol"])
+            for key in ("T1", "T2", "T3", "T4", "energy")]
     return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
                          f"trajectory: {csv_path}")
 
@@ -361,28 +371,20 @@ def _flow_state(y, template: td.TodaState) -> td.TodaState:
 
 def _run_toda(rc: RunConfig) -> int:
     p = rc.params
-    initial = p.get("initial", "random")
-    if initial == "random":
-        state0 = seeded_random_state(rc.seed, "toda", p.get("N", 8))
-    else:
-        state0 = td.toda_from_json(initial)
-    hk_max = p.get("hk_max", 4)
-    tol = p.get("drift_tol", 1e-8)
-    cfg = rc.integrator
-    if "t_end" in p:
-        steps = max(1, int(round(p["t_end"] / cfg.dt)))
-        cfg = IntegratorConfig(dt=cfg.dt, steps=steps,
-                               stride=min(cfg.stride, steps), method=cfg.method)
+    state0 = p["initial"]
+    if isinstance(state0, str):
+        state0 = seeded_random_state(rc.seed, "toda", p["N"])
+    hk_max, tol = p["hk_max"], p["drift_tol"]
 
-    if p.get("flow", "canonical") == "canonical":
+    if p["flow"] == "canonical":
         y0, rhs = td.pack(state0), td.canonical_rhs(state0)
-        flatten = (td.toda_columns(state0.n), lambda y: np.asarray(y, dtype=float))
+        columns = td.toda_columns(state0.n)
 
         def lax_of(y):
             return td.flaschka(_flow_state(y, state0)).lax
     else:
         pair0 = td.flaschka(state0)
-        y0, rhs, flatten = pair0.rho, td.lax_rhs(pair0.a), None
+        y0, rhs, columns = pair0.rho, td.lax_rhs(pair0.a), None
 
         def lax_of(r):
             return r + pair0.a
@@ -399,7 +401,7 @@ def _run_toda(rc: RunConfig) -> int:
             return float(np.real(np.trace(np.linalg.matrix_power(laxes[-1], k)))) / k
         return monitor
 
-    traj = evolve(y0, cfg, rhs=rhs, flatten=flatten,
+    traj = evolve(y0, rc.integrator, rhs=rhs, columns=columns,
                   monitors={f"h{k}": h(k) for k in range(1, hk_max + 1)})
     spectrum = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
 
@@ -416,17 +418,8 @@ def _run_toda(rc: RunConfig) -> int:
 
 
 def _run_reduce(rc: RunConfig) -> int:
-    p = rc.params
-    n = p.get("N", 4)
-    kind = p.get("kind", "measurement")
-    tol = p.get("tol", 1e-10)
-    raw_state = p.get("state", "random-psd")
-    if isinstance(raw_state, str):
-        fixture = "psd" if raw_state == "random-psd" else "general"
-        rho = seeded_random_state(rc.seed, fixture, n)
-    else:
-        rho = op.matrix_from_json(raw_state)
-        _require(rho.shape[0] == n, "state dimension does not match N")
+    n, kind, tol = rc.params["N"], rc.params["kind"], rc.params["tol"]
+    rho = _drawn(rc, "state", _DENSITY_TAGS)
     rop = _reduction_op(REDUCE_KINDS[kind], n)
 
     image = red.apply(rop, rho)
@@ -472,24 +465,18 @@ def _run_reduce(rc: RunConfig) -> int:
 
 
 def _run_orbit(rc: RunConfig) -> int:
-    p = rc.params
-    n = p.get("N", 4)
-    tol = p.get("tol", 1e-10)
+    n, tol = rc.params["N"], rc.params["tol"]
     rng = _aux_rng(rc.seed)
-    raw_state = p.get("state", "random-hermitian")
-    if raw_state == "random-hermitian":
-        rho = seeded_random_state(rc.seed, "hermitian", n)
-    elif raw_state == "rank-one":
+    if isinstance(rc.params["state"], str) and rc.params["state"] == "rank-one":
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rho = orb.rank_one_state(v)
     else:
-        rho = op.matrix_from_json(raw_state)
-        _require(rho.shape[0] == n, "state dimension does not match N")
+        rho = _drawn(rc, "state", _ORBIT_TAGS)
 
     samples = []
     antisym = 0.0
     pairing = 0.0
-    for idx in range(p.get("samples", 6)):
+    for idx in range(rc.params["samples"]):
         x = _draw_general(rng, n)
         y = _draw_general(rng, n)
         val = orb.kks_eval(rho, x, y)
@@ -523,14 +510,9 @@ _RUNNERS = {
 
 
 def run(rc: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a config from ``load_config``; returns the process exit code."""
     try:
         return _RUNNERS[rc.command](rc)
-    except ConfigError as exc:
-        # data-dependent config faults (non-Hermitian matrix, size mismatch)
-        # surface after parsing but before any artifact is written
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -89,7 +89,7 @@ def isospectral_step(hgrad: Callable, rho, dt: float):
     return np.linalg.solve(q.T, (q @ rho).T).T
 
 
-def _default_flatten(state):
+def _flatten(state):
     if isinstance(state, np.ndarray) and state.ndim == 2:
         n = state.shape[0]
         cols = []
@@ -138,12 +138,13 @@ class Trajectory:
 def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
            hgrad: Optional[Callable] = None,
            monitors: Optional[Dict[str, Callable]] = None,
-           flatten=None) -> Trajectory:
+           columns: Optional[List[str]] = None) -> Trajectory:
     """Integrate from y0 and record every cfg.stride-th state plus the last.
 
     method "rk4" needs ``rhs(t, y)``; "isospectral" needs ``hgrad(rho)`` (the
     commutator generator) and a matrix state.  ``monitors`` maps names to
-    scalar functions of the state, evaluated at recorded times.  A non-finite
+    scalar functions of the state, evaluated at recorded times.  ``columns``
+    renames the columns of the flattened state.  A non-finite
     y0 raises ValueError; non-finite values later in the run abort it with
     ``NumericalAbort``.
     """
@@ -157,7 +158,8 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must have finite entries")
     monitors = monitors or {}
-    columns, row_of = flatten if flatten is not None else _default_flatten(y)
+    default_columns, row_of = _flatten(y)
+    columns = default_columns if columns is None else columns
 
     times, states = [], []
     mon_values: Dict[str, list] = {name: [] for name in monitors}

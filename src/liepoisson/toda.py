@@ -193,12 +193,11 @@ class LaxPair:
 def flaschka(state: TodaState) -> LaxPair:
     """rho = diag(p) + sum lam_k e^{x_k} E_{k+1,k}, a = sum alpha_k E_{k,k+1}."""
     n = state.n
-    b = state.lam * _bond_exponentials(state.x)
+    k = np.arange(n - 1)
     rho = np.diag(state.p.astype(complex))
+    rho[k + 1, k] = state.lam * _bond_exponentials(state.x)
     a = np.zeros((n, n), dtype=complex)
-    for k in range(n - 1):
-        rho[k + 1, k] = b[k]
-        a[k, k + 1] = state.alpha[k]
+    a[k, k + 1] = state.alpha
     return LaxPair(rho, a)
 
 
@@ -210,10 +209,9 @@ def flaschka_tangent(state: TodaState, xdot, pdot) -> np.ndarray:
     n = state.n
     xdot = _as_float_vector(xdot, n - 1, "xdot")
     pdot = _as_float_vector(pdot, n, "pdot")
-    b = state.lam * _bond_exponentials(state.x)
+    k = np.arange(n - 1)
     d = np.diag(pdot.astype(complex))
-    for k in range(n - 1):
-        d[k + 1, k] = b[k] * xdot[k]
+    d[k + 1, k] = state.lam * _bond_exponentials(state.x) * xdot
     return d
 
 

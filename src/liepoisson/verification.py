@@ -536,7 +536,7 @@ def _toda_checks(fx) -> List[CheckResult]:
     traj = it.evolve(td.pack(state), cfg, rhs=rhs, monitors={
         "H": lambda y: td.toda_hamiltonian(td.unpack(y, state)),
         "P": lambda y: float(np.sum(np.asarray(y)[state.n - 1:].real)),
-    }, flatten=(td.toda_columns(state.n), lambda y: np.asarray(y, dtype=float)))
+    }, columns=td.toda_columns(state.n))
     h_drift = float(np.max(np.abs(traj.monitors["H"] - traj.monitors["H"][0])))
     p_drift = float(np.max(np.abs(traj.monitors["P"] - traj.monitors["P"][0])))
     out.append(_check("toda_energy_drift", h_drift, 1e-10))

@@ -10,6 +10,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import liepoisson
 from liepoisson import cli
@@ -287,9 +289,11 @@ def test_unknown_config_keys_are_rejected(tmp_path):
 
 def test_malformed_or_missing_config_file(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
     out_dir = tmp_path / "out"
-    assert cli.main(["verify", "--config", str(bad), "--out", str(out_dir)]) == 2
+    # not JSON, not UTF-8, nested past the decoder's recursion limit
+    for content in (b"{not json", b"\xff\xfe\x00", b"[" * 100_000):
+        bad.write_bytes(content)
+        assert cli.main(["verify", "--config", str(bad), "--out", str(out_dir)]) == 2
     missing = str(tmp_path / "nope.json")
     assert cli.main(["verify", "--config", missing, "--out", str(out_dir)]) == 2
     assert not out_dir.exists()
@@ -362,3 +366,187 @@ def test_cli_run_loads_no_modules(tmp_path):
             assert not loaded, (command, payload, loaded)
         """)
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------- the config boundary
+
+def _load(tmp_path, command, payload):
+    return cli.load_config(_write_config(tmp_path, payload), command,
+                           str(tmp_path / "out"))
+
+
+H2 = op.matrix_to_json(np.diag([1.0, 2.0]).astype(complex))
+RHO2 = op.matrix_to_json(np.diag([0.75, 0.25]).astype(complex))
+TODA3 = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25],
+         "alpha": [1.0, 0.5], "lambda": [1.0, 0.5]}
+
+
+def test_load_config_resolves_every_param(tmp_path):
+    for command in cli.COMMANDS:
+        rc = _load(tmp_path, command, {})
+        assert set(rc.params) == cli._PARAM_KEYS[command] - {"t_end"}, command
+    assert _load(tmp_path, "lvn-run", {}).params == {
+        "N": 6, "hamiltonian": "random", "initial_state": "random-psd",
+        "drift_tol": 1e-8}
+    rc = _load(tmp_path, "lvn-run", {"params": {"hamiltonian": H2,
+                                                "initial_state": RHO2}})
+    assert rc.params["N"] == 2
+    assert np.array_equal(rc.params["hamiltonian"], op.matrix_from_json(H2))
+    rc = _load(tmp_path, "toda-run", {"params": {"initial": TODA3}})
+    assert isinstance(rc.params["initial"], cli.td.TodaState)
+    assert rc.params["N"] == 3
+
+
+def test_t_end_is_folded_into_the_integrator(tmp_path):
+    rc = _load(tmp_path, "toda-run", {"params": {"t_end": 0.005},
+                                      "integrator": {"dt": 1e-3}})
+    # the default stride (steps // 100 = 10) is clamped to the 5 steps
+    assert (rc.integrator.steps, rc.integrator.stride) == (5, 5)
+    assert "t_end" not in rc.params
+
+
+def test_explicit_inputs_are_parsed_once(tmp_path, monkeypatch, capsys):
+    counts = {"matrix": 0, "toda": 0}
+
+    def counting(key, fn):
+        def parse(payload):
+            counts[key] += 1
+            return fn(payload)
+        return parse
+
+    monkeypatch.setattr(op, "matrix_from_json",
+                        counting("matrix", op.matrix_from_json))
+    monkeypatch.setattr(cli.td, "toda_from_json",
+                        counting("toda", cli.td.toda_from_json))
+    short = {"dt": 1e-3, "steps": 10}
+    cases = [
+        ("lvn-run", {"params": {"hamiltonian": H2, "initial_state": RHO2},
+                     "integrator": short}, {"matrix": 2, "toda": 0}),
+        ("toda-run", {"params": {"initial": TODA3}, "integrator": short},
+         {"matrix": 0, "toda": 1}),
+        ("reduce-demo", {"params": {"N": 2, "state": RHO2}},
+         {"matrix": 1, "toda": 0}),
+        ("orbit-kks", {"params": {"N": 2, "state": H2}},
+         {"matrix": 1, "toda": 0}),
+    ]
+    for k, (command, payload, want) in enumerate(cases):
+        counts.update(matrix=0, toda=0)
+        code, _ = _run(tmp_path, command, payload, out=f"out{k}")
+        assert code == 0, command
+        assert counts == want, command
+
+
+def test_data_dependent_faults_are_raised_by_load_config(tmp_path):
+    non_hermitian = op.matrix_to_json(
+        np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    cases = [
+        ("lvn-run", {"params": {"hamiltonian": non_hermitian}},
+         "hamiltonian must be Hermitian"),
+        ("lvn-run", {"params": {"N": 3, "hamiltonian": H2}},
+         "disagree on the dimension"),
+        ("lvn-run", {"params": {"hamiltonian": H2,
+                                "initial_state": op.matrix_to_json(np.eye(3))}},
+         "disagree on the dimension"),
+        ("reduce-demo", {"params": {"N": 4, "state": RHO2}},
+         "state dimension does not match N"),
+        ("orbit-kks", {"params": {"N": 4, "state": H2}},
+         "state dimension does not match N"),
+        ("toda-run", {"params": {"N": 4, "initial": TODA3}},
+         "N does not match the initial state"),
+    ]
+    for command, payload, message in cases:
+        with pytest.raises(cli.ConfigError, match=message):
+            _load(tmp_path, command, payload)
+
+
+INF_MATRIX = '{"dim": 1e999, "re": [1.0], "im": [0.0]}'
+INF_TODA = ('{"N": 1e999, "x": [0.1], "p": [0.5, -0.5], "alpha": [1.0], '
+            '"lambda": [1.0]}')
+# JSON reads 1e999 as inf, and int(inf) raises OverflowError
+INFINITE_SIZES = [
+    ("lvn-run", f'{{"params": {{"hamiltonian": {INF_MATRIX}}}}}'),
+    ("lvn-run", f'{{"params": {{"initial_state": {INF_MATRIX}}}}}'),
+    ("reduce-demo", f'{{"params": {{"state": {INF_MATRIX}}}}}'),
+    ("orbit-kks", f'{{"params": {{"state": {INF_MATRIX}}}}}'),
+    ("toda-run", f'{{"params": {{"initial": {INF_TODA}}}}}'),
+]
+
+
+def test_infinite_sizes_are_config_errors(tmp_path, capsys):
+    for k, (command, text) in enumerate(INFINITE_SIZES):
+        path = tmp_path / f"config{k}.json"
+        path.write_text(text)
+        out_dir = tmp_path / f"out{k}"
+        code = cli.main([command, "--config", str(path), "--out", str(out_dir)])
+        assert code == 2, text
+        assert "config error: bad " in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+_TAGS = ["random", "random-psd", "random-hermitian", "rank-one", "lax",
+         "canonical", "measurement", "lower", "group", "rk4", "isospectral"]
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
+            | st.sampled_from([10**400, -(10**400)]) | st.floats()
+            | st.text(max_size=6) | st.sampled_from(_TAGS))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                     max_leaves=8)
+
+
+def _floats(size):
+    return st.lists(st.floats(-2, 2), min_size=size, max_size=size)
+
+
+def _matrix(n):
+    return st.fixed_dictionaries({"dim": st.just(n) | _SCALARS,
+                                  "re": _floats(n * n) | _JSON,
+                                  "im": _floats(n * n) | _JSON})
+
+
+def _toda(n):
+    momenta = _floats(n).map(lambda p: [v - sum(p) / n for v in p])
+    return st.fixed_dictionaries({}, optional={
+        "N": st.just(n) | _SCALARS, "x": _floats(n - 1) | _JSON,
+        "p": momenta | _JSON, "alpha": _floats(n - 1) | _JSON,
+        "lambda": _floats(n - 1) | _JSON})
+
+
+# mostly well-formed values, so that most configs get past the first check
+# (deferred, so that `x | _VALUES` picks x half the time)
+_VALUES = st.deferred(
+    lambda: st.integers(1, 8) | st.floats(1e-6, 1.0) | _SCALARS | _JSON)
+_BY_KEY = {key: st.integers(1, 4).flatmap(_matrix) | _VALUES
+           for key in ("hamiltonian", "initial_state", "state")}
+_BY_KEY["initial"] = st.integers(2, 4).flatmap(_toda) | _VALUES
+
+
+def _configs(command):
+    optional = {"seed": st.integers(0, 100) | _SCALARS}
+    if command in ("lvn-run", "toda-run"):
+        optional["integrator"] = st.dictionaries(
+            st.sampled_from(["dt", "steps", "stride", "method"]),
+            st.integers(1, 20) | st.floats(1e-4, 0.1) | _SCALARS, max_size=4)
+    params = st.fixed_dictionaries({}, optional={
+        key: _BY_KEY.get(key, _VALUES) for key in cli._PARAM_KEYS[command]})
+    config = st.fixed_dictionaries({"params": params}, optional=optional)
+    # a well-formed top level reaches the params; _JSON covers the rest
+    return st.tuples(st.just(command), (config | _JSON).map(json.dumps))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(cli.COMMANDS).flatmap(_configs))
+@example(case=INFINITE_SIZES[0])
+@example(case=INFINITE_SIZES[1])
+@example(case=INFINITE_SIZES[2])
+@example(case=INFINITE_SIZES[3])
+@example(case=INFINITE_SIZES[4])
+def test_load_config_returns_a_run_config_or_raises_config_error(tmp_path, case):
+    command, text = case
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    try:
+        rc = cli.load_config(str(path), command, str(tmp_path / "out"))
+    except cli.ConfigError:
+        return
+    assert isinstance(rc, cli.RunConfig)

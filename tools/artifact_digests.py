@@ -1,0 +1,169 @@
+"""sha256 digests of what the CLI prints and writes, over a fixed config list.
+
+    python3 tools/artifact_digests.py > digests.txt
+
+Runs each config below in a fresh ``python -m liepoisson.cli`` process,
+one at a time, against the ``src/`` next to this file, and prints
+
+    <label> exit <code>
+    <label> stdout <sha256>
+    <label> stderr <sha256>
+    <label> <artifact> <sha256>      one line per file written, sorted
+
+with the output directory replaced by ``OUT`` in stdout and stderr.  Two
+checkouts that behave the same print the same lines, so ``diff`` of their
+outputs is the check that a refactor left every exit code, message and
+artifact unchanged.  Copy the script into the other checkout's ``tools/``
+to run it there.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+INF = float("inf")  # written as Infinity; json reads it as 1e999 would be
+
+
+def _matrix(re, im=None):
+    n = len(re)
+    im = im if im is not None else [[0.0] * n for _ in range(n)]
+    return {"dim": n, "re": [v for row in re for v in row],
+            "im": [v for row in im for v in row]}
+
+
+H3 = _matrix([[1.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 0.5]],
+             [[0.0, 0.1, -0.2], [-0.1, 0.0, 0.3], [0.2, -0.3, 0.0]])
+RHO3 = _matrix([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]])
+NON_HERMITIAN = _matrix([[0.0, 1.0], [0.0, 0.0]])
+INF_DIM = {"dim": INF, "re": [1.0], "im": [0.0]}
+TODA4 = {"N": 4, "x": [0.1, -0.2, 0.3], "p": [0.5, -0.25, 0.0, -0.25],
+         "alpha": [1.0, 0.5, 0.25], "lambda": [1.0, 0.5, 0.25]}
+TODA_INF = dict(TODA4, N=INF)
+
+LAX = {"dt": 1e-3, "steps": 300, "stride": 30}
+BENCH_SEED = 2024 * 16  # perfbench gives its n-th invocation seed * 16 + n
+
+# (label, command, config)
+CONFIGS = [
+    *[(f"{c}-default", c, {}) for c in
+      ("verify", "lvn-run", "toda-run", "reduce-demo", "orbit-kks")],
+    *[(f"verify-dim{d}", "verify", {"params": {"dim": d}}) for d in (4, 6, 8)],
+    *[(f"verify-seed{s}-dim{d}", "verify", {"seed": s, "params": {"dim": d}})
+      for s, d in ((11, 4), (7, 6), (123, 8))],
+    *[(f"reduce-{k}", "reduce-demo", {"params": {"kind": k}})
+      for k in ("measurement", "lower", "group")],
+    *[(f"reduce-{k}-n5", "reduce-demo", {"params": {"N": 5, "kind": k}})
+      for k in ("measurement", "lower")],
+    ("lvn-isospectral", "lvn-run",
+     {"params": {"N": 4}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 50,
+                                         "method": "isospectral"}}),
+    ("toda-lax", "toda-run", {"params": {"N": 6, "flow": "lax"}, "integrator": LAX}),
+    ("toda-lax-hk6", "toda-run",
+     {"params": {"N": 6, "flow": "lax", "hk_max": 6}, "integrator": LAX}),
+    ("toda-canonical-hk6", "toda-run",
+     {"params": {"N": 6, "hk_max": 6}, "integrator": LAX}),
+    ("orbit-rank-one", "orbit-kks", {"params": {"N": 5, "state": "rank-one"}}),
+    # the benchmark's configs at seed 2024 (perfbench/run.py WORKLOADS)
+    ("bench-toda-lax", "toda-run",
+     {"seed": BENCH_SEED, "params": {"N": 32, "flow": "lax"},
+      "integrator": {"dt": 1e-3, "steps": 200, "stride": 100}}),
+    ("bench-toda-record", "toda-run",
+     {"seed": BENCH_SEED, "params": {"N": 16, "flow": "canonical"},
+      "integrator": {"dt": 1e-3, "steps": 200, "stride": 1}}),
+    ("bench-verify", "verify", {"seed": BENCH_SEED, "params": {"dim": 4}}),
+    ("bench-orbit-kks", "orbit-kks", {"seed": BENCH_SEED + 1, "params": {"N": 8}}),
+    *[(f"bench-reduce-{k}", "reduce-demo",
+       {"seed": BENCH_SEED + idx, "params": {"N": 8, "kind": k}})
+      for idx, k in ((2, "measurement"), (3, "lower"), (4, "group"))],
+    ("bench-lvn-isospectral", "lvn-run",
+     {"seed": BENCH_SEED + 5, "params": {"N": 8},
+      "integrator": {"dt": 1e-2, "steps": 200, "stride": 10,
+                     "method": "isospectral"}}),
+    # explicit matrices and states, and a t_end span
+    ("lvn-explicit", "lvn-run",
+     {"params": {"hamiltonian": H3, "initial_state": RHO3},
+      "integrator": {"dt": 1e-2, "steps": 100, "stride": 20}}),
+    ("lvn-explicit-state-with-N", "lvn-run",
+     {"params": {"N": 3, "initial_state": RHO3},
+      "integrator": {"dt": 1e-2, "steps": 100, "stride": 20,
+                     "method": "isospectral"}}),
+    ("reduce-explicit", "reduce-demo",
+     {"params": {"N": 3, "kind": "lower", "state": RHO3}}),
+    ("orbit-explicit", "orbit-kks", {"params": {"N": 3, "state": H3}}),
+    ("toda-explicit", "toda-run",
+     {"params": {"initial": TODA4}, "integrator": {"dt": 1e-3, "steps": 200}}),
+    ("toda-t-end", "toda-run",
+     {"params": {"N": 4, "t_end": 0.25}, "integrator": {"dt": 1e-3, "stride": 40}}),
+    ("toda-t-end-clamps-stride", "toda-run",
+     {"params": {"N": 4, "flow": "lax", "t_end": 0.005},
+      "integrator": {"dt": 1e-3}}),
+    # config faults: exit 2, nothing written
+    ("lvn-non-hermitian", "lvn-run",
+     {"params": {"hamiltonian": NON_HERMITIAN}, "integrator": {"steps": 5}}),
+    ("lvn-dims-disagree", "lvn-run",
+     {"params": {"N": 2, "hamiltonian": H3}, "integrator": {"steps": 5}}),
+    ("reduce-state-dim", "reduce-demo", {"params": {"N": 4, "state": RHO3}}),
+    ("orbit-state-dim", "orbit-kks", {"params": {"N": 4, "state": H3}}),
+    ("toda-initial-N", "toda-run",
+     {"params": {"N": 5, "initial": TODA4}, "integrator": {"steps": 5}}),
+    ("toda-t-end-overflow", "toda-run",
+     {"params": {"t_end": 1e300}, "integrator": {"dt": 1e-10}}),
+    ("lvn-hamiltonian-dim-inf", "lvn-run",
+     {"params": {"hamiltonian": INF_DIM}, "integrator": {"steps": 5}}),
+    ("lvn-initial-state-dim-inf", "lvn-run",
+     {"params": {"initial_state": INF_DIM}, "integrator": {"steps": 5}}),
+    ("reduce-state-dim-inf", "reduce-demo", {"params": {"state": INF_DIM}}),
+    ("orbit-state-dim-inf", "orbit-kks", {"params": {"state": INF_DIM}}),
+    ("toda-initial-N-inf", "toda-run",
+     {"params": {"initial": TODA_INF}, "integrator": {"steps": 5}}),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(label: str, command: str, config: dict, env: dict) -> list:
+    """The output lines for one config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "config.json")
+        out_dir = os.path.join(tmp, "out")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        done = subprocess.run(
+            [sys.executable, "-m", "liepoisson.cli", command, "--config",
+             cfg_path, "--out", out_dir],
+            cwd=tmp, env=env, capture_output=True, timeout=600)
+        lines = [f"{label} exit {done.returncode}"]
+        for name, stream in (("stdout", done.stdout), ("stderr", done.stderr)):
+            lines.append(f"{label} {name} "
+                         f"{_sha(stream.replace(out_dir.encode(), b'OUT'))}")
+        written = []
+        for root, _, files in os.walk(out_dir):
+            written += [os.path.join(root, f) for f in files]
+        for path in sorted(written):
+            with open(path, "rb") as fh:
+                lines.append(f"{label} {os.path.relpath(path, out_dir)} "
+                             f"{_sha(fh.read())}")
+    return lines
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for label, command, config in CONFIGS:
+        for line in digest(label, command, config, env):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
