@@ -105,6 +105,7 @@ from .reduction import (
 from .toda import (
     LaxPair,
     TodaState,
+    bidiagonal_rhs,
     canonical_field,
     canonical_rhs,
     default_weights,

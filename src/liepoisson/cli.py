@@ -40,7 +40,7 @@ from . import orbits as orb
 from . import reduction as red
 from . import toda as td
 from .fixtures import seeded_random_state
-from .integrators import IntegratorConfig, NumericalAbort, evolve
+from .integrators import IntegratorConfig, NumericalAbort, _flatten, evolve
 from .verification import _check, _reduction_op, _write_report, run_all
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
@@ -60,8 +60,22 @@ DEFAULT_OUTPUT = {
 REDUCE_KINDS = {"measurement": "measurement", "lower": "lower_triangularize",
                 "group": "group_average"}
 
+# Size limits; each keeps its command's default config to a few seconds at
+# the limit (timed in-process on 2 cores with one BLAS thread).
 # orbit-kks takes the SVD of N^2 x N^2 matrices, O(N^6) work
 ORBIT_MAX_N = 32
+# each sample costs O(N^3): 1000 take ~0.25 s at N = 4 and ~2.7 s at N = 32
+ORBIT_MAX_SAMPLES = 1000
+# verify takes ~1.1 s at dim 16; above it full_bracket_leibniz's absolute
+# tolerance no longer holds (dim 18: 1.3e-10 against 1e-10)
+VERIFY_MAX_DIM = 16
+# lvn-run's default 1000 RK4 steps of dense N x N products: ~2.6 s at N = 64
+LVN_MAX_N = 64
+# toda-run writes 2 N^2 CSV columns per recorded Lax state: ~3.5 s at N = 128
+TODA_MAX_N = 128
+# reduce-demo "lower" validates N rank-one projectors pairwise, O(N^5): ~3 s
+# at N = 96
+REDUCE_MAX_N = 96
 
 
 class ConfigError(ValueError):
@@ -230,7 +244,8 @@ def _resolve_params(command: str, p: dict, integrator):
     and checked, and the integrator with a toda-run ``t_end`` folded in."""
     if command == "verify":
         dim = _uint(p.get("dim"), "dim", 4)
-        _require(dim >= 4 and dim % 2 == 0, "dim must be an even integer >= 4")
+        _require(4 <= dim <= VERIFY_MAX_DIM and dim % 2 == 0,
+                 f"dim must be an even integer in 4..{VERIFY_MAX_DIM}")
         return {"dim": dim}, integrator
     if command == "lvn-run":
         h = _matrix_or_tag(p, "hamiltonian", _HAMILTONIAN_TAGS)
@@ -243,11 +258,13 @@ def _resolve_params(command: str, p: dict, integrator):
             dims.append(n)
         _require(len(set(dims)) <= 1,
                  "N, hamiltonian, and initial_state disagree on the dimension")
+        n = dims[0] if dims else 6
+        _require(n <= LVN_MAX_N, f"N must be at most {LVN_MAX_N}")
         drift_tol = _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
         _require(isinstance(h, str)
                  or op.validate(op.ClassTag.HERMITIAN, h, tol=1e-10),
                  "hamiltonian must be Hermitian")
-        return {"N": dims[0] if dims else 6, "hamiltonian": h,
+        return {"N": n, "hamiltonian": h,
                 "initial_state": rho, "drift_tol": drift_tol}, integrator
     if command == "toda-run":
         initial = p.get("initial", "random")
@@ -260,6 +277,7 @@ def _resolve_params(command: str, p: dict, integrator):
             initial = _parse(td.toda_from_json, initial, "initial state")
             n = _uint(p.get("N"), "N", initial.n)
             _require(n == initial.n, "N does not match the initial state")
+        _require(n <= TODA_MAX_N, f"N must be at most {TODA_MAX_N}")
         flow = _choice(p.get("flow"), "flow", ("canonical", "lax"), "canonical")
         hk_max = _uint(p.get("hk_max"), "hk_max", 4)
         _require(1 <= hk_max <= 8, "hk_max must be in 1..8")
@@ -276,7 +294,7 @@ def _resolve_params(command: str, p: dict, integrator):
                 "drift_tol": drift_tol}, integrator
     if command == "reduce-demo":
         n = _uint(p.get("N"), "N", 4)
-        _require(n >= 2, "N must be >= 2")
+        _require(2 <= n <= REDUCE_MAX_N, f"N must be in 2..{REDUCE_MAX_N}")
         kind = _choice(p.get("kind"), "kind", REDUCE_KINDS, "measurement")
         _require(kind != "group" or n % 2 == 0,
                  "the demo sign group needs an even N")
@@ -287,7 +305,8 @@ def _resolve_params(command: str, p: dict, integrator):
     _require(2 <= n <= ORBIT_MAX_N, f"N must be in 2..{ORBIT_MAX_N}")
     state = _matrix_or_tag(p, "state", _ORBIT_TAGS, n)
     samples = _uint(p.get("samples"), "samples", 6)
-    _require(samples >= 1, "samples must be >= 1")
+    _require(1 <= samples <= ORBIT_MAX_SAMPLES,
+             f"samples must be in 1..{ORBIT_MAX_SAMPLES}")
     tol = _positive_number(p.get("tol"), "tol", 1e-10)
     return {"N": n, "state": state, "samples": samples, "tol": tol}, integrator
 
@@ -383,11 +402,15 @@ def _run_toda(rc: RunConfig) -> int:
         def lax_of(y):
             return td.flaschka(_flow_state(y, state0)).lax
     else:
+        # the flow runs on y = (p, b); the dense rho of each recorded state
+        # is kept for the CSV, which writes its re_ij/im_ij columns
         pair0 = td.flaschka(state0)
-        y0, rhs, columns = pair0.rho, td.lax_rhs(pair0.a), None
+        y0, rhs = td._bidiagonal_coords(pair0.rho), td.bidiagonal_rhs(state0.alpha)
+        columns, rhos = None, []
 
-        def lax_of(r):
-            return r + pair0.a
+        def lax_of(y):
+            rhos.append(td._bidiagonal_matrix(y))
+            return rhos[-1] + pair0.a
 
     # one Lax matrix per recorded state feeds every h_k and the spectrum.
     # evolve runs the monitors in order, so h1 builds it; that also stops a
@@ -403,6 +426,10 @@ def _run_toda(rc: RunConfig) -> int:
 
     traj = evolve(y0, rc.integrator, rhs=rhs, columns=columns,
                   monitors={f"h{k}": h(k) for k in range(1, hk_max + 1)})
+    if p["flow"] == "lax":
+        columns, row = _flatten(rhos[0])
+        traj = replace(traj, states=rhos, columns=columns,
+                       values=np.array([row(rho) for rho in rhos]))
     spectrum = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
 
     csv_path = _artifact_path(rc)

@@ -324,8 +324,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _json_size(payload: dict, key: str) -> int:
+    """payload[key] as a size: a JSON integer, never a float, string or bool."""
+    n = payload[key]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"{key} must be an integer, got {n!r}")
+    return n
+
+
 def matrix_from_json(payload: dict) -> np.ndarray:
-    n = int(payload["dim"])
+    n = _json_size(payload, "dim")
     re = np.asarray(payload["re"], dtype=float)
     im = np.asarray(payload["im"], dtype=float)
     if re.size != n * n or im.size != n * n:

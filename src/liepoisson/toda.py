@@ -24,10 +24,22 @@ Poisson-commute under the lower-coinduced bracket (``involution_defect``).
 Positions above ~700 overflow exp; those evaluations raise NumericalAbort
 rather than return inf.
 
-``LaxPair`` and ``lax_rhs(a)`` validate their matrices when they are built;
-the Lax field itself (``_lax_field``) trusts them, so an RK4 stage costs two
-matrix products and two masked selections, and a diverging flow reaches the
-integrator's finiteness check instead of failing inside a stage.
+The k = 2 flow keeps rho lower bidiagonal, rho = diag(p) + sum_i b_i E_{i+1,i},
+so it also runs on the real vector y = (p, b) of length 2N - 1:
+
+    pdot_j = alpha_{j-1} b_{j-1} - alpha_j b_j,    bdot_i = b_i (p_i - p_{i+1}),
+
+(out-of-range terms read as zero), the canonical equations again with
+b_i = lam_i e^{x_i}.  ``bidiagonal_rhs(alpha)`` integrates that, O(N) per
+call; ``toda-run``'s Lax flow runs on it and builds dense matrices only for
+the states it records.  The dense field ``lax_field``/``lax_rhs`` serves
+every k and is the reference the (p, b) flow is checked against.
+
+``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
+inputs when they are built; the fields themselves trust them, so a dense RK4
+stage costs two matrix products and two masked selections, and a diverging
+flow reaches the integrator's finiteness check instead of failing inside a
+stage.
 """
 
 from __future__ import annotations
@@ -38,11 +50,12 @@ import numpy as np
 
 from .brackets import LOWER_COINDUCED, Observable, lp_bracket
 from .integrators import NumericalAbort
-from .operators import _commutator, as_matrix
+from .operators import _commutator, _json_size, as_matrix
 
 __all__ = [
     "LaxPair",
     "TodaState",
+    "bidiagonal_rhs",
     "canonical_field",
     "canonical_rhs",
     "default_weights",
@@ -126,14 +139,17 @@ def toda_hamiltonian(state: TodaState) -> float:
     return float(0.5 * np.sum(state.p ** 2) + np.sum(pot))
 
 
+def _bond_telescope(c, out):
+    """out_j = c_{j-1} - c_j for the N sites of N - 1 bond forces c."""
+    out[0] = -c[0]
+    np.subtract(c[:-1], c[1:], out=out[1:-1])
+    out[-1] = c[-1]
+    return out
+
+
 def _canonical_field(x, p, alpha, lam):
     c = alpha * lam * _bond_exponentials(x)  # bond forces
-    xdot = p[:-1] - p[1:]
-    pdot = np.empty_like(p)
-    pdot[0] = -c[0]
-    pdot[1:-1] = c[:-1] - c[1:]
-    pdot[-1] = c[-1]
-    return xdot, pdot
+    return p[:-1] - p[1:], _bond_telescope(c, np.empty_like(p))
 
 
 def canonical_field(state: TodaState):
@@ -190,12 +206,26 @@ class LaxPair:
         return self.rho + self.a
 
 
+def _bidiagonal_matrix(y) -> np.ndarray:
+    """The complex matrix diag(p) + sum_i b_i E_{i+1,i} of y = (p, b)."""
+    n = (y.size + 1) // 2
+    k = np.arange(n - 1)
+    rho = np.diag(y[:n].astype(complex))
+    rho[k + 1, k] = y[n:]
+    return rho
+
+
+def _bidiagonal_coords(rho) -> np.ndarray:
+    """y = (p, b): the real diagonal and subdiagonal of a bidiagonal rho."""
+    return np.concatenate([rho.diagonal().real, rho.diagonal(-1).real])
+
+
 def flaschka(state: TodaState) -> LaxPair:
     """rho = diag(p) + sum lam_k e^{x_k} E_{k+1,k}, a = sum alpha_k E_{k,k+1}."""
     n = state.n
     k = np.arange(n - 1)
-    rho = np.diag(state.p.astype(complex))
-    rho[k + 1, k] = state.lam * _bond_exponentials(state.x)
+    rho = _bidiagonal_matrix(
+        np.concatenate([state.p, state.lam * _bond_exponentials(state.x)]))
     a = np.zeros((n, n), dtype=complex)
     a[k, k + 1] = state.alpha
     return LaxPair(rho, a)
@@ -209,10 +239,8 @@ def flaschka_tangent(state: TodaState, xdot, pdot) -> np.ndarray:
     n = state.n
     xdot = _as_float_vector(xdot, n - 1, "xdot")
     pdot = _as_float_vector(pdot, n, "pdot")
-    k = np.arange(n - 1)
-    d = np.diag(pdot.astype(complex))
-    d[k + 1, k] = state.lam * _bond_exponentials(state.x) * xdot
-    return d
+    return _bidiagonal_matrix(
+        np.concatenate([pdot, state.lam * _bond_exponentials(state.x) * xdot]))
 
 
 def _check_index(k: int) -> None:
@@ -277,6 +305,30 @@ def lax_rhs(a, k: int = 2):
     return rhs
 
 
+def bidiagonal_rhs(alpha):
+    """rhs(t, y) of the k = 2 Lax flow on y = (p, b), O(N) per call.
+
+    With rho = diag(p) + sum_i b_i E_{i+1,i} and a = sum alpha_k E_{k,k+1},
+    lax_field gives pdot_j = alpha_{j-1} b_{j-1} - alpha_j b_j and
+    bdot_i = b_i (p_i - p_{i+1}), and nothing off the bidiagonal.  alpha is
+    validated here, once; the returned closure trusts y to be a finite real
+    vector of length 2N - 1 (``evolve`` checks each step's state).
+    """
+    n = np.size(alpha) + 1
+    if n < 2:
+        raise ValueError("Toda lattice needs at least 2 sites")
+    alpha = _as_float_vector(alpha, n - 1, "alpha")
+
+    def rhs(t, y):
+        out = np.empty_like(y)
+        p, b = y[:n], y[n:]
+        _bond_telescope(alpha * b, out[:n])
+        np.multiply(b, p[:-1] - p[1:], out=out[n:])
+        return out
+
+    return rhs
+
+
 def intertwining_defect(state: TodaState) -> float:
     """max-abs gap between the pushed canonical field and the Lax field.
 
@@ -311,7 +363,7 @@ def toda_from_json(payload: dict) -> TodaState:
     for key in ("N", "x", "p", "alpha", "lambda"):
         if key not in payload:
             raise ValueError(f"Toda payload missing {key!r}")
-    n = int(payload["N"])
+    n = _json_size(payload, "N")
     state = TodaState(payload["x"], payload["p"], payload["alpha"], payload["lambda"])
     if state.n != n:
         raise ValueError("declared N disagrees with the p vector")

@@ -521,7 +521,12 @@ def _toda_checks(fx) -> List[CheckResult]:
     state = fx["toda"]
     pair = td.flaschka(state)
 
-    out.append(_check("toda_intertwining", td.intertwining_defect(state), 1e-12))
+    # the canonical field pushed through flaschka, and the (p, b) field,
+    # each against the dense k = 2 Lax field at the same state
+    field = td.bidiagonal_rhs(state.alpha)(0.0, td._bidiagonal_coords(pair.rho))
+    gap = float(np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair, 2))))
+    out.append(_check("toda_intertwining",
+                      max(td.intertwining_defect(state), gap), 1e-12))
 
     d = max(td.involution_defect(state, j, k)
             for j, k in ((2, 3), (2, 4), (3, 4)))

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import liepoisson
 from liepoisson import cli
+from liepoisson import integrators as it
 from liepoisson import operators as op
+from liepoisson import toda as td
 from liepoisson import verification as vf
 
 
@@ -122,6 +124,59 @@ def test_toda_run_lax_flow(tmp_path):
     header = (out_dir / "toda_trajectory.csv").read_text().split("\n", 1)[0]
     assert header.startswith("t,re_00,im_00")
     assert header.endswith("h1,h2,h3,h4")
+
+
+def _lax_run(seed, n, steps, stride):
+    return {"seed": seed, "params": {"N": n, "flow": "lax"},
+            "integrator": {"dt": 1e-3, "steps": steps, "stride": stride}}
+
+
+@pytest.mark.parametrize("n, steps", [(8, 200), (32, 200), (64, 200),
+                                      (32, 10000)])
+def test_lax_toda_run_csv_matches_the_dense_lax_flow(tmp_path, n, steps):
+    # the CLI integrates (p, b); the reference is RK4 on the dense rho
+    seed, stride = 5, steps // 10
+    code, out_dir = _run(tmp_path, "toda-run", _lax_run(seed, n, steps, stride))
+    assert code == 0
+    pair = td.flaschka(cli.seeded_random_state(seed, "toda", n))
+    dense = it.evolve(pair.rho, it.IntegratorConfig(1e-3, steps, stride),
+                      rhs=td.lax_rhs(pair.a))
+    lines = (out_dir / "toda_trajectory.csv").read_text().splitlines()
+    width = 2 * n * n
+    assert lines[0].split(",")[1:1 + width] == dense.columns
+    got = np.array([[float(c) for c in line.split(",")[1:1 + width]]
+                    for line in lines[1:]])
+    assert got.shape == dense.values.shape
+    # relative to each state's largest entry: the entries grow along the run
+    gap = (np.max(np.abs(got - dense.values), axis=1)
+           / np.max(np.abs(dense.values), axis=1))
+    assert np.max(gap) <= 1e-12
+
+
+def test_lax_toda_run_is_byte_identical_across_runs(tmp_path):
+    payload = _lax_run(3, 12, 300, 30)
+    _, first = _run(tmp_path, "toda-run", payload, out="a")
+    _, second = _run(tmp_path, "toda-run", payload, out="b")
+    for name in ("toda_trajectory.csv", "toda_trajectory_summary.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_lax_toda_run_never_evaluates_the_dense_field(tmp_path, monkeypatch):
+    calls = {"lax_rhs": 0, "_lax_field": 0, "bidiagonal_rhs": 0}
+
+    def counting(name):
+        original = getattr(td, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(td, name, call)
+
+    for name in calls:
+        counting(name)
+    code, _ = _run(tmp_path, "toda-run", _lax_run(1, 6, 50, 10))
+    assert code == 0
+    assert calls == {"lax_rhs": 0, "_lax_field": 0, "bidiagonal_rhs": 1}
 
 
 def test_toda_run_is_byte_identical_across_runs(tmp_path):
@@ -462,7 +517,7 @@ def test_data_dependent_faults_are_raised_by_load_config(tmp_path):
 INF_MATRIX = '{"dim": 1e999, "re": [1.0], "im": [0.0]}'
 INF_TODA = ('{"N": 1e999, "x": [0.1], "p": [0.5, -0.5], "alpha": [1.0], '
             '"lambda": [1.0]}')
-# JSON reads 1e999 as inf, and int(inf) raises OverflowError
+# JSON reads 1e999 as inf, which is not an integer size
 INFINITE_SIZES = [
     ("lvn-run", f'{{"params": {{"hamiltonian": {INF_MATRIX}}}}}'),
     ("lvn-run", f'{{"params": {{"initial_state": {INF_MATRIX}}}}}'),
@@ -481,6 +536,58 @@ def test_infinite_sizes_are_config_errors(tmp_path, capsys):
         assert code == 2, text
         assert "config error: bad " in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_sizes_must_be_json_integers(tmp_path, capsys):
+    # a float was truncated and a string or bool taken as a size
+    for k, size in enumerate((2.9, "2", True)):
+        matrix = {"dim": size, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+        toda = dict(TODA3, N=size, x=[0.1], p=[0.5, -0.5], alpha=[1.0],
+                    **{"lambda": [1.0]})
+        cases = [("lvn-run", {"hamiltonian": matrix}),
+                 ("lvn-run", {"initial_state": matrix}),
+                 ("reduce-demo", {"N": 2, "state": matrix}),
+                 ("orbit-kks", {"N": 2, "state": matrix}),
+                 ("toda-run", {"initial": toda})]
+        for j, (command, params) in enumerate(cases):
+            code, out_dir = _run(tmp_path, command, {"params": params},
+                                 out=f"out{k}{j}")
+            assert code == 2, (command, params)
+            assert "config error: bad " in capsys.readouterr().err
+            assert not out_dir.exists()
+    with pytest.raises(ValueError, match="must be an integer"):
+        op.matrix_from_json({"dim": 2.0, "re": [0.0] * 4, "im": [0.0] * 4})
+    with pytest.raises(ValueError, match="must be an integer"):
+        td.toda_from_json(dict(TODA3, N=3.0))
+
+
+# (command, param, limit, step past it); only load_config sees each config
+SIZE_LIMITS = [("verify", "dim", cli.VERIFY_MAX_DIM, 2),
+               ("lvn-run", "N", cli.LVN_MAX_N, 1),
+               ("toda-run", "N", cli.TODA_MAX_N, 1),
+               ("reduce-demo", "N", cli.REDUCE_MAX_N, 2),
+               ("orbit-kks", "N", cli.ORBIT_MAX_N, 1),
+               ("orbit-kks", "samples", cli.ORBIT_MAX_SAMPLES, 1)]
+
+
+@pytest.mark.parametrize("command, key, limit, step", SIZE_LIMITS)
+def test_sizes_are_capped_by_load_config(tmp_path, command, key, limit, step):
+    assert _load(tmp_path, command, {"params": {key: limit}}).params[key] == limit
+    for size in (limit + step, 10**6, 10**12):
+        with pytest.raises(cli.ConfigError, match=str(limit)):
+            _load(tmp_path, command, {"params": {key: size}})
+
+
+def test_explicit_matrices_are_capped_too(tmp_path):
+    big = op.matrix_to_json(np.eye(cli.LVN_MAX_N + 1))
+    with pytest.raises(cli.ConfigError, match=str(cli.LVN_MAX_N)):
+        _load(tmp_path, "lvn-run", {"params": {"hamiltonian": big}})
+    alpha = [1.0] * cli.TODA_MAX_N
+    initial = {"N": cli.TODA_MAX_N + 1, "x": [0.0] * cli.TODA_MAX_N,
+               "p": [0.0] * (cli.TODA_MAX_N + 1), "alpha": alpha,
+               "lambda": alpha}
+    with pytest.raises(cli.ConfigError, match=str(cli.TODA_MAX_N)):
+        _load(tmp_path, "toda-run", {"params": {"initial": initial}})
 
 
 _TAGS = ["random", "random-psd", "random-hermitian", "rank-one", "lax",

@@ -210,3 +210,87 @@ def test_intertwining_property(seed, n):
 def test_involution_property(seed):
     state = seeded_random_state(seed, "toda", 6)
     assert td.involution_defect(state, 2, 3) < 1e-10
+
+
+# ------------------------------------------- the k = 2 flow on (p, b)
+
+def test_bidiagonal_coordinates_round_trip():
+    state = seeded_random_state(181, "toda", 5)
+    rho = td.flaschka(state).rho
+    y = td._bidiagonal_coords(rho)
+    assert np.array_equal(y, np.concatenate([state.p, state.lam * np.exp(state.x)]))
+    assert np.array_equal(td._bidiagonal_matrix(y), rho)
+
+
+def test_bidiagonal_field_is_the_dense_lax_field():
+    # the dense route sums p_j^2 against alpha b terms, so its roundoff
+    # scales with |L|^2; the full matrix is compared, off-bidiagonal too
+    eps = np.finfo(float).eps
+    for n in range(2, 65):
+        for seed in (0, 1, 2):
+            state = seeded_random_state(1000 * n + seed, "toda", n)
+            pair = td.flaschka(state)
+            field = td.bidiagonal_rhs(state.alpha)(0.0, td._bidiagonal_coords(pair.rho))
+            gap = np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair, 2)))
+            assert gap <= 4 * eps * max(1.0, np.max(np.abs(pair.lax))) ** 2, (n, seed)
+
+
+def test_bidiagonal_rhs_validates_alpha_once():
+    with pytest.raises(ValueError):
+        td.bidiagonal_rhs([])
+    with pytest.raises(ValueError):
+        td.bidiagonal_rhs([1.0, np.nan])
+    rhs = td.bidiagonal_rhs([1.0])
+    # two sites, p = (1, -1), b = 1: the worked example's lax_field
+    assert np.array_equal(rhs(0.0, np.array([1.0, -1.0, 1.0])), [-1.0, 1.0, 2.0])
+
+
+def _doolittle(m):
+    """m = lower @ upper, lower unit lower-triangular, without pivoting."""
+    lower, upper = np.eye(m.shape[0], dtype=m.dtype), m.copy()
+    for j in range(m.shape[0] - 1):
+        factors = upper[j + 1:, j] / upper[j, j]
+        lower[j + 1:, j] = factors
+        upper[j + 1:] -= np.outer(factors, upper[j])
+    return lower, upper
+
+
+def _aks_lax(lax0, t):
+    """Adler-Kostant-Symes: L(t) = N^-1 L0 N, where exp(-t L0) = N B.
+
+    L' = [L, pi+ L] is the k = 2 flow of L = rho + a.  cond(exp(-t L0)) is
+    e^(t spread(spec L0)), and N inherits it as t grows (at N = 32, t = 10
+    cond(N) is ~1e11), so the oracle is only used at short times.
+    """
+    lower, _ = _doolittle(op.expm(-t * lax0))
+    return np.linalg.solve(lower, lax0 @ lower), np.linalg.cond(lower)
+
+
+# RK4 at dt = 1e-3 is off by 4.8e-14, 1.6e-14 and 1.4e-11 on these states
+# (the next test shows that gap is the O(dt^4) step error)
+@pytest.mark.parametrize("n, t, tol", [(8, 2.0, 1e-12), (32, 0.2, 1e-12),
+                                       (32, 2.0, 1e-10)])
+def test_both_lax_flows_match_the_aks_solution(n, t, tol):
+    state = seeded_random_state(180 + n, "toda", n)
+    pair = td.flaschka(state)
+    exact, cond = _aks_lax(pair.lax, t)
+    assert cond < 100.0
+    cfg = it.IntegratorConfig(dt=1e-3, steps=int(round(t / 1e-3)), stride=10**6)
+    pb = it.evolve(td._bidiagonal_coords(pair.rho), cfg,
+                   rhs=td.bidiagonal_rhs(state.alpha))
+    dense = it.evolve(pair.rho, cfg, rhs=td.lax_rhs(pair.a))
+    assert np.max(np.abs(td._bidiagonal_matrix(pb.states[-1]) + pair.a - exact)) < tol
+    assert np.max(np.abs(dense.states[-1] + pair.a - exact)) < tol
+
+
+def test_bidiagonal_flow_converges_at_fourth_order_to_the_aks_solution():
+    state = seeded_random_state(188, "toda", 8)
+    pair = td.flaschka(state)
+    exact, _ = _aks_lax(pair.lax, 2.0)
+    errors = []
+    for dt in (4e-3, 2e-3):
+        cfg = it.IntegratorConfig(dt=dt, steps=int(round(2.0 / dt)), stride=10**6)
+        end = it.evolve(td._bidiagonal_coords(pair.rho), cfg,
+                        rhs=td.bidiagonal_rhs(state.alpha)).states[-1]
+        errors.append(np.max(np.abs(td._bidiagonal_matrix(end) + pair.a - exact)))
+    assert 12.0 < errors[0] / errors[1] < 20.0

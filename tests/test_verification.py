@@ -55,6 +55,14 @@ def test_recorded_ops_cover_every_public_function():
     assert row.passed and row.defect == 0.0 and row.ops == ()
 
 
+def test_intertwining_row_checks_the_bidiagonal_field():
+    results = vf.run_all(seed=2024, dim=4)
+    row = next(r for r in results if r.name == "toda_intertwining")
+    assert {"toda.bidiagonal_rhs", "toda.lax_field",
+            "toda.intertwining_defect"} <= set(row.ops)
+    assert row.passed
+
+
 def test_coverage_reports_an_uncalled_public_function(monkeypatch):
     def unused_operation(state):
         return state
