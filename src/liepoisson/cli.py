@@ -71,7 +71,7 @@ ORBIT_MAX_SAMPLES = 1000
 VERIFY_MAX_DIM = 16
 # lvn-run's default 1000 RK4 steps of dense N x N products: ~2.6 s at N = 64
 LVN_MAX_N = 64
-# toda-run writes 2 N^2 CSV columns per recorded Lax state: ~3.5 s at N = 128
+# toda-run writes 2 N^2 CSV columns per recorded Lax state: ~1.1 s at N = 128
 TODA_MAX_N = 128
 # reduce-demo "lower" validates N rank-one projectors pairwise, O(N^5): ~3 s
 # at N = 96
@@ -356,9 +356,6 @@ def _run_lvn(rc: RunConfig) -> int:
         return gen
 
     monitors = {"energy": lambda r: float(np.real(np.trace(h @ r)))}
-    for k in (1, 2, 3, 4):
-        monitors[f"T{k}"] = (
-            lambda r, k=k: float(np.real(np.trace(np.linalg.matrix_power(r, k)))) / k)
 
     if rc.integrator.method == "isospectral":
         traj = evolve(rho0, rc.integrator, hgrad=generator, monitors=monitors)
@@ -366,6 +363,11 @@ def _run_lvn(rc: RunConfig) -> int:
         traj = evolve(rho0, rc.integrator,
                       rhs=lambda t, r: op._commutator(gen, r),
                       monitors=monitors)
+    # the Casimirs T1..T4 = tr(rho^k)/k of all recorded states at once
+    stack = np.array(traj.states)
+    for k in (1, 2, 3, 4):
+        traj.monitors[f"T{k}"] = op._power_traces(stack, k)
+    del stack
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
 
@@ -376,16 +378,11 @@ def _run_lvn(rc: RunConfig) -> int:
                          f"trajectory: {csv_path}")
 
 
-def _flow_state(y, template: td.TodaState) -> td.TodaState:
-    """unpack for integrated states, where a broken invariant is numerical.
-
-    RK4 keeps the total momentum at zero only up to roundoff; a flow that
-    diverges loses it entirely, and that is an abort, not a config fault.
-    """
-    try:
-        return td.unpack(y, template)
-    except ValueError as exc:
-        raise NumericalAbort(f"canonical Toda flow broke an invariant: {exc}") from exc
+def _lax_invariants(stack: np.ndarray, hk_max: int):
+    """h2..h_kmax and the sorted real spectrum of each Lax matrix of an
+    (R, N, N) stack, in the bits of the per-matrix formulas."""
+    hk = {f"h{k}": op._power_traces(stack, k) for k in range(2, hk_max + 1)}
+    return hk, np.sort(np.linalg.eigvals(stack).real, axis=-1)
 
 
 def _run_toda(rc: RunConfig) -> int:
@@ -394,43 +391,51 @@ def _run_toda(rc: RunConfig) -> int:
     if isinstance(state0, str):
         state0 = seeded_random_state(rc.seed, "toda", p["N"])
     hk_max, tol = p["hk_max"], p["drift_tol"]
+    a = td.flaschka(state0).a
+    # each recorded state leaves one dense matrix here, built by the h1
+    # monitor: L = rho + a on the canonical flow, rho on the Lax flow
+    kept = []
 
     if p["flow"] == "canonical":
         y0, rhs = td.pack(state0), td.canonical_rhs(state0)
-        columns = td.toda_columns(state0.n)
+        columns, m, lam = td.toda_columns(state0.n), state0.n - 1, state0.lam
 
         def lax_of(y):
-            return td.flaschka(_flow_state(y, state0)).lax
+            # RK4 keeps the total momentum at zero only up to roundoff; a flow
+            # that diverges loses it entirely, and that is an abort, not a
+            # config fault.  The check runs in the loop, so the abort comes
+            # at the first recorded state that lost it.
+            if abs(float(np.sum(y[m:]))) > td.MOMENTUM_TOL_LOOSE:
+                raise NumericalAbort("canonical Toda flow broke an invariant: "
+                                     "total momentum must vanish")
+            kept.append(td._bidiagonal_matrix(
+                td._flaschka_coords(y[:m], y[m:], lam)) + a)
+            return kept[-1]
     else:
         # the flow runs on y = (p, b); the dense rho of each recorded state
         # is kept for the CSV, which writes its re_ij/im_ij columns
-        pair0 = td.flaschka(state0)
-        y0, rhs = td._bidiagonal_coords(pair0.rho), td.bidiagonal_rhs(state0.alpha)
-        columns, rhos = None, []
+        y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)
+        rhs, columns = td.bidiagonal_rhs(state0.alpha), None
 
         def lax_of(y):
-            rhos.append(td._bidiagonal_matrix(y))
-            return rhos[-1] + pair0.a
-
-    # one Lax matrix per recorded state feeds every h_k and the spectrum.
-    # evolve runs the monitors in order, so h1 builds it; that also stops a
-    # canonical flow at the first recorded state that lost its momentum.
-    laxes = []
-
-    def h(k):
-        def monitor(y):
-            if k == 1:
-                laxes.append(lax_of(y))
-            return float(np.real(np.trace(np.linalg.matrix_power(laxes[-1], k)))) / k
-        return monitor
+            kept.append(td._bidiagonal_matrix(y))
+            return kept[-1] + a
 
     traj = evolve(y0, rc.integrator, rhs=rhs, columns=columns,
-                  monitors={f"h{k}": h(k) for k in range(1, hk_max + 1)})
+                  monitors={"h1": lambda y: float(np.real(np.trace(lax_of(y))))})
+
+    # everything else is evaluated once, on the (R, N, N) stack of the R
+    # recorded matrices; the stacked calls give the per-matrix bits
+    stack = np.array(kept)
+    kept.clear()
     if p["flow"] == "lax":
-        columns, row = _flatten(rhos[0])
-        traj = replace(traj, states=rhos, columns=columns,
-                       values=np.array([row(rho) for rho in rhos]))
-    spectrum = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
+        # the complex entries read as (re, im) float pairs are the CSV row
+        traj = replace(traj, states=list(stack), columns=_flatten(stack[0])[0],
+                       values=stack.view(float).reshape(len(stack), -1))
+        stack = stack + a
+    hk, spectrum = _lax_invariants(stack, hk_max)
+    traj.monitors.update(hk)
+    del stack
 
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)

@@ -126,13 +126,12 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write t,<state columns>,<monitors> rows at 17 significant digits."""
         header = ["t", *self.columns, *self.monitors.keys()]
-        mon = [np.asarray(self.monitors[k], dtype=float) for k in self.monitors]
+        table = np.column_stack([self.times, self.values, *self.monitors.values()])
+        fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for idx, t in enumerate(self.times):
-                cells = [t, *self.values[idx]]
-                cells.extend(m[idx] for m in mon)
-                fh.write(",".join(f"{c:.17g}" for c in cells) + "\n")
+            for row in table:
+                fh.write(fmt % tuple(row.tolist()))
 
 
 def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
@@ -155,7 +154,7 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
         raise ValueError("isospectral integration needs hgrad(rho)")
 
     y = np.array(y0)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("initial state must have finite entries")
     monitors = monitors or {}
     default_columns, row_of = _flatten(y)
@@ -180,7 +179,7 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
                 y = rk4_step(rhs, t_prev, y, cfg.dt)
             else:
                 y = isospectral_step(hgrad, y, cfg.dt)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise NumericalAbort(f"non-finite state after step {k}")
             if k % cfg.stride == 0 or k == cfg.steps:
                 record(k * cfg.dt, y)

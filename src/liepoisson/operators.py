@@ -12,10 +12,10 @@ mutates its inputs, so values can be shared freely between threads.
 Validation happens once, where a matrix enters.  Every public function
 coerces its matrix arguments with ``as_matrix`` (square, at least 1 x 1,
 finite entries) and raises ``ValueError`` otherwise.  The underscored
-kernels (``_commutator``, ``_trace_pairing``, ``_skew_hermitian_part``,
-``_holds``) hold the formulas and trust their input to be such a matrix
-already; the step loops and the brackets call only kernels, and
-``integrators.evolve`` owns the one per-step finiteness check.
+kernels (``_commutator``, ``_trace_pairing``, ``_power_traces``,
+``_skew_hermitian_part``, ``_holds``) hold the formulas and trust their input
+to be such a matrix already; the step loops and the brackets call only
+kernels, and ``integrators.evolve`` owns the one per-step finiteness check.
 """
 
 from __future__ import annotations
@@ -99,6 +99,16 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:
     # tr(x rho) = sum_ij x_ij rho_ji without forming the product.
     return complex(np.sum(x * rho.T))
+
+
+def _power_traces(stack: np.ndarray, k: int) -> np.ndarray:
+    """Re tr(M^k) / k for each matrix M of an (R, N, N) stack.
+
+    Gives the same bits as the per-matrix
+    ``float(np.real(np.trace(np.linalg.matrix_power(m, k)))) / k``.
+    """
+    return np.real(np.trace(np.linalg.matrix_power(stack, k),
+                            axis1=-2, axis2=-1)) / k
 
 
 def trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:

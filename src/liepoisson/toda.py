@@ -77,8 +77,8 @@ __all__ = [
 X_OVERFLOW_LIMIT = 700.0  # np.exp overflows just above 709
 
 MOMENTUM_TOL = 1e-12
-# integration scrambles the telescoping cancellation slightly; unpack during
-# a flow tolerates that much drift
+# integration scrambles the telescoping cancellation slightly; unpack and
+# toda-run's check of each recorded state tolerate that much drift
 MOMENTUM_TOL_LOOSE = 1e-9
 
 
@@ -128,7 +128,7 @@ def default_weights(n: int):
 
 
 def _bond_exponentials(x: np.ndarray) -> np.ndarray:
-    if np.any(x > X_OVERFLOW_LIMIT):
+    if (x > X_OVERFLOW_LIMIT).any():
         raise NumericalAbort("Toda position exceeds the exp overflow limit")
     return np.exp(x)
 
@@ -147,14 +147,20 @@ def _bond_telescope(c, out):
     return out
 
 
-def _canonical_field(x, p, alpha, lam):
-    c = alpha * lam * _bond_exponentials(x)  # bond forces
-    return p[:-1] - p[1:], _bond_telescope(c, np.empty_like(p))
+def _canonical_field(x, p, weight, out):
+    """(xdot, pdot) written into out[:N-1] and out[N-1:]; weight = alpha lam."""
+    m = x.size
+    np.subtract(p[:-1], p[1:], out=out[:m])
+    _bond_telescope(weight * _bond_exponentials(x), out[m:])  # bond forces
+    return out
 
 
 def canonical_field(state: TodaState):
     """(xdot, pdot) of the canonical equations of motion."""
-    return _canonical_field(state.x, state.p, state.alpha, state.lam)
+    m = state.x.size
+    out = _canonical_field(state.x, state.p, state.alpha * state.lam,
+                           np.empty(2 * m + 1))
+    return out[:m], out[m:]
 
 
 def pack(state: TodaState) -> np.ndarray:
@@ -174,10 +180,10 @@ def unpack(y, template: TodaState, momentum_tol: float = MOMENTUM_TOL_LOOSE) -> 
 
 def canonical_rhs(template: TodaState):
     """rhs(t, y) on packed vectors, suitable for the rk4 integrator."""
-    alpha, lam, n = template.alpha, template.lam, template.n
+    weight, m = template.alpha * template.lam, template.n - 1
 
     def rhs(t, y):
-        return np.concatenate(_canonical_field(y[:n - 1], y[n - 1:], alpha, lam))
+        return _canonical_field(y[:m], y[m:], weight, np.empty_like(y))
 
     return rhs
 
@@ -220,12 +226,16 @@ def _bidiagonal_coords(rho) -> np.ndarray:
     return np.concatenate([rho.diagonal().real, rho.diagonal(-1).real])
 
 
+def _flaschka_coords(x, p, lam) -> np.ndarray:
+    """y = (p, b) of the Flaschka image of (x, p): b_i = lam_i e^{x_i}."""
+    return np.concatenate([p, lam * _bond_exponentials(x)])
+
+
 def flaschka(state: TodaState) -> LaxPair:
     """rho = diag(p) + sum lam_k e^{x_k} E_{k+1,k}, a = sum alpha_k E_{k,k+1}."""
     n = state.n
     k = np.arange(n - 1)
-    rho = _bidiagonal_matrix(
-        np.concatenate([state.p, state.lam * _bond_exponentials(state.x)]))
+    rho = _bidiagonal_matrix(_flaschka_coords(state.x, state.p, state.lam))
     a = np.zeros((n, n), dtype=complex)
     a[k, k + 1] = state.alpha
     return LaxPair(rho, a)

@@ -179,6 +179,96 @@ def test_lax_toda_run_never_evaluates_the_dense_field(tmp_path, monkeypatch):
     assert calls == {"lax_rhs": 0, "_lax_field": 0, "bidiagonal_rhs": 1}
 
 
+def test_canonical_toda_run_builds_lax_matrices_without_states(tmp_path,
+                                                                 monkeypatch):
+    # one flaschka call gives the fixed shift a; recorded states go straight
+    # from (x, p) to their Lax matrix, with no TodaState in between
+    calls = {"flaschka": 0, "unpack": 0}
+
+    def counting(name):
+        original = getattr(td, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(td, name, call)
+
+    for name in calls:
+        counting(name)
+    payload = {"seed": 4, "params": {"N": 6, "flow": "canonical"},
+               "integrator": {"dt": 1e-3, "steps": 50, "stride": 1}}
+    code, _ = _run(tmp_path, "toda-run", payload)
+    assert code == 0
+    assert calls["flaschka"] <= 1 and calls["unpack"] == 0
+
+
+def _csv_table(path, n_complex=0):
+    """The monitor columns of a trajectory CSV by name, and its first
+    n_complex^2 (re, im) state column pairs as (R, n, n) complex matrices,
+    read by position (re_ij names repeat once i or j has two digits)."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    pairs = np.ascontiguousarray(cells[:, 1:1 + 2 * n_complex ** 2])
+    matrices = pairs.view(complex).reshape(len(cells), n_complex, n_complex)
+    return {name: cells[:, idx] for idx, name in enumerate(header)}, matrices
+
+
+def _reference_hk(lax, k):
+    # the per-matrix formula the stacked evaluation replaced
+    return float(np.real(np.trace(np.linalg.matrix_power(lax, k)))) / k
+
+
+@pytest.mark.parametrize("flow", ["canonical", "lax"])
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
+def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
+    seed, hk_max = 40 + n, 8
+    payload = {"seed": seed, "params": {"N": n, "flow": flow, "hk_max": hk_max},
+               "integrator": {"dt": 1e-2, "steps": 40, "stride": 4}}
+    code, out_dir = _run(tmp_path, "toda-run", payload)
+    assert code == 0
+    state0 = cli.seeded_random_state(seed, "toda", n)
+    a = td.flaschka(state0).a
+    # 17 significant digits give back each recorded double exactly
+    if flow == "canonical":
+        table, _ = _csv_table(out_dir / "toda_trajectory.csv")
+        ys = np.column_stack([table[c] for c in td.toda_columns(n)])
+        laxes = [td.flaschka(td.unpack(y, state0)).lax for y in ys]
+    else:
+        table, rhos = _csv_table(out_dir / "toda_trajectory.csv", n)
+        laxes = [rho + a for rho in rhos]
+    want = {f"h{k}": np.array([_reference_hk(lax, k) for lax in laxes])
+            for k in range(1, hk_max + 1)}
+    for name, column in want.items():
+        assert table[name].tobytes() == column.tobytes(), name
+
+    spectra = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
+    hk, spectrum = cli._lax_invariants(np.array(laxes), hk_max)
+    assert spectrum.tobytes() == spectra.tobytes()
+    assert list(hk) == [f"h{k}" for k in range(2, hk_max + 1)]
+    for name, column in hk.items():
+        assert column.tobytes() == want[name].tobytes(), name
+    summary = json.loads((out_dir / "toda_trajectory_summary.json").read_text())
+    drift = {row["name"]: row["defect"] for row in summary["checks"]}
+    spread = max(float(np.max(np.abs(spectra[0]))), 1e-30)
+    assert (drift["lax_spectrum_relative_drift"]
+            == float(np.max(np.abs(spectra - spectra[0]))) / spread)
+
+
+@pytest.mark.parametrize("method", ["rk4", "isospectral"])
+def test_lvn_run_casimirs_give_the_per_matrix_bits(tmp_path, method):
+    n = 5
+    payload = {"seed": 8, "params": {"N": n},
+               "integrator": {"dt": 1e-2, "steps": 30, "stride": 3,
+                              "method": method}}
+    code, out_dir = _run(tmp_path, "lvn-run", payload)
+    assert code == 0
+    table, rhos = _csv_table(out_dir / "lvn_trajectory.csv", n)
+    for k in (1, 2, 3, 4):
+        want = np.array([_reference_hk(rho, k) for rho in rhos])
+        assert table[f"T{k}"].tobytes() == want.tobytes(), k
+
+
 def test_toda_run_is_byte_identical_across_runs(tmp_path):
     payload = {"params": {"N": 3, "t_end": 0.1},
                "integrator": {"dt": 1e-3, "stride": 25}}

@@ -149,6 +149,41 @@ def test_matrix_flatten_column_names_and_csv_roundtrip(tmp_path):
     assert cells[1, 2] == rho[0, 0].imag
 
 
+def _per_cell_csv(traj):
+    """The writer to_csv replaced, one f-string per cell: the oracle."""
+    header = ["t", *traj.columns, *traj.monitors.keys()]
+    mon = [np.asarray(traj.monitors[k], dtype=float) for k in traj.monitors]
+    lines = [",".join(header) + "\n"]
+    for idx, t in enumerate(traj.times):
+        cells = [t, *traj.values[idx]]
+        cells.extend(m[idx] for m in mon)
+        lines.append(",".join(f"{c:.17g}" for c in cells) + "\n")
+    return "".join(lines)
+
+
+# signed zeros, subnormals, the ends of the range, integer-valued floats
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+               -1e308, 1.7976931348623157e308, 1e-300, 3.0, -17.0, 1e15,
+               1e16, 2.0 ** 53, 2.0 ** 53 + 2, 0.1, 1 / 3, -2.5e-7]
+
+
+@pytest.mark.parametrize("width, monitors", [(4, 3), (4, 0), (0, 2), (0, 0)])
+def test_to_csv_matches_the_per_cell_formatter(tmp_path, width, monitors):
+    rng = np.random.default_rng(width * 10 + monitors)
+    rows, cols = 3 * len(EDGE_VALUES), 1 + width + monitors
+    table = (rng.standard_normal((rows, cols))
+             * 10.0 ** rng.integers(-300, 300, size=(rows, cols)))
+    table[:len(EDGE_VALUES)] = np.array(EDGE_VALUES)[:, None]
+    table[len(EDGE_VALUES):2 * len(EDGE_VALUES)] = np.array(EDGE_VALUES[::-1])[:, None]
+    traj = it.Trajectory(
+        times=table[:, 0], states=[None] * rows,
+        columns=[f"y{k}" for k in range(width)], values=table[:, 1:1 + width],
+        monitors={f"m{k}": table[:, 1 + width + k] for k in range(monitors)})
+    path = tmp_path / "table.csv"
+    traj.to_csv(path)
+    assert path.read_bytes() == _per_cell_csv(traj).encode()
+
+
 def test_noether_drift_on_conserved_quantity():
     h0 = seeded_random_state(165, "hermitian", 4)
     rho = seeded_random_state(166, "psd", 4)

@@ -110,6 +110,21 @@ def test_pack_unpack_roundtrip_and_rhs_agreement():
     assert np.array_equal(rhs(0.0, y), np.concatenate([xdot, pdot]))
 
 
+def test_canonical_rhs_gives_the_bits_of_the_field():
+    for n in range(2, 65):
+        for seed in (n, 1000 + n):
+            state = seeded_random_state(seed, "toda", n)
+            got = td.canonical_rhs(state)(0.0, td.pack(state))
+            field = np.concatenate(td.canonical_field(state))
+            assert got.tobytes() == field.tobytes(), n
+            # the equations of motion written out, in the kernel's order
+            # of operations: forces (alpha lam) e^x, then their telescope
+            c = state.alpha * state.lam * np.exp(state.x)
+            pdot = np.concatenate([[-c[0]], c[:-1] - c[1:], [c[-1]]])
+            want = np.concatenate([state.p[:-1] - state.p[1:], pdot])
+            assert got.tobytes() == want.tobytes(), n
+
+
 def test_flaschka_tangent_is_the_derivative_of_flaschka():
     state = seeded_random_state(174, "toda", 5)
     xdot, pdot = td.canonical_field(state)

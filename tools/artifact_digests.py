@@ -70,6 +70,16 @@ CONFIGS = [
      {"params": {"N": 6, "flow": "lax", "hk_max": 6}, "integrator": LAX}),
     ("toda-canonical-hk6", "toda-run",
      {"params": {"N": 6, "hk_max": 6}, "integrator": LAX}),
+    # every h_k column, on the smallest chain and on one recorded every step
+    ("toda-canonical-hk8-n2", "toda-run",
+     {"params": {"N": 2, "hk_max": 8}, "integrator": LAX}),
+    ("toda-canonical-hk8-n33-stride1", "toda-run",
+     {"params": {"N": 33, "hk_max": 8},
+      "integrator": {"dt": 1e-3, "steps": 200, "stride": 1}}),
+    ("toda-lax-hk8", "toda-run",
+     {"params": {"N": 9, "flow": "lax", "hk_max": 8}, "integrator": LAX}),
+    ("lvn-rk4-stride1", "lvn-run",
+     {"params": {"N": 5}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 1}}),
     ("orbit-rank-one", "orbit-kks", {"params": {"N": 5, "state": "rank-one"}}),
     # the benchmark's configs at seed 2024 (perfbench/run.py WORKLOADS)
     ("bench-toda-lax", "toda-run",
@@ -105,6 +115,15 @@ CONFIGS = [
     ("toda-t-end-clamps-stride", "toda-run",
      {"params": {"N": 4, "flow": "lax", "t_end": 0.005},
       "integrator": {"dt": 1e-3}}),
+    # numerical aborts: exit 3, nothing written
+    *[(f"toda-diverging-{flow}", "toda-run",
+       {"seed": 1, "params": {"N": 8, "flow": flow},
+        "integrator": {"dt": 5.0, "steps": 200, "stride": 1}})
+      for flow in ("canonical", "lax")],
+    ("toda-overflow", "toda-run",
+     {"params": {"initial": {"N": 2, "x": [800.0], "p": [0.0, 0.0],
+                             "alpha": [1.0], "lambda": [1.0]}},
+      "integrator": {"dt": 1e-3, "steps": 5}}),
     # config faults: exit 2, nothing written
     ("lvn-non-hermitian", "lvn-run",
      {"params": {"hamiltonian": NON_HERMITIAN}, "integrator": {"steps": 5}}),
