@@ -30,10 +30,13 @@ linear in the state); that case is ordinary, not an error.
 ``lp_bracket`` and ``ham_field`` validate the state once, on entry (see
 ``_state``); from there the gradients an observable returns are taken as
 they come and every formula runs on the trusted kernels of ``operators``.
+The coinduced field's kernel ``_coinduced_field`` also serves the Toda Lax
+flows, and ``_pullback`` is the one composite f o phi.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -299,20 +302,45 @@ def _state(spec: BracketSpec, state, tol: float):
     return rho
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle_masks(n: int):
+    """Read-only masks of the lower and upper-plus parts, built once per n:
+    ``np.where(mask, m, 0)`` gives the bits of ``np.tril(m)``/``np.triu(m)``,
+    which build such a mask on every call."""
+    lower = np.tri(n, dtype=bool)
+    upper = np.ascontiguousarray(lower.T)
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
+
+
+def _coinduced_field(dh: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """pi_lower([rho, pi+ dh]), the lower-coinduced Hamiltonian field of a
+    function with gradient dh at rho (see the module docstring)."""
+    lower, upper = _triangle_masks(rho.shape[0])
+    return np.where(lower, _commutator(rho, np.where(upper, dh, 0)), 0)
+
+
 def _canonical_grad(spec: BracketSpec, g):
     """Project a gradient onto the representative subspace of the spec."""
     g = np.asarray(g, dtype=complex)
     if spec.kind == "lower_coinduced":
-        return np.triu(g)
+        return np.where(_triangle_masks(g.shape[0])[1], g, 0)
     if spec.kind == "hermitian_real":
         return _skew_hermitian_part(g)
     return g
 
 
+def _grad_commutator(spec: BracketSpec, df, dg):
+    """[df, dg] of the spec's gradient representatives, pairwise for a
+    product spec."""
+    if spec.kind == "product":
+        return (_grad_commutator(spec.left, df[0], dg[0]),
+                _grad_commutator(spec.right, df[1], dg[1]))
+    return _commutator(_canonical_grad(spec, df), _canonical_grad(spec, dg))
+
+
 def _partial_bracket(spec: BracketSpec, df, dg, rho):
-    df = _canonical_grad(spec, df)
-    dg = _canonical_grad(spec, dg)
-    value = _trace_pairing(_commutator(df, dg), rho)
+    value = _trace_pairing(_grad_commutator(spec, df, dg), rho)
     if spec.kind == "hermitian_real":
         return float(value.real)
     return value
@@ -335,11 +363,9 @@ def lp_bracket(spec: BracketSpec, f: Observable, g: Observable, state,
 
 
 def _partial_field(spec: BracketSpec, dh, rho):
-    dh = _canonical_grad(spec, dh)
     if spec.kind == "lower_coinduced":
-        # opposite composite order; see module docstring
-        return np.tril(_commutator(rho, dh))
-    return _commutator(dh, rho)
+        return _coinduced_field(np.asarray(dh, dtype=complex), rho)
+    return _commutator(_canonical_grad(spec, dh), rho)
 
 
 def ham_field(spec: BracketSpec, h: Observable, state, tol: float = DEFAULT_TOL):
@@ -385,26 +411,10 @@ def bracket_observable(spec: BracketSpec, f: Observable, g: Observable,
     """
     name = f"{{{f.name},{g.name}}}"
     if f.linear and g.linear:
-        if spec.kind == "product":
-            def gradient_pair(rr):
-                df1, df2 = f.grad(rr)
-                dg1, dg2 = g.grad(rr)
-                return (
-                    _commutator(_canonical_grad(spec.left, df1),
-                                _canonical_grad(spec.left, dg1)),
-                    _commutator(_canonical_grad(spec.right, df2),
-                                _canonical_grad(spec.right, dg2)),
-                )
-
-            return Observable(lambda rr: lp_bracket(spec, f, g, rr),
-                              gradient_pair, linear=True, name=name)
-
-        def gradient(rho):
-            return _commutator(_canonical_grad(spec, f.grad(rho)),
-                               _canonical_grad(spec, g.grad(rho)))
-
         return Observable(lambda rho: lp_bracket(spec, f, g, rho),
-                          gradient, linear=True, name=name)
+                          lambda rho: _grad_commutator(spec, f.grad(rho),
+                                                       g.grad(rho)),
+                          linear=True, name=name)
     return Observable(lambda rho: lp_bracket(spec, f, g, rho),
                       None, fd_step=fd_step, domain=_domain_for(spec), name=name)
 
@@ -458,6 +468,13 @@ class MatrixLinearMap:
         return f"MatrixLinearMap({self.name or '<anon>'})"
 
 
+def _pullback(f: Observable, phi: MatrixLinearMap) -> Observable:
+    """f o phi, with the chain-rule gradient phi*(Df(phi rho))."""
+    return Observable(lambda s: f(phi.apply(s)),
+                      lambda s: phi.adjoint(f.grad(phi.apply(s))),
+                      linear=f.linear, name=f"{f.name} o {phi.name}")
+
+
 def lower_projection_map() -> MatrixLinearMap:
     """pi_lower as a map from the full space onto lower-triangular states.
 
@@ -504,15 +521,8 @@ def poisson_map_defect(phi: MatrixLinearMap, src: BracketSpec, dst: BracketSpec,
     Zero (to roundoff) exactly when phi respects the two structures at the
     given state; f and g are observables on the destination space.
     """
-    image = phi.apply(state)
-    f_up = Observable(lambda s: f(phi.apply(s)),
-                      lambda s: phi.adjoint(f.grad(phi.apply(s))),
-                      linear=f.linear, name=f"{f.name} o {phi.name}")
-    g_up = Observable(lambda s: g(phi.apply(s)),
-                      lambda s: phi.adjoint(g.grad(phi.apply(s))),
-                      linear=g.linear, name=f"{g.name} o {phi.name}")
-    upstairs = lp_bracket(src, f_up, g_up, state)
-    downstairs = lp_bracket(dst, f, g, image)
+    upstairs = lp_bracket(src, _pullback(f, phi), _pullback(g, phi), state)
+    downstairs = lp_bracket(dst, f, g, phi.apply(state))
     return abs(upstairs - downstairs)
 
 

@@ -39,8 +39,8 @@ from . import operators as op
 from . import orbits as orb
 from . import reduction as red
 from . import toda as td
-from .fixtures import seeded_random_state
-from .integrators import IntegratorConfig, NumericalAbort, _flatten, evolve
+from .fixtures import _complex_normal, _stream, seeded_random_state
+from .integrators import IntegratorConfig, NumericalAbort, evolve
 from .verification import _check, _reduction_op, _write_report, run_all
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
@@ -73,9 +73,16 @@ VERIFY_MAX_DIM = 16
 LVN_MAX_N = 64
 # toda-run writes 2 N^2 CSV columns per recorded Lax state: ~1.1 s at N = 128
 TODA_MAX_N = 128
+# records x 2 N^2 values of the N x N matrix each lvn-run or toda-run record
+# keeps (3.3e6 for the default toda-run at TODA_MAX_N); at the cap, stride 1:
+# 130-160 MB and 1-6 s for N >= 33, 620 MB and 110 s for lvn-run at N = 1
+MAX_RECORDED_VALUES = 4_000_000
 # reduce-demo "lower" validates N rank-one projectors pairwise, O(N^5): ~3 s
 # at N = 96
 REDUCE_MAX_N = 96
+
+# spawn key of the stream of demo probe draws (see fixtures._stream)
+PROBE_STREAM = 1000
 
 
 class ConfigError(ValueError):
@@ -94,17 +101,6 @@ class RunConfig:
     integrator: Optional[IntegratorConfig]
     output_path: str
     out_dir: str = "."
-
-
-def _aux_rng(seed: int) -> np.random.Generator:
-    # demo probe draws; spawn key off the fixture kinds so the stream never
-    # collides with seeded_random_state for the same seed
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(1000,))))
-
-
-def _draw_general(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 # ------------------------------------------------------------- validation
@@ -239,6 +235,16 @@ def _matrix_or_tag(p: dict, key: str, tags: dict, n: Optional[int] = None):
     return m
 
 
+def _require_recorded_size(integrator: IntegratorConfig, n: int) -> None:
+    """Refuse a run that records more than MAX_RECORDED_VALUES values: every
+    stride-th state, the first and the last, each 2 N^2 values."""
+    records = (integrator.steps // integrator.stride + 1
+               + (integrator.steps % integrator.stride != 0))
+    _require(records * 2 * n * n <= MAX_RECORDED_VALUES,
+             f"the run records {records} states of {2 * n * n} values, more "
+             f"than the {MAX_RECORDED_VALUES} allowed; raise integrator.stride")
+
+
 def _resolve_params(command: str, p: dict, integrator):
     """The params with every default applied and every explicit input parsed
     and checked, and the integrator with a toda-run ``t_end`` folded in."""
@@ -260,6 +266,7 @@ def _resolve_params(command: str, p: dict, integrator):
                  "N, hamiltonian, and initial_state disagree on the dimension")
         n = dims[0] if dims else 6
         _require(n <= LVN_MAX_N, f"N must be at most {LVN_MAX_N}")
+        _require_recorded_size(integrator, n)
         drift_tol = _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
         _require(isinstance(h, str)
                  or op.validate(op.ClassTag.HERMITIAN, h, tol=1e-10),
@@ -290,6 +297,7 @@ def _resolve_params(command: str, p: dict, integrator):
             steps = max(1, int(round(t_end / integrator.dt)))
             integrator = replace(integrator, steps=steps,
                                  stride=min(integrator.stride, steps))
+        _require_recorded_size(integrator, n)
         return {"N": n, "initial": initial, "flow": flow, "hk_max": hk_max,
                 "drift_tol": drift_tol}, integrator
     if command == "reduce-demo":
@@ -364,10 +372,8 @@ def _run_lvn(rc: RunConfig) -> int:
                       rhs=lambda t, r: op._commutator(gen, r),
                       monitors=monitors)
     # the Casimirs T1..T4 = tr(rho^k)/k of all recorded states at once
-    stack = np.array(traj.states)
     for k in (1, 2, 3, 4):
-        traj.monitors[f"T{k}"] = op._power_traces(stack, k)
-    del stack
+        traj.monitors[f"T{k}"] = op._power_traces(traj.states, k)
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
 
@@ -421,7 +427,7 @@ def _run_toda(rc: RunConfig) -> int:
             kept.append(td._bidiagonal_matrix(y))
             return kept[-1] + a
 
-    traj = evolve(y0, rc.integrator, rhs=rhs, columns=columns,
+    traj = evolve(y0, rc.integrator, rhs=rhs,
                   monitors={"h1": lambda y: float(np.real(np.trace(lax_of(y))))})
 
     # everything else is evaluated once, on the (R, N, N) stack of the R
@@ -429,16 +435,14 @@ def _run_toda(rc: RunConfig) -> int:
     stack = np.array(kept)
     kept.clear()
     if p["flow"] == "lax":
-        # the complex entries read as (re, im) float pairs are the CSV row
-        traj = replace(traj, states=list(stack), columns=_flatten(stack[0])[0],
-                       values=stack.view(float).reshape(len(stack), -1))
+        traj = replace(traj, states=stack)
         stack = stack + a
     hk, spectrum = _lax_invariants(stack, hk_max)
     traj.monitors.update(hk)
     del stack
 
     csv_path = _artifact_path(rc)
-    traj.to_csv(csv_path)
+    traj.to_csv(csv_path, columns)
 
     rows = [_check(f"h{k}_relative_drift", _relative_drift(traj.monitors[f"h{k}"]),
                    tol) for k in range(1, hk_max + 1)]
@@ -455,9 +459,9 @@ def _run_reduce(rc: RunConfig) -> int:
     rop = _reduction_op(REDUCE_KINDS[kind], n)
 
     image = red.apply(rop, rho)
-    rng = _aux_rng(rc.seed)
-    x = _draw_general(rng, n)
-    y = _draw_general(rng, n)
+    rng = _stream(rc.seed, PROBE_STREAM)
+    x = _complex_normal(rng, n)
+    y = _complex_normal(rng, n)
 
     rows = [
         _check("idempotence",
@@ -498,7 +502,7 @@ def _run_reduce(rc: RunConfig) -> int:
 
 def _run_orbit(rc: RunConfig) -> int:
     n, tol = rc.params["N"], rc.params["tol"]
-    rng = _aux_rng(rc.seed)
+    rng = _stream(rc.seed, PROBE_STREAM)
     if isinstance(rc.params["state"], str) and rc.params["state"] == "rank-one":
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rho = orb.rank_one_state(v)
@@ -509,8 +513,8 @@ def _run_orbit(rc: RunConfig) -> int:
     antisym = 0.0
     pairing = 0.0
     for idx in range(rc.params["samples"]):
-        x = _draw_general(rng, n)
-        y = _draw_general(rng, n)
+        x = _complex_normal(rng, n)
+        y = _complex_normal(rng, n)
         val = orb.kks_eval(rho, x, y)
         antisym = max(antisym, abs(val + orb.kks_eval(rho, y, x)))
         pairing = max(pairing, abs(

@@ -4,6 +4,8 @@ Streams are split by (seed, kind): the kind's index is the spawn key of a
 ``numpy.random.SeedSequence`` built from the seed, so each kind draws from an
 independent PCG64 stream.  The same (seed, kind, n) always returns the same
 object, and adding new kinds later cannot disturb existing streams.
+``_stream`` builds every seeded stream of the package, the probe draws of
+``verify`` and the CLI included, and ``_complex_normal`` is the one draw.
 """
 
 from __future__ import annotations
@@ -21,15 +23,22 @@ __all__ = ["KINDS", "seeded_random_state", "seeded_rng"]
 KINDS = ("general", "hermitian", "psd", "lower", "toda")
 
 
+def _stream(seed: int, key: int) -> np.random.Generator:
+    """The PCG64 generator of the seed's SeedSequence with spawn key (key,);
+    the kinds take keys 0..4, other streams keys far above them."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 def seeded_rng(seed: int, kind: str) -> np.random.Generator:
     """The PCG64 generator for this (seed, kind) pair."""
     if kind not in KINDS:
         raise ValueError(f"unknown fixture kind {kind!r}; choose from {KINDS}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(KINDS.index(kind),))
-    return np.random.Generator(np.random.PCG64(ss))
+    return _stream(seed, KINDS.index(kind))
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n matrix of independent standard complex normal entries."""
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 

@@ -13,9 +13,9 @@ O(dt^4) per unit time; the contrast between the two is itself a test target.
 step for non-finite entries (raising ``NumericalAbort``), and evaluates any
 requested scalar monitors along the way.  It validates the initial state
 once; from there that per-step check is the only guard, and the right-hand
-sides and generators it drives may run on trusted kernels.  Trajectories
-serialize to CSV with 17 significant digits, enough to round-trip a double
-exactly.
+sides and generators it drives may run on trusted kernels.
+``Trajectory.to_csv`` alone flattens the recorded states into columns and
+writes 17 significant digits, enough to round-trip a double exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .brackets import FULL, BracketSpec, MatrixLinearMap, Observable, ham_field
-from .operators import _commutator, as_matrix, expm
+from .brackets import (FULL, BracketSpec, MatrixLinearMap, Observable,
+                       _pullback, ham_field)
+from .operators import _commutator, _conjugate, as_matrix, expm
 
 __all__ = [
     "IntegratorConfig",
@@ -84,49 +85,35 @@ def isospectral_step(hgrad: Callable, rho, dt: float):
     """
     rho = as_matrix(rho)
     rho_mid = rho + (0.5 * dt) * _commutator(hgrad(rho), rho)
-    q = expm(dt * hgrad(rho_mid))
-    # q rho q^(-1) via a solve; q from a skew-Hermitian generator is unitary
-    return np.linalg.solve(q.T, (q @ rho).T).T
-
-
-def _flatten(state):
-    if isinstance(state, np.ndarray) and state.ndim == 2:
-        n = state.shape[0]
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                cols.extend((f"re_{i}{j}", f"im_{i}{j}"))
-
-        def row(s):
-            out = np.empty(2 * n * n)
-            flat = np.asarray(s, dtype=complex).reshape(-1)
-            out[0::2] = flat.real
-            out[1::2] = flat.imag
-            return out
-
-        return cols, row
-    state = np.asarray(state)
-    cols = [f"y{k}" for k in range(state.size)]
-    return cols, lambda s: np.asarray(s, dtype=float).reshape(-1)
+    return _conjugate(expm(dt * hgrad(rho_mid)), rho)
 
 
 @dataclass
 class Trajectory:
-    """Recorded flow: times, raw states, flattened values, scalar monitors."""
+    """Recorded flow: times, the (R, ...) stack of states, scalar monitors."""
 
     times: np.ndarray
-    states: List
-    columns: List[str]
-    values: np.ndarray
+    states: np.ndarray
     monitors: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def to_csv(self, path) -> None:
-        """Write t,<state columns>,<monitors> rows at 17 significant digits."""
-        header = ["t", *self.columns, *self.monitors.keys()]
-        table = np.column_stack([self.times, self.values, *self.monitors.values()])
+    def to_csv(self, path, columns: Optional[List[str]] = None) -> None:
+        """Write t,<state columns>,<monitors> rows at 17 significant digits:
+        re_ij, im_ij for matrix states, else y0, y1, ... or ``columns``."""
+        rows = len(self.times)
+        if self.states.ndim == 3:
+            n = self.states.shape[1]
+            # complex entries read as (re, im) float pairs
+            values = np.asarray(self.states, complex).reshape(rows, -1).view(float)
+            names = [f"{part}_{i}{j}" for i in range(n) for j in range(n)
+                     for part in ("re", "im")]
+        else:
+            values = np.asarray(self.states, dtype=float).reshape(rows, -1)
+            names = [f"y{k}" for k in range(values.shape[1])]
+        header = ["t", *(names if columns is None else columns), *self.monitors]
+        table = np.column_stack([self.times, values, *self.monitors.values()])
         fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
@@ -136,14 +123,12 @@ class Trajectory:
 
 def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
            hgrad: Optional[Callable] = None,
-           monitors: Optional[Dict[str, Callable]] = None,
-           columns: Optional[List[str]] = None) -> Trajectory:
+           monitors: Optional[Dict[str, Callable]] = None) -> Trajectory:
     """Integrate from y0 and record every cfg.stride-th state plus the last.
 
     method "rk4" needs ``rhs(t, y)``; "isospectral" needs ``hgrad(rho)`` (the
     commutator generator) and a matrix state.  ``monitors`` maps names to
-    scalar functions of the state, evaluated at recorded times.  ``columns``
-    renames the columns of the flattened state.  A non-finite
+    scalar functions of the state, evaluated at recorded times.  A non-finite
     y0 raises ValueError; non-finite values later in the run abort it with
     ``NumericalAbort``.
     """
@@ -157,8 +142,6 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
     if not np.isfinite(y).all():
         raise ValueError("initial state must have finite entries")
     monitors = monitors or {}
-    default_columns, row_of = _flatten(y)
-    columns = default_columns if columns is None else columns
 
     times, states = [], []
     mon_values: Dict[str, list] = {name: [] for name in monitors}
@@ -184,9 +167,8 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
             if k % cfg.stride == 0 or k == cfg.steps:
                 record(k * cfg.dt, y)
 
-    rows = np.array([row_of(s) for s in states], dtype=float)
     return Trajectory(
-        times=np.array(times), states=states, columns=list(columns), values=rows,
+        times=np.array(times), states=np.array(states),
         monitors={k: np.array(v) for k, v in mon_values.items()},
     )
 
@@ -229,11 +211,7 @@ def collective_defect(jmap: MatrixLinearMap, h_down: Observable,
     """
     rho0 = as_matrix(rho0)
 
-    h_up = Observable(
-        lambda rho: h_down(jmap.apply(rho)),
-        lambda rho: jmap.adjoint(h_down.grad(jmap.apply(rho))),
-        linear=h_down.linear, name=f"{h_down.name} o {jmap.name}",
-    )
+    h_up = _pullback(h_down, jmap)
     up = evolve(rho0, cfg, rhs=lambda t, y: ham_field(FULL, h_up, y))
     down = evolve(jmap.apply(rho0), cfg,
                   rhs=lambda t, y: ham_field(down_spec, h_down, y))

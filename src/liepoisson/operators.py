@@ -12,10 +12,11 @@ mutates its inputs, so values can be shared freely between threads.
 Validation happens once, where a matrix enters.  Every public function
 coerces its matrix arguments with ``as_matrix`` (square, at least 1 x 1,
 finite entries) and raises ``ValueError`` otherwise.  The underscored
-kernels (``_commutator``, ``_trace_pairing``, ``_power_traces``,
-``_skew_hermitian_part``, ``_holds``) hold the formulas and trust their input
-to be such a matrix already; the step loops and the brackets call only
-kernels, and ``integrators.evolve`` owns the one per-step finiteness check.
+kernels (``_commutator``, ``_conjugate``, ``_trace_pairing``,
+``_power_traces``, ``_skew_hermitian_part``, ``_holds``) hold the formulas
+and trust their input to be such a matrix already; the step loops and the
+brackets call only kernels, and ``integrators.evolve`` owns the one
+per-step finiteness check.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def _power_traces(stack: np.ndarray, k: int) -> np.ndarray:
     """
     return np.real(np.trace(np.linalg.matrix_power(stack, k),
                             axis1=-2, axis2=-1)) / k
+
+
+def _conjugate(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """g rho g^(-1), solved as g^T X^T = (g rho)^T without an explicit inverse."""
+    return np.linalg.solve(g.T, (g @ rho).T).T
 
 
 def trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import as_matrix, commutator, trace_pairing
+from .operators import _conjugate, as_matrix, commutator, trace_pairing
 
 __all__ = [
     "characteristic_rank",
@@ -43,8 +43,7 @@ def coadjoint_act(g, point) -> np.ndarray:
     cond = float(np.linalg.cond(g))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(f"conjugating element too ill-conditioned (cond={cond:.3g})")
-    # X = g rho g^(-1) solved as g^T X^T = (g rho)^T, avoiding an explicit inverse
-    return np.linalg.solve(g.T, (g @ rho).T).T
+    return _conjugate(g, rho)
 
 
 def tangent_vector(x, point) -> np.ndarray:

@@ -13,6 +13,9 @@ pairing tr(R*(x) rho) = tr(x R(rho)):
   unitaries; the dual averages with the conjugations reversed.  The image of
   R* is the commutant of the group.
 
+``apply`` and ``apply_dual`` sum the sandwiches l_n rho r_n and r_n x l_n
+over each kind's factors (see ``_factors``).
+
 All three satisfy the multiplicative closure law
 R*(R*(x) R*(y)) = R*(x) R*(y), which is the condition for the image bracket
 tr([R* dx, R* dy] mu) to satisfy the Jacobi identity; ``closure_defect``
@@ -124,38 +127,31 @@ def group_average(unitaries: Sequence, tol: float = 1e-10) -> ReductionOp:
     return ReductionOp("group_average", us)
 
 
-def _running_sums(ps: tuple) -> list:
-    sums, acc = [], np.zeros_like(ps[0])
-    for p in ps:
-        acc = acc + p
-        sums.append(acc)
-    return sums
+def _factors(op: ReductionOp):
+    """(lefts, rights, scale) with R(rho) = sum_n l_n rho r_n / scale and
+    R*(x) = sum_n r_n x l_n / scale."""
+    ps = op.operators
+    if op.kind == "measurement":
+        return ps, ps, 1
+    if op.kind == "lower_triangularize":
+        return ps, np.cumsum(ps, axis=0), 1
+    if op.kind == "group_average":
+        return ps, [u.conj().T for u in ps], len(ps)
+    raise ValueError(f"unknown reduction kind {op.kind!r}")
 
 
 def apply(op: ReductionOp, rho) -> np.ndarray:
     """R(rho)."""
     rho = as_matrix(rho)
-    if op.kind == "measurement":
-        return sum(p @ rho @ p for p in op.operators)
-    if op.kind == "lower_triangularize":
-        qs = _running_sums(op.operators)
-        return sum(p @ rho @ q for p, q in zip(op.operators, qs))
-    if op.kind == "group_average":
-        return sum(u @ rho @ u.conj().T for u in op.operators) / len(op)
-    raise ValueError(f"unknown reduction kind {op.kind!r}")
+    lefts, rights, scale = _factors(op)
+    return sum(l @ rho @ r for l, r in zip(lefts, rights)) / scale
 
 
 def apply_dual(op: ReductionOp, x) -> np.ndarray:
     """R*(x), the trace-pairing adjoint of R."""
     x = as_matrix(x)
-    if op.kind == "measurement":
-        return sum(p @ x @ p for p in op.operators)
-    if op.kind == "lower_triangularize":
-        qs = _running_sums(op.operators)
-        return sum(q @ x @ p for p, q in zip(op.operators, qs))
-    if op.kind == "group_average":
-        return sum(u.conj().T @ x @ u for u in op.operators) / len(op)
-    raise ValueError(f"unknown reduction kind {op.kind!r}")
+    lefts, rights, scale = _factors(op)
+    return sum(r @ x @ l for l, r in zip(lefts, rights)) / scale
 
 
 def closure_defect(op: ReductionOp, x, y) -> float:

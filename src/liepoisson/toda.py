@@ -16,7 +16,9 @@ Lax side.  The map
 
 sends states to lower-triangular matrices; H becomes 1/2 tr((rho + a)^2), one
 of the family h_k(rho) = tr((rho + a)^k) / k whose lower-coinduced flows are
-the Lax fields pi_lower([rho, pi+ (rho + a)^{k-1}]).  The tangent map of the
+the Lax fields pi_lower([rho, pi+ (rho + a)^{k-1}]): ``lax_field``,
+``lax_rhs`` and ``ham_field(LOWER_COINDUCED, toda_hk(k, a))`` compute them
+with the one kernel ``brackets._coinduced_field``.  The tangent map of the
 canonical flow equals the k = 2 Lax field exactly (an algebraic identity, not
 an approximation; ``intertwining_defect`` is roundoff), and the h_k mutually
 Poisson-commute under the lower-coinduced bracket (``involution_defect``).
@@ -37,9 +39,9 @@ every k and is the reference the (p, b) flow is checked against.
 
 ``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
 inputs when they are built; the fields themselves trust them, so a dense RK4
-stage costs two matrix products and two masked selections, and a diverging
-flow reaches the integrator's finiteness check instead of failing inside a
-stage.
+stage costs the matrix power, two matrix products and two selections with
+cached triangle masks, and a diverging flow reaches the integrator's
+finiteness check instead of failing inside a stage.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import LOWER_COINDUCED, Observable, lp_bracket
+from .brackets import (LOWER_COINDUCED, Observable, _canonical_grad,
+                       _coinduced_field, lp_bracket)
 from .integrators import NumericalAbort
-from .operators import _commutator, _json_size, as_matrix
+from .operators import _json_size, as_matrix
 
 __all__ = [
     "LaxPair",
@@ -272,31 +275,17 @@ def toda_hk(k: int, a) -> Observable:
         return complex(np.trace(np.linalg.matrix_power(lax, k))) / k
 
     def gradient(rho):
-        return np.triu(np.linalg.matrix_power(rho + a, k - 1))
+        return _canonical_grad(LOWER_COINDUCED,
+                               np.linalg.matrix_power(rho + a, k - 1))
 
     return Observable(evaluate, gradient, domain="lower",
                       name=f"tr((rho+a)^{k})/{k}")
 
 
-def _triangle_masks(n: int):
-    """Boolean masks of the lower (row >= column) and upper-plus parts.
-
-    ``np.where(mask, m, 0)`` with them gives the same bits as ``np.tril(m)``
-    and ``np.triu(m)``, which build such a mask on every call.
-    """
-    lower = np.tri(n, dtype=bool)
-    return lower, np.ascontiguousarray(lower.T)
-
-
-def _lax_field(rho, a, k: int, lower, upper) -> np.ndarray:
-    m = np.where(upper, np.linalg.matrix_power(rho + a, k - 1), 0)
-    return np.where(lower, _commutator(rho, m), 0)
-
-
 def lax_field(pair: LaxPair, k: int = 2) -> np.ndarray:
     """pi_lower([rho, pi+ (rho + a)^(k-1)]), the h_k flow of the pair."""
     _check_index(k)
-    return _lax_field(pair.rho, pair.a, k, *_triangle_masks(pair.rho.shape[0]))
+    return _coinduced_field(np.linalg.matrix_power(pair.lax, k - 1), pair.rho)
 
 
 def lax_rhs(a, k: int = 2):
@@ -307,10 +296,9 @@ def lax_rhs(a, k: int = 2):
     """
     _check_index(k)
     a = as_matrix(a)
-    lower, upper = _triangle_masks(a.shape[0])
 
     def rhs(t, rho):
-        return _lax_field(rho, a, k, lower, upper)
+        return _coinduced_field(np.linalg.matrix_power(rho + a, k - 1), rho)
 
     return rhs
 

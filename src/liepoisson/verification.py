@@ -48,7 +48,7 @@ from . import operators as op
 from . import orbits as orb
 from . import reduction as red
 from . import toda as td
-from .fixtures import seeded_random_state
+from .fixtures import _complex_normal, _stream, seeded_random_state
 
 __all__ = ["CheckResult", "report_payload", "run_all"]
 
@@ -128,11 +128,10 @@ def _fixtures(seed: int, dim: int) -> dict:
     psd = seeded_random_state(seed, "psd", dim)
     lower = seeded_random_state(seed, "lower", dim)
     toda = seeded_random_state(seed, "toda", dim)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(101,))))
+    rng = _stream(seed, 101)
 
     def draw():
-        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return _complex_normal(rng, dim)
 
     def draw_herm():
         m = draw()
@@ -541,7 +540,7 @@ def _toda_checks(fx) -> List[CheckResult]:
     traj = it.evolve(td.pack(state), cfg, rhs=rhs, monitors={
         "H": lambda y: td.toda_hamiltonian(td.unpack(y, state)),
         "P": lambda y: float(np.sum(np.asarray(y)[state.n - 1:].real)),
-    }, columns=td.toda_columns(state.n))
+    })
     h_drift = float(np.max(np.abs(traj.monitors["H"] - traj.monitors["H"][0])))
     p_drift = float(np.max(np.abs(traj.monitors["P"] - traj.monitors["P"][0])))
     out.append(_check("toda_energy_drift", h_drift, 1e-10))
@@ -556,10 +555,7 @@ def _toda_checks(fx) -> List[CheckResult]:
 
     out.append(_check("toda_lax_spectrum_drift",
                       it.spectral_drift(it.Trajectory(
-                          times=lax_traj.times,
-                          states=[s + pair.a for s in lax_traj.states],
-                          columns=[], values=np.zeros((len(lax_traj.states), 0)),
-                      )), 1e-8))
+                          lax_traj.times, lax_traj.states + pair.a)), 1e-8))
 
     back = td.toda_from_json(json.loads(json.dumps(td.toda_to_json(state))))
     d = max(float(np.max(np.abs(back.x - state.x))),
@@ -578,15 +574,16 @@ def _toda_checks(fx) -> List[CheckResult]:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traj.csv")
-        traj.to_csv(path)
+        columns = td.toda_columns(state.n)
+        traj.to_csv(path, columns)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             rows = [line.strip().split(",") for line in fh if line.strip()]
-        ok = header == ["t", *traj.columns, "H", "P"] and len(rows) == len(traj)
+        ok = header == ["t", *columns, "H", "P"] and len(rows) == len(traj)
         worst = 0.0
         for idx, cells in enumerate(rows):
             vals = np.array([float(cell) for cell in cells])
-            expect = np.concatenate([[traj.times[idx]], traj.values[idx],
+            expect = np.concatenate([[traj.times[idx]], traj.states[idx],
                                      [traj.monitors["H"][idx], traj.monitors["P"][idx]]])
             worst = max(worst, float(np.max(np.abs(vals - expect))))
         out.append(_check("trajectory_csv_roundtrip", worst if ok else 1.0, 0.0))

@@ -77,7 +77,7 @@ def test_lax_rhs_is_bit_identical_to_the_validated_route(k):
     for rhs in (lambda t, r: td.lax_field(td.LaxPair(r, a), k), public_operators):
         slow = it.evolve(pair.rho, cfg, rhs=rhs)
         # tobytes also tells +0 from -0, which reach the CSV as "0" and "-0"
-        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.states.tobytes() == slow.states.tobytes()
         for s_fast, s_slow in zip(fast.states, slow.states):
             assert s_fast.tobytes() == s_slow.tobytes()
             assert rhs_fast(0.0, s_slow).tobytes() == rhs(0.0, s_slow).tobytes()

@@ -143,13 +143,16 @@ def test_lax_toda_run_csv_matches_the_dense_lax_flow(tmp_path, n, steps):
                       rhs=td.lax_rhs(pair.a))
     lines = (out_dir / "toda_trajectory.csv").read_text().splitlines()
     width = 2 * n * n
-    assert lines[0].split(",")[1:1 + width] == dense.columns
+    names = [f"{part}_{i}{j}" for i in range(n) for j in range(n)
+             for part in ("re", "im")]
+    assert lines[0].split(",")[1:1 + width] == names
     got = np.array([[float(c) for c in line.split(",")[1:1 + width]]
                     for line in lines[1:]])
-    assert got.shape == dense.values.shape
+    values = dense.states.reshape(len(dense), -1).view(float)
+    assert got.shape == values.shape
     # relative to each state's largest entry: the entries grow along the run
-    gap = (np.max(np.abs(got - dense.values), axis=1)
-           / np.max(np.abs(dense.values), axis=1))
+    gap = (np.max(np.abs(got - values), axis=1)
+           / np.max(np.abs(values), axis=1))
     assert np.max(gap) <= 1e-12
 
 
@@ -162,7 +165,7 @@ def test_lax_toda_run_is_byte_identical_across_runs(tmp_path):
 
 
 def test_lax_toda_run_never_evaluates_the_dense_field(tmp_path, monkeypatch):
-    calls = {"lax_rhs": 0, "_lax_field": 0, "bidiagonal_rhs": 0}
+    calls = {"lax_rhs": 0, "_coinduced_field": 0, "bidiagonal_rhs": 0}
 
     def counting(name):
         original = getattr(td, name)
@@ -176,7 +179,7 @@ def test_lax_toda_run_never_evaluates_the_dense_field(tmp_path, monkeypatch):
         counting(name)
     code, _ = _run(tmp_path, "toda-run", _lax_run(1, 6, 50, 10))
     assert code == 0
-    assert calls == {"lax_rhs": 0, "_lax_field": 0, "bidiagonal_rhs": 1}
+    assert calls == {"lax_rhs": 0, "_coinduced_field": 0, "bidiagonal_rhs": 1}
 
 
 def test_canonical_toda_run_builds_lax_matrices_without_states(tmp_path,
@@ -666,6 +669,38 @@ def test_sizes_are_capped_by_load_config(tmp_path, command, key, limit, step):
     for size in (limit + step, 10**6, 10**12):
         with pytest.raises(cli.ConfigError, match=str(limit)):
             _load(tmp_path, command, {"params": {key: size}})
+
+
+def test_recorded_values_are_capped_by_load_config(tmp_path):
+    # a record holds 2 N^2 values: 2 for an lvn-run at N = 1, 8 for a
+    # toda-run at N = 2; the first state is recorded, and so is the last
+    # when the stride does not divide the steps
+    cap = cli.MAX_RECORDED_VALUES
+    for command, params, per_record, stride in (
+            ("lvn-run", {"N": 1}, 2, 1), ("lvn-run", {"N": 1}, 2, 3),
+            ("toda-run", {"N": 2}, 8, 1),
+            ("toda-run", {"N": 2, "flow": "lax"}, 8, 7)):
+        assert cap % per_record == 0
+        steps = (cap // per_record - 1) * stride
+        rc = _load(tmp_path, command, {"params": params, "integrator": {
+            "dt": 1e-3, "steps": steps, "stride": stride}})
+        assert rc.integrator.steps == steps
+        with pytest.raises(cli.ConfigError, match=str(cap)):
+            _load(tmp_path, command, {"params": params, "integrator": {
+                "dt": 1e-3, "steps": steps + 1, "stride": stride}})
+    # a t_end span counts the steps it resolves to
+    _load(tmp_path, "toda-run", {"params": {"N": 2, "t_end": 499.999},
+                                 "integrator": {"dt": 1e-3, "stride": 1}})
+    with pytest.raises(cli.ConfigError, match=str(cap)):
+        _load(tmp_path, "toda-run", {"params": {"N": 2, "t_end": 500.0},
+                                     "integrator": {"dt": 1e-3, "stride": 1}})
+    # 10^8 records, and about 6.5 TB of lvn-run states at N = 64
+    for command, params, integrator in (
+            ("toda-run", {"N": 8, "t_end": 1e5}, {"dt": 1e-3, "stride": 1}),
+            ("lvn-run", {"N": 64}, {"dt": 1e-3, "steps": 10**8, "stride": 1})):
+        with pytest.raises(cli.ConfigError, match=str(cap)):
+            _load(tmp_path, command, {"params": params,
+                                      "integrator": integrator})
 
 
 def test_explicit_matrices_are_capped_too(tmp_path):

@@ -9,6 +9,7 @@ import scipy.linalg
 from liepoisson import brackets as br
 from liepoisson import integrators as it
 from liepoisson import operators as op
+from liepoisson import orbits as orb
 from liepoisson.fixtures import seeded_random_state
 
 
@@ -44,6 +45,23 @@ def test_isospectral_step_keeps_spectrum_exactly():
     before = np.sort(np.linalg.eigvalsh(rho))
     after = np.sort(np.linalg.eigvalsh(out))
     assert np.max(np.abs(before - after)) < 1e-13
+
+
+def test_conjugations_give_the_bits_of_the_solve_formula():
+    # g rho g^(-1) as the solve g^T X^T = (g rho)^T, written out
+    def conjugate(g, rho):
+        return np.linalg.solve(g.T, (g @ rho).T).T
+
+    rho = seeded_random_state(169, "general", 5)
+    g = op.expm(0.3 * seeded_random_state(170, "general", 5))
+    assert orb.coadjoint_act(g, rho).tobytes() == conjugate(g, rho).tobytes()
+
+    def hgrad(r):
+        return -1j * op.hermitian_part(r)
+
+    mid = rho + 0.025 * op.commutator(hgrad(rho), rho)
+    want = conjugate(op.expm(0.05 * hgrad(mid)), rho)
+    assert it.isospectral_step(hgrad, rho, 0.05).tobytes() == want.tobytes()
 
 
 def test_isospectral_step_is_exact_for_constant_generators():
@@ -114,14 +132,15 @@ def test_evolve_requires_matching_callable():
         it.evolve(np.eye(2, dtype=complex), iso)
 
 
-def test_evolve_recording_semantics():
+def test_evolve_recording_semantics(tmp_path):
     cfg = it.IntegratorConfig(dt=0.5, steps=5, stride=2)
     traj = it.evolve(np.array([1.0]), cfg, rhs=lambda t, y: 0.0 * y,
                      monitors={"one": lambda y: 1.0})
     # records t=0, every second step, and the final step
     assert np.allclose(traj.times, [0.0, 1.0, 2.0, 2.5])
     assert len(traj) == 4
-    assert traj.columns == ["y0"]
+    traj.to_csv(tmp_path / "flow.csv")
+    assert (tmp_path / "flow.csv").read_text().split("\n", 1)[0] == "t,y0,one"
     assert np.allclose(traj.monitors["one"], 1.0)
 
 
@@ -137,11 +156,13 @@ def test_matrix_flatten_column_names_and_csv_roundtrip(tmp_path):
     cfg = it.IntegratorConfig(dt=0.1, steps=3, stride=1)
     traj = it.evolve(rho, cfg, rhs=lambda t, y: np.zeros_like(y),
                      monitors={"tr_re": lambda y: float(np.trace(y).real)})
-    assert traj.columns[:4] == ["re_00", "im_00", "re_01", "im_01"]
+    columns = ["re_00", "im_00", "re_01", "im_01",
+               "re_10", "im_10", "re_11", "im_11"]
     path = tmp_path / "flow.csv"
     traj.to_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t," + ",".join(traj.columns) + ",tr_re"
+    assert lines[0].split(",")[1:5] == ["re_00", "im_00", "re_01", "im_01"]
+    assert lines[0] == "t," + ",".join(columns) + ",tr_re"
     assert len(lines) == 1 + len(traj)
     # 17 significant digits survive a float round trip bit for bit
     cells = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
@@ -149,13 +170,23 @@ def test_matrix_flatten_column_names_and_csv_roundtrip(tmp_path):
     assert cells[1, 2] == rho[0, 0].imag
 
 
+def test_real_matrix_states_write_re_and_im_columns(tmp_path):
+    states = np.arange(8.0).reshape(2, 2, 2)
+    traj = it.Trajectory(times=np.array([0.0, 1.0]), states=states)
+    traj.to_csv(tmp_path / "real.csv")
+    lines = (tmp_path / "real.csv").read_text().splitlines()
+    assert lines == ["t,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11",
+                     "0,0,0,1,0,2,0,3,0", "1,4,0,5,0,6,0,7,0"]
+
+
 def _per_cell_csv(traj):
     """The writer to_csv replaced, one f-string per cell: the oracle."""
-    header = ["t", *traj.columns, *traj.monitors.keys()]
+    columns = [f"y{k}" for k in range(traj.states.shape[1])]
+    header = ["t", *columns, *traj.monitors.keys()]
     mon = [np.asarray(traj.monitors[k], dtype=float) for k in traj.monitors]
     lines = [",".join(header) + "\n"]
     for idx, t in enumerate(traj.times):
-        cells = [t, *traj.values[idx]]
+        cells = [t, *traj.states[idx]]
         cells.extend(m[idx] for m in mon)
         lines.append(",".join(f"{c:.17g}" for c in cells) + "\n")
     return "".join(lines)
@@ -176,8 +207,7 @@ def test_to_csv_matches_the_per_cell_formatter(tmp_path, width, monitors):
     table[:len(EDGE_VALUES)] = np.array(EDGE_VALUES)[:, None]
     table[len(EDGE_VALUES):2 * len(EDGE_VALUES)] = np.array(EDGE_VALUES[::-1])[:, None]
     traj = it.Trajectory(
-        times=table[:, 0], states=[None] * rows,
-        columns=[f"y{k}" for k in range(width)], values=table[:, 1:1 + width],
+        times=table[:, 0], states=table[:, 1:1 + width],
         monitors={f"m{k}": table[:, 1 + width + k] for k in range(monitors)})
     path = tmp_path / "table.csv"
     traj.to_csv(path)
@@ -198,11 +228,10 @@ def test_spectral_drift_detects_motion():
     n = 3
     states = [np.diag([1.0, 2.0, 3.0]).astype(complex),
               np.diag([1.0, 2.0, 3.0 + 1e-3]).astype(complex)]
-    traj = it.Trajectory(times=np.array([0.0, 1.0]), states=states,
-                         columns=[], values=np.zeros((2, 0)))
+    traj = it.Trajectory(times=np.array([0.0, 1.0]), states=np.array(states))
     assert abs(it.spectral_drift(traj) - 1e-3) < 1e-12
-    still = it.Trajectory(times=np.array([0.0, 1.0]), states=[states[0]] * 2,
-                          columns=[], values=np.zeros((2, 0)))
+    still = it.Trajectory(times=np.array([0.0, 1.0]),
+                          states=np.array([states[0]] * 2))
     assert it.spectral_drift(still) == 0.0
 
 

@@ -191,3 +191,42 @@ def test_adjointness_property(seed, n):
         lhs = op.trace_pairing(x, red.apply(rop, rho))
         rhs = op.trace_pairing(red.apply_dual(rop, x), rho)
         assert abs(lhs - rhs) < 1e-12
+
+
+def _per_kind_sums(rop, rho, x):
+    """R(rho) and R*(x) as the per-kind sums apply and apply_dual replaced,
+    with the running sums q_n = p_1 + ... + p_n of the triangular kind:
+    the oracle."""
+    ps = rop.operators
+    if rop.kind == "measurement":
+        return (sum(p @ rho @ p for p in ps), sum(p @ x @ p for p in ps))
+    if rop.kind == "lower_triangularize":
+        qs, acc = [], np.zeros_like(ps[0])
+        for p in ps:
+            acc = acc + p
+            qs.append(acc)
+        return (sum(p @ rho @ q for p, q in zip(ps, qs)),
+                sum(q @ x @ p for p, q in zip(ps, qs)))
+    return (sum(u @ rho @ u.conj().T for u in ps) / len(ps),
+            sum(u.conj().T @ x @ u for u in ps) / len(ps))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8])
+def test_apply_and_dual_give_the_bits_of_the_per_kind_sums(n):
+    h = seeded_random_state(300 + n, "hermitian", n)
+    half = np.diag([1.0] * (n // 2) + [0.0] * (n - n // 2)).astype(complex)
+    # a group of order 3, so that dividing by |G| is not exact scaling
+    phase = np.diag(np.exp(2j * np.pi / 3 * (np.arange(n) % 3)))
+    rops = [*_standard_ops(n), red.measurement(op.spectral_projectors(h)),
+            red.group_average([np.eye(n), phase, phase @ phase]),
+            red.lower_triangularize(op.spectral_projectors(h)),
+            red.measurement([half, np.eye(n) - half]),
+            red.lower_triangularize([np.eye(n) - half, half])]
+    rho = seeded_random_state(310 + n, "general", n)
+    x = seeded_random_state(320 + n, "general", n)
+    # signed zeros too: tobytes tells +0 from -0
+    rho[0, -1], x[-1, 0] = -0.0, complex(-0.0, -0.0)
+    for rop in rops:
+        want_r, want_dual = _per_kind_sums(rop, rho, x)
+        assert red.apply(rop, rho).tobytes() == want_r.tobytes(), rop
+        assert red.apply_dual(rop, x).tobytes() == want_dual.tobytes(), rop

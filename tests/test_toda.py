@@ -179,9 +179,7 @@ def test_lax_flow_preserves_the_spectrum():
     pair = td.flaschka(state)
     cfg = it.IntegratorConfig(dt=1e-3, steps=500, stride=100)
     traj = it.evolve(pair.rho, cfg, rhs=td.lax_rhs(pair.a))
-    full = it.Trajectory(times=traj.times,
-                         states=[s + pair.a for s in traj.states],
-                         columns=[], values=np.zeros((len(traj), 0)))
+    full = it.Trajectory(times=traj.times, states=traj.states + pair.a)
     assert it.spectral_drift(full) < 1e-9
 
 
@@ -248,6 +246,16 @@ def test_bidiagonal_field_is_the_dense_lax_field():
             field = td.bidiagonal_rhs(state.alpha)(0.0, td._bidiagonal_coords(pair.rho))
             gap = np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair, 2)))
             assert gap <= 4 * eps * max(1.0, np.max(np.abs(pair.lax))) ** 2, (n, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lax_field_is_the_coinduced_hamiltonian_field_of_hk(n, k):
+    # the h_k flow is ham_field of h_k under the lower-coinduced bracket
+    pair = td.flaschka(seeded_random_state(1900 + n, "toda", n))
+    want = br.ham_field(br.LOWER_COINDUCED, td.toda_hk(k, pair.a), pair.rho)
+    assert td.lax_field(pair, k).tobytes() == want.tobytes()
+    assert td.lax_rhs(pair.a, k)(0.0, pair.rho).tobytes() == want.tobytes()
 
 
 def test_bidiagonal_rhs_validates_alpha_once():

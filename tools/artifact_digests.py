@@ -55,7 +55,7 @@ BENCH_SEED = 2024 * 16  # perfbench gives its n-th invocation seed * 16 + n
 CONFIGS = [
     *[(f"{c}-default", c, {}) for c in
       ("verify", "lvn-run", "toda-run", "reduce-demo", "orbit-kks")],
-    *[(f"verify-dim{d}", "verify", {"params": {"dim": d}}) for d in (4, 6, 8)],
+    *[(f"verify-dim{d}", "verify", {"params": {"dim": d}}) for d in (4, 6, 8, 16)],
     *[(f"verify-seed{s}-dim{d}", "verify", {"seed": s, "params": {"dim": d}})
       for s, d in ((11, 4), (7, 6), (123, 8))],
     *[(f"reduce-{k}", "reduce-demo", {"params": {"kind": k}})
