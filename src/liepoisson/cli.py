@@ -75,7 +75,8 @@ LVN_MAX_N = 64
 TODA_MAX_N = 128
 # records x 2 N^2 values of the N x N matrix each lvn-run or toda-run record
 # keeps (3.3e6 for the default toda-run at TODA_MAX_N); at the cap, stride 1:
-# 130-160 MB and 1-6 s for N >= 33, 620 MB and 110 s for lvn-run at N = 1
+# 160 MB and 2 s for toda-run at N >= 33, 163-191 MB and 40-45 s at N = 2,
+# 357 MB and 92 s for lvn-run at N = 1
 MAX_RECORDED_VALUES = 4_000_000
 # reduce-demo "lower" validates N rank-one projectors pairwise, O(N^5): ~3 s
 # at N = 96
@@ -238,8 +239,7 @@ def _matrix_or_tag(p: dict, key: str, tags: dict, n: Optional[int] = None):
 def _require_recorded_size(integrator: IntegratorConfig, n: int) -> None:
     """Refuse a run that records more than MAX_RECORDED_VALUES values: every
     stride-th state, the first and the last, each 2 N^2 values."""
-    records = (integrator.steps // integrator.stride + 1
-               + (integrator.steps % integrator.stride != 0))
+    records = integrator.records
     _require(records * 2 * n * n <= MAX_RECORDED_VALUES,
              f"the run records {records} states of {2 * n * n} values, more "
              f"than the {MAX_RECORDED_VALUES} allowed; raise integrator.stride")
@@ -363,15 +363,15 @@ def _run_lvn(rc: RunConfig) -> int:
     def generator(r):
         return gen
 
-    monitors = {"energy": lambda r: float(np.real(np.trace(h @ r)))}
-
     if rc.integrator.method == "isospectral":
-        traj = evolve(rho0, rc.integrator, hgrad=generator, monitors=monitors)
+        traj = evolve(rho0, rc.integrator, hgrad=generator)
     else:
         traj = evolve(rho0, rc.integrator,
-                      rhs=lambda t, r: op._commutator(gen, r),
-                      monitors=monitors)
-    # the Casimirs T1..T4 = tr(rho^k)/k of all recorded states at once
+                      rhs=lambda t, r: op._commutator(gen, r))
+    # the energy tr(h rho) and the Casimirs T1..T4 = tr(rho^k)/k of all
+    # recorded states at once
+    traj.monitors["energy"] = np.real(np.trace(h @ traj.states,
+                                               axis1=-2, axis2=-1))
     for k in (1, 2, 3, 4):
         traj.monitors[f"T{k}"] = op._power_traces(traj.states, k)
     csv_path = _artifact_path(rc)
@@ -397,49 +397,40 @@ def _run_toda(rc: RunConfig) -> int:
     if isinstance(state0, str):
         state0 = seeded_random_state(rc.seed, "toda", p["N"])
     hk_max, tol = p["hk_max"], p["drift_tol"]
-    a = td.flaschka(state0).a
-    # each recorded state leaves one dense matrix here, built by the h1
-    # monitor: L = rho + a on the canonical flow, rho on the Lax flow
-    kept = []
-
-    if p["flow"] == "canonical":
+    n, a = state0.n, td.flaschka(state0).a
+    canonical = p["flow"] == "canonical"
+    if canonical:
         y0, rhs = td.pack(state0), td.canonical_rhs(state0)
-        columns, m, lam = td.toda_columns(state0.n), state0.n - 1, state0.lam
-
-        def lax_of(y):
-            # RK4 keeps the total momentum at zero only up to roundoff; a flow
-            # that diverges loses it entirely, and that is an abort, not a
-            # config fault.  The check runs in the loop, so the abort comes
-            # at the first recorded state that lost it.
-            if abs(float(np.sum(y[m:]))) > td.MOMENTUM_TOL_LOOSE:
-                raise NumericalAbort("canonical Toda flow broke an invariant: "
-                                     "total momentum must vanish")
-            kept.append(td._bidiagonal_matrix(
-                td._flaschka_coords(y[:m], y[m:], lam)) + a)
-            return kept[-1]
+        columns, momenta = td.toda_columns(n), slice(n - 1, None)
     else:
-        # the flow runs on y = (p, b); the dense rho of each recorded state
-        # is kept for the CSV, which writes its re_ij/im_ij columns
+        # the flow runs on y = (p, b); the CSV writes the re_ij/im_ij columns
+        # of the dense rho of each recorded state
         y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)
-        rhs, columns = td.bidiagonal_rhs(state0.alpha), None
+        rhs, columns, momenta = td.bidiagonal_rhs(state0.alpha), None, slice(0, n)
 
-        def lax_of(y):
-            kept.append(td._bidiagonal_matrix(y))
-            return kept[-1] + a
+    def h1(y):
+        # h1 = tr L, the total momentum, summed in complex as tr L sums it.
+        # A canonical flow that diverges loses it (RK4 keeps it only up to
+        # roundoff): an abort at the first recorded state that lost it, judged
+        # on the real sum, as the complex one can cancel huge terms to 0.
+        if canonical and abs(float(np.sum(y[momenta]))) > td.MOMENTUM_TOL_LOOSE:
+            raise NumericalAbort("canonical Toda flow broke an invariant: "
+                                 "total momentum must vanish")
+        return np.sum(y[momenta].astype(complex)).real
 
-    traj = evolve(y0, rc.integrator, rhs=rhs,
-                  monitors={"h1": lambda y: float(np.real(np.trace(lax_of(y))))})
+    traj = evolve(y0, rc.integrator, rhs=rhs, monitors={"h1": h1})
 
     # everything else is evaluated once, on the (R, N, N) stack of the R
-    # recorded matrices; the stacked calls give the per-matrix bits
-    stack = np.array(kept)
-    kept.clear()
-    if p["flow"] == "lax":
-        traj = replace(traj, states=stack)
-        stack = stack + a
-    hk, spectrum = _lax_invariants(stack, hk_max)
+    # recorded L = rho + a; the stacked calls give the per-matrix bits
+    if canonical:
+        lax = td._bidiagonal_matrix(td._flaschka_coords(
+            traj.states[:, :n - 1], traj.states[:, n - 1:], state0.lam))
+        lax += a
+    else:
+        traj = replace(traj, states=td._bidiagonal_matrix(traj.states))
+        lax = traj.states + a
+    hk, spectrum = _lax_invariants(lax, hk_max)
     traj.monitors.update(hk)
-    del stack
 
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path, columns)

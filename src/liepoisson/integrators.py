@@ -11,9 +11,12 @@ O(dt^4) per unit time; the contrast between the two is itself a test target.
 
 ``evolve`` records every ``stride``-th state plus the final one, checks each
 step for non-finite entries (raising ``NumericalAbort``), and evaluates any
-requested scalar monitors along the way.  It validates the initial state
-once; from there that per-step check is the only guard, and the right-hand
-sides and generators it drives may run on trusted kernels.
+requested scalar monitors along the way.  Each record goes into its row of
+arrays sized ``IntegratorConfig.records`` before the first step, so a run
+holds its recorded values and nothing per record beside them.  It validates
+the initial state once; from there that per-step check is the only guard,
+and the right-hand sides and generators it drives may run on trusted
+kernels.
 ``Trajectory.to_csv`` alone flattens the recorded states into columns and
 writes 17 significant digits, enough to round-trip a double exactly.
 """
@@ -64,6 +67,11 @@ class IntegratorConfig:
             raise ValueError("stride must be at least 1")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+
+    @property
+    def records(self) -> int:
+        """States ``evolve`` records: step 0, every stride-th and the last."""
+        return self.steps // self.stride + 1 + (self.steps % self.stride != 0)
 
 
 def rk4_step(rhs: Callable, t: float, y, dt: float):
@@ -143,16 +151,21 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
         raise ValueError("initial state must have finite entries")
     monitors = monitors or {}
 
-    times, states = [], []
-    mon_values: Dict[str, list] = {name: [] for name in monitors}
+    times = np.empty(cfg.records)
+    states = np.empty((cfg.records, *y.shape), dtype=y.dtype)
+    values = {name: np.empty(cfg.records) for name in monitors}
 
-    def record(t, state):
-        times.append(t)
-        states.append(state)
+    def record(row, k, state):
+        nonlocal states
+        if not np.can_cast(state.dtype, states.dtype):
+            # a real y0 whose flow turns complex records complex states
+            states = states.astype(np.result_type(states, state))
+        times[row] = k * cfg.dt
+        states[row] = state
         for name, fn in monitors.items():
-            mon_values[name].append(float(np.real(fn(state))))
+            values[name][row] = float(np.real(fn(state)))
 
-    record(0.0, y)
+    record(0, 0, y)
     # a diverging flow overflows inside a step; the check below reports it,
     # so numpy's own overflow and invalid-value warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,12 +178,9 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
             if not np.isfinite(y).all():
                 raise NumericalAbort(f"non-finite state after step {k}")
             if k % cfg.stride == 0 or k == cfg.steps:
-                record(k * cfg.dt, y)
+                record(-(-k // cfg.stride), k, y)  # the last row if off the grid
 
-    return Trajectory(
-        times=np.array(times), states=np.array(states),
-        monitors={k: np.array(v) for k, v in mon_values.items()},
-    )
+    return Trajectory(times=times, states=states, monitors=values)
 
 
 def noether_drift(obs: Observable, traj: Trajectory) -> float:
@@ -179,23 +189,19 @@ def noether_drift(obs: Observable, traj: Trajectory) -> float:
     return float(np.max(np.abs(vals - vals[0])))
 
 
-def _sorted_spectrum(rho) -> np.ndarray:
-    ev = np.linalg.eigvals(as_matrix(rho))
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
-
-
 def spectral_drift(traj: Trajectory) -> float:
     """max_t max_k |lambda_k(state_t) - lambda_k(state_0)|, eigenvalues sorted.
 
     Sorting pairs eigenvalues greedily; adequate for the well-separated
     spectra used in tests, where it measures isospectrality of the flow.
     """
-    ref = _sorted_spectrum(traj.states[0])
-    worst = 0.0
-    for s in traj.states[1:]:
-        worst = max(worst, float(np.max(np.abs(_sorted_spectrum(s) - ref))))
-    return worst
+    states = np.asarray(traj.states, dtype=complex)
+    if (states.ndim != 3 or not 0 < states.shape[1] == states.shape[2]
+            or not np.isfinite(states).all()):
+        raise ValueError("states must be a stack of finite square matrices")
+    ev = np.linalg.eigvals(states)
+    ev = np.take_along_axis(ev, np.lexsort((ev.imag, ev.real), axis=-1), axis=-1)
+    return float(np.max(np.abs(ev - ev[0]), initial=0.0))
 
 
 def collective_defect(jmap: MatrixLinearMap, h_down: Observable,

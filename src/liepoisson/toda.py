@@ -216,11 +216,13 @@ class LaxPair:
 
 
 def _bidiagonal_matrix(y) -> np.ndarray:
-    """The complex matrix diag(p) + sum_i b_i E_{i+1,i} of y = (p, b)."""
-    n = (y.size + 1) // 2
-    k = np.arange(n - 1)
-    rho = np.diag(y[:n].astype(complex))
-    rho[k + 1, k] = y[n:]
+    """The complex matrix diag(p) + sum_i b_i E_{i+1,i} of y = (p, b), or
+    the (R, N, N) stack of the R rows of an (R, 2N - 1) stack."""
+    n = (y.shape[-1] + 1) // 2
+    k = np.arange(n)
+    rho = np.zeros((*y.shape[:-1], n, n), dtype=complex)
+    rho[..., k, k] = y[..., :n]
+    rho[..., k[1:], k[:-1]] = y[..., n:]
     return rho
 
 
@@ -230,8 +232,9 @@ def _bidiagonal_coords(rho) -> np.ndarray:
 
 
 def _flaschka_coords(x, p, lam) -> np.ndarray:
-    """y = (p, b) of the Flaschka image of (x, p): b_i = lam_i e^{x_i}."""
-    return np.concatenate([p, lam * _bond_exponentials(x)])
+    """y = (p, b) of the Flaschka image of (x, p): b_i = lam_i e^{x_i}; row
+    by row for (R, N - 1) and (R, N) stacks of x and p."""
+    return np.concatenate([p, lam * _bond_exponentials(x)], axis=-1)
 
 
 def flaschka(state: TodaState) -> LaxPair:

@@ -578,15 +578,13 @@ def _toda_checks(fx) -> List[CheckResult]:
         traj.to_csv(path, columns)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        ok = header == ["t", *columns, "H", "P"] and len(rows) == len(traj)
-        worst = 0.0
-        for idx, cells in enumerate(rows):
-            vals = np.array([float(cell) for cell in cells])
-            expect = np.concatenate([[traj.times[idx]], traj.states[idx],
-                                     [traj.monitors["H"][idx], traj.monitors["P"][idx]]])
-            worst = max(worst, float(np.max(np.abs(vals - expect))))
-        out.append(_check("trajectory_csv_roundtrip", worst if ok else 1.0, 0.0))
+            body = np.array([line.strip().split(",") for line in fh if line.strip()],
+                            dtype=float)
+        expect = np.column_stack([traj.times, traj.states, traj.monitors["H"],
+                                  traj.monitors["P"]])
+        ok = header == ["t", *columns, "H", "P"] and body.shape == expect.shape
+        out.append(_check("trajectory_csv_roundtrip",
+                          float(np.max(np.abs(body - expect))) if ok else 1.0, 0.0))
     return out
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -142,6 +144,99 @@ def test_evolve_recording_semantics(tmp_path):
     traj.to_csv(tmp_path / "flow.csv")
     assert (tmp_path / "flow.csv").read_text().split("\n", 1)[0] == "t,y0,one"
     assert np.allclose(traj.monitors["one"], 1.0)
+
+
+def _list_route(y0, cfg, rhs=None, hgrad=None, monitors=None):
+    """The recording evolve replaced, one list entry per record stacked at
+    the end: the oracle for the preallocated stack."""
+    monitors = monitors or {}
+    y = np.array(y0)
+    times, states = [0.0], [y]
+    values = {name: [float(np.real(fn(y)))] for name, fn in monitors.items()}
+    for k in range(1, cfg.steps + 1):
+        if cfg.method == "rk4":
+            y = it.rk4_step(rhs, (k - 1) * cfg.dt, y, cfg.dt)
+        else:
+            y = it.isospectral_step(hgrad, y, cfg.dt)
+        if k % cfg.stride == 0 or k == cfg.steps:
+            times.append(k * cfg.dt)
+            states.append(y)
+            for name, fn in monitors.items():
+                values[name].append(float(np.real(fn(y))))
+    return (np.array(times), np.array(states),
+            {name: np.array(v) for name, v in values.items()})
+
+
+def _assert_matches_list_route(traj, expected):
+    times, states, monitors = expected
+    assert len(traj) == len(times)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.dtype == states.dtype
+    assert traj.states.tobytes() == states.tobytes()
+    assert list(traj.monitors) == list(monitors)
+    for name, values in monitors.items():
+        assert traj.monitors[name].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("steps, stride", [(5, 9), (6, 6), (7, 3), (10, 5),
+                                           (1, 1), (1, 4), (13, 1)])
+def test_evolve_records_match_the_list_route(steps, stride):
+    cfg = it.IntegratorConfig(dt=0.1, steps=steps, stride=stride)
+    monitors = {"sum": lambda y: np.sum(y), "first": lambda y: y[0]}
+
+    def rhs(t, y):
+        return np.array([y[1], -y[0] + 0.1 * t])
+
+    traj = it.evolve(np.array([1.0, 0.5]), cfg, rhs=rhs, monitors=monitors)
+    _assert_matches_list_route(traj, _list_route(np.array([1.0, 0.5]), cfg,
+                                                 rhs=rhs, monitors=monitors))
+    assert len(traj) == cfg.records
+
+
+def test_evolve_records_a_real_state_turned_complex_as_complex():
+    # the first state is real; the rhs makes every later one complex
+    cfg = it.IntegratorConfig(dt=0.1, steps=7, stride=2)
+
+    def rhs(t, y):
+        return 1j * y
+
+    y0 = np.array([1.0, -2.0, 0.25])
+    traj = it.evolve(y0, cfg, rhs=rhs, monitors={"im": lambda y: y[0].imag})
+    assert traj.states.dtype == complex
+    assert np.all(traj.states[1:].imag != 0.0)
+    assert traj.monitors["im"][-1] != 0.0
+    _assert_matches_list_route(traj, _list_route(
+        y0, cfg, rhs=rhs, monitors={"im": lambda y: y[0].imag}))
+
+
+def test_isospectral_evolve_of_a_real_matrix_records_complex_states():
+    h0 = seeded_random_state(167, "hermitian", 3)
+    rho = np.diag([1.0, 2.0, 4.0])  # real dtype; every step returns complex
+    cfg = it.IntegratorConfig(dt=0.05, steps=9, stride=4, method="isospectral")
+
+    def hgrad(r):
+        return -1j * h0
+
+    traj = it.evolve(rho, cfg, hgrad=hgrad)
+    assert traj.states.dtype == complex
+    assert np.abs(traj.states[-1].imag).max() > 1e-3
+    _assert_matches_list_route(traj, _list_route(rho, cfg, hgrad=hgrad))
+
+
+def test_evolve_memory_is_bounded_by_the_recorded_values():
+    # a 1-element state and one monitor: 24 B of values per record (the
+    # state, its time and the monitor value), and nothing per record beside
+    cfg = it.IntegratorConfig(dt=1e-6, steps=5000, stride=1)
+    y0 = np.array([1.0])
+    tracemalloc.start()
+    try:
+        traj = it.evolve(y0, cfg, rhs=lambda t, y: -y,
+                         monitors={"y": lambda y: y[0]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == cfg.records == 5001
+    assert peak / cfg.records < 2 * 24
 
 
 def test_evolve_aborts_on_blowup():

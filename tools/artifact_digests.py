@@ -78,8 +78,21 @@ CONFIGS = [
       "integrator": {"dt": 1e-3, "steps": 200, "stride": 1}}),
     ("toda-lax-hk8", "toda-run",
      {"params": {"N": 9, "flow": "lax", "hk_max": 8}, "integrator": LAX}),
+    ("toda-lax-hk8-n33-stride1", "toda-run",
+     {"params": {"N": 33, "flow": "lax", "hk_max": 8},
+      "integrator": {"dt": 1e-3, "steps": 200, "stride": 1}}),
+    # a last record off the stride grid
+    ("toda-lax-n8-steps250-stride40", "toda-run",
+     {"params": {"N": 8, "flow": "lax"},
+      "integrator": {"dt": 1e-3, "steps": 250, "stride": 40}}),
     ("lvn-rk4-stride1", "lvn-run",
      {"params": {"N": 5}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 1}}),
+    ("lvn-isospectral-stride7", "lvn-run",
+     {"params": {"N": 4}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 7,
+                                         "method": "isospectral"}}),
+    # only the first and the last state are recorded
+    ("lvn-stride-over-steps", "lvn-run",
+     {"params": {"N": 3}, "integrator": {"dt": 1e-2, "steps": 5, "stride": 9}}),
     ("orbit-rank-one", "orbit-kks", {"params": {"N": 5, "state": "rank-one"}}),
     # the benchmark's configs at seed 2024 (perfbench/run.py WORKLOADS)
     ("bench-toda-lax", "toda-run",
