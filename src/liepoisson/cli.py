@@ -40,7 +40,8 @@ from . import orbits as orb
 from . import reduction as red
 from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
-from .integrators import IntegratorConfig, NumericalAbort, evolve
+from .integrators import (IntegratorConfig, NumericalAbort, _paired_drift,
+                          evolve)
 from .verification import _check, _reduction_op, _write_report, run_all
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
@@ -384,11 +385,20 @@ def _run_lvn(rc: RunConfig) -> int:
                          f"trajectory: {csv_path}")
 
 
-def _lax_invariants(stack: np.ndarray, hk_max: int):
-    """h2..h_kmax and the sorted real spectrum of each Lax matrix of an
-    (R, N, N) stack, in the bits of the per-matrix formulas."""
-    hk = {f"h{k}": op._power_traces(stack, k) for k in range(2, hk_max + 1)}
-    return hk, np.sort(np.linalg.eigvals(stack).real, axis=-1)
+def _lax_invariants(lax: np.ndarray, coords: np.ndarray, alpha, hk_max: int):
+    """h2..h_kmax of each Lax matrix of an (R, N, N) stack, in the bits of
+    the per-matrix formula, and the (R, N) stack of their spectra.
+
+    ``coords`` are the (R, 2N - 1) coordinates (p, b) of the stack.  Where
+    every alpha_i b_i >= 0, L is similar to the real symmetric Jacobi matrix
+    of ``toda._jacobi_matrix`` and the spectra are its ``eigvalsh``, real and
+    ascending; otherwise L can have complex eigenvalues, and they are the
+    complex ``eigvals`` of L, unordered.
+    """
+    hk = {f"h{k}": op._power_traces(lax, k) for k in range(2, hk_max + 1)}
+    if (alpha * coords[:, lax.shape[-1]:] >= 0).all():
+        return hk, np.linalg.eigvalsh(td._jacobi_matrix(coords, alpha))
+    return hk, np.linalg.eigvals(lax)
 
 
 def _run_toda(rc: RunConfig) -> int:
@@ -421,15 +431,18 @@ def _run_toda(rc: RunConfig) -> int:
     traj = evolve(y0, rc.integrator, rhs=rhs, monitors={"h1": h1})
 
     # everything else is evaluated once, on the (R, N, N) stack of the R
-    # recorded L = rho + a; the stacked calls give the per-matrix bits
+    # recorded L = rho + a and on their (R, 2N - 1) coordinates (p, b); the
+    # stacked calls give the per-matrix bits
     if canonical:
-        lax = td._bidiagonal_matrix(td._flaschka_coords(
-            traj.states[:, :n - 1], traj.states[:, n - 1:], state0.lam))
+        coords = td._flaschka_coords(traj.states[:, :n - 1],
+                                     traj.states[:, n - 1:], state0.lam)
+        lax = td._bidiagonal_matrix(coords)
         lax += a
     else:
-        traj = replace(traj, states=td._bidiagonal_matrix(traj.states))
+        coords = traj.states
+        traj = replace(traj, states=td._bidiagonal_matrix(coords))
         lax = traj.states + a
-    hk, spectrum = _lax_invariants(lax, hk_max)
+    hk, spectrum = _lax_invariants(lax, coords, state0.alpha, hk_max)
     traj.monitors.update(hk)
 
     csv_path = _artifact_path(rc)
@@ -439,7 +452,7 @@ def _run_toda(rc: RunConfig) -> int:
                    tol) for k in range(1, hk_max + 1)]
     spread = max(float(np.max(np.abs(spectrum[0]))), 1e-30)
     rows.append(_check("lax_spectrum_relative_drift",
-                       float(np.max(np.abs(spectrum - spectrum[0]))) / spread, tol))
+                       _paired_drift(spectrum) / spread, tol))
     return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
                          f"trajectory: {csv_path}")
 

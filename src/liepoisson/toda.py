@@ -226,6 +226,23 @@ def _bidiagonal_matrix(y) -> np.ndarray:
     return rho
 
 
+def _jacobi_matrix(y, alpha) -> np.ndarray:
+    """The real symmetric tridiagonal matrix with diagonal p and off-diagonal
+    sqrt(alpha_i b_i) of y = (p, b), row by row for an (R, 2N - 1) stack.
+
+    Where every alpha_i b_i >= 0 it has the spectrum of L = rho + a: the
+    characteristic polynomial of a tridiagonal matrix depends on its
+    off-diagonal entries only through the products alpha_i b_i."""
+    n = (y.shape[-1] + 1) // 2
+    k = np.arange(n)
+    off = np.sqrt(alpha * y[..., n:])
+    jac = np.zeros((*y.shape[:-1], n, n))
+    jac[..., k, k] = y[..., :n]
+    jac[..., k[1:], k[:-1]] = off
+    jac[..., k[:-1], k[1:]] = off
+    return jac
+
+
 def _bidiagonal_coords(rho) -> np.ndarray:
     """y = (p, b): the real diagonal and subdiagonal of a bidiagonal rho."""
     return np.concatenate([rho.diagonal().real, rho.diagonal(-1).real])

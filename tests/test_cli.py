@@ -222,6 +222,13 @@ def _reference_hk(lax, k):
     return float(np.real(np.trace(np.linalg.matrix_power(lax, k)))) / k
 
 
+def _reference_jacobi(coords, alpha):
+    # diag(p) with sqrt(alpha_i b_i) on both off-diagonals, built per matrix
+    n = alpha.size + 1
+    off = np.sqrt(alpha * coords[n:])
+    return np.diag(coords[:n]) + np.diag(off, -1) + np.diag(off, 1)
+
+
 @pytest.mark.parametrize("flow", ["canonical", "lax"])
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
 def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
@@ -237,17 +244,28 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
         table, _ = _csv_table(out_dir / "toda_trajectory.csv")
         ys = np.column_stack([table[c] for c in td.toda_columns(n)])
         laxes = [td.flaschka(td.unpack(y, state0)).lax for y in ys]
+        coords = np.array([td._flaschka_coords(y[:n - 1], y[n - 1:], state0.lam)
+                           for y in ys])
     else:
         table, rhos = _csv_table(out_dir / "toda_trajectory.csv", n)
         laxes = [rho + a for rho in rhos]
+        coords = np.array([td._bidiagonal_coords(rho) for rho in rhos])
     want = {f"h{k}": np.array([_reference_hk(lax, k) for lax in laxes])
             for k in range(1, hk_max + 1)}
     for name, column in want.items():
         assert table[name].tobytes() == column.tobytes(), name
 
-    spectra = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
-    hk, spectrum = cli._lax_invariants(np.array(laxes), hk_max)
+    # every alpha_i b_i > 0, so the spectra are eigvalsh of the Jacobi form
+    assert (state0.alpha * coords[:, n:] > 0).all()
+    spectra = np.array([np.linalg.eigvalsh(_reference_jacobi(y, state0.alpha))
+                        for y in coords])
+    hk, spectrum = cli._lax_invariants(np.array(laxes), coords, state0.alpha,
+                                       hk_max)
     assert spectrum.tobytes() == spectra.tobytes()
+    # and they are the real spectra of L itself, in ascending order
+    dense = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
+    scale = float(np.max(np.abs(dense)))
+    assert float(np.max(np.abs(spectrum - dense))) <= 1e-12 * scale
     assert list(hk) == [f"h{k}" for k in range(2, hk_max + 1)]
     for name, column in hk.items():
         assert column.tobytes() == want[name].tobytes(), name
@@ -256,6 +274,78 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     spread = max(float(np.max(np.abs(spectra[0]))), 1e-30)
     assert (drift["lax_spectrum_relative_drift"]
             == float(np.max(np.abs(spectra - spectra[0]))) / spread)
+
+
+def _spectrum_routes(monkeypatch):
+    """Count the batched eigvals and eigvalsh calls the CLI makes."""
+    calls = {"eigvals": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counting(m, *args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+# alpha_1 b_1 < 0: L has the complex spectrum +-0.1995i
+TODA2_COMPLEX = {"N": 2, "x": [-3.0], "p": [0.1, -0.1], "alpha": [-1.0],
+                 "lambda": [1.0]}
+
+
+@pytest.mark.parametrize("flow", ["canonical", "lax"])
+def test_toda_run_spectrum_route(tmp_path, monkeypatch, flow):
+    calls = _spectrum_routes(monkeypatch)
+    payload = {"params": {"N": 4, "flow": flow},
+               "integrator": {"dt": 1e-2, "steps": 20, "stride": 5}}
+    assert _run(tmp_path, "toda-run", payload, out="real")[0] == 0
+    assert calls == {"eigvals": 0, "eigvalsh": 1}
+
+    calls.update(eigvals=0, eigvalsh=0)
+    initial = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25],
+               "alpha": [1.0, -0.5], "lambda": [1.0, 0.5]}
+    payload = {"params": {"initial": initial, "flow": flow},
+               "integrator": {"dt": 1e-2, "steps": 20, "stride": 5}}
+    assert _run(tmp_path, "toda-run", payload, out="complex")[0] == 0
+    assert calls == {"eigvals": 1, "eigvalsh": 0}
+
+
+def _two_site_drift(out_dir, flow):
+    """The relative drift of the eigenvalues +-i omega of the two-site L,
+    omega^2 = -alpha b - ((p1 - p2) / 2)^2 with alpha = -1, from the
+    recorded states."""
+    table, rhos = _csv_table(out_dir / "toda_trajectory.csv",
+                             2 if flow == "lax" else 0)
+    if flow == "lax":
+        p1, p2, b = rhos[:, 0, 0].real, rhos[:, 1, 1].real, rhos[:, 1, 0].real
+    else:
+        p1, p2, b = table["p_1"], table["p_2"], np.exp(table["x_1"])
+    omega = np.sqrt(b - ((p1 - p2) / 2) ** 2)
+    return float(np.max(np.abs(omega - omega[0]))) / omega[0]
+
+
+@pytest.mark.parametrize("flow", ["canonical", "lax"])
+def test_toda_run_pairs_a_complex_spectrum(tmp_path, flow):
+    # the eigenvalues +-0.1995i have real parts of roundoff, +-1e-17, whose
+    # signs flip from record to record: pairing them by real part swaps the
+    # pair, a drift of 2 * 0.1995
+    rows = {}
+    for dt, steps, want in ((0.05, 40, 0), (0.2, 10, 1)):
+        payload = {"params": {"initial": TODA2_COMPLEX, "flow": flow},
+                   "integrator": {"dt": dt, "steps": steps}}
+        code, out_dir = _run(tmp_path, "toda-run", payload, out=f"dt{dt}")
+        assert code == want
+        summary = json.loads(
+            (out_dir / "toda_trajectory_summary.json").read_text())
+        row = {r["name"]: r for r in summary["checks"]}[
+            "lax_spectrum_relative_drift"]
+        assert row["defect"] == pytest.approx(_two_site_drift(out_dir, flow),
+                                              rel=1e-3)
+        rows[dt] = row
+    assert rows[0.05]["pass"] and rows[0.05]["defect"] < 1e-8
+    assert not rows[0.2]["pass"] and 1e-7 < rows[0.2]["defect"] < 1e-6
 
 
 @pytest.mark.parametrize("method", ["rk4", "isospectral"])

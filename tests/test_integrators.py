@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -319,6 +320,50 @@ def test_noether_drift_on_conserved_quantity():
     assert it.noether_drift(energy, traj) < 1e-12
 
 
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 14])
+def test_to_csv_writes_the_same_bytes_in_any_block_size(tmp_path, monkeypatch,
+                                                        block):
+    # a vector and a complex matrix stack, both with monitors, whose rows
+    # split into blocks of 1, 1, 2 and all rows respectively
+    rng = np.random.default_rng(170)
+    rows = 23
+    times = np.arange(rows) * 0.1
+    monitors = {"m": rng.standard_normal(rows), "k": rng.standard_normal(rows)}
+    vectors = it.Trajectory(times, rng.standard_normal((rows, 5)), monitors)
+    matrices = it.Trajectory(times, rng.standard_normal((rows, 2, 2))
+                             + 1j * rng.standard_normal((rows, 2, 2)), monitors)
+    for name, traj in (("vectors", vectors), ("matrices", matrices)):
+        monkeypatch.setattr(it, "CSV_BLOCK_VALUES", 1 << 30)
+        traj.to_csv(tmp_path / f"{name}_whole.csv")
+        monkeypatch.setattr(it, "CSV_BLOCK_VALUES", block)
+        traj.to_csv(tmp_path / f"{name}_blocks.csv")
+        whole = (tmp_path / f"{name}_whole.csv").read_bytes()
+        assert (tmp_path / f"{name}_blocks.csv").read_bytes() == whole
+        assert whole.count(b"\n") == 1 + rows
+    assert (tmp_path / "vectors_whole.csv").read_bytes() == _per_cell_csv(
+        vectors).encode()
+
+
+def _to_csv_peak(tmp_path, rows):
+    traj = it.Trajectory(np.arange(rows) * 1e-3, np.ones((rows, 3)),
+                         {"m": np.zeros(rows)})
+    tracemalloc.start()
+    try:
+        traj.to_csv(tmp_path / f"peak{rows}.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_to_csv_memory_is_flat_in_the_number_of_rows(tmp_path):
+    # the whole table of 5 columns would be 400 KB and 4 MB; a block of
+    # CSV_BLOCK_VALUES is 128 KB at either size
+    small, large = (_to_csv_peak(tmp_path, rows) for rows in (10_000, 100_000))
+    assert large < 3 * it.CSV_BLOCK_VALUES * 8
+    assert large < small + 64 * 1024
+
+
 def test_spectral_drift_detects_motion():
     n = 3
     states = [np.diag([1.0, 2.0, 3.0]).astype(complex),
@@ -328,6 +373,59 @@ def test_spectral_drift_detects_motion():
     still = it.Trajectory(times=np.array([0.0, 1.0]),
                           states=np.array([states[0]] * 2))
     assert it.spectral_drift(still) == 0.0
+
+
+def test_paired_drift_pairs_a_conjugate_pair_by_nearest_neighbours():
+    # the two-site Lax spectrum +-0.1995i with real parts of roundoff whose
+    # signs flip between the records: ordering by real part swaps the pair
+    omega, moved = 0.19946696059213, 5.8e-10
+    ev = np.array([[-1e-17 + 1j * omega, 1e-17 - 1j * omega],
+                   [-1e-17 - 1j * (omega + moved), 1e-17 + 1j * (omega + moved)]])
+    swapped = np.sort_complex(ev)
+    assert float(np.max(np.abs(swapped - swapped[0]))) > 0.39
+    want = max(np.abs(ev[1, 0] - ev[0, 1]), np.abs(ev[1, 1] - ev[0, 0]))
+    assert it._paired_drift(ev) == want
+    assert abs(want - moved) < 1e-16
+    traj = it.Trajectory(np.array([0.0, 1.0]), np.array(
+        [np.diag(row) for row in ev]))
+    assert it.spectral_drift(traj) == want
+
+
+def _optimal_drift(ev):
+    """The least max |lambda_k(t) - lambda_s(k)(0)| over all bijections s."""
+    dist = np.abs(ev[:, :, None] - ev[0])
+    k = np.arange(ev.shape[1])
+    return float(np.max([min(row[k, list(s)].max()
+                             for s in itertools.permutations(k))
+                         for row in dist]))
+
+
+def test_paired_drift_never_reports_less_than_the_best_pairing():
+    rng = np.random.default_rng(171)
+    exact = 0
+    for case in range(300):
+        n = 1 + case % 4
+        ev0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ev = ev0 + (10.0 ** rng.uniform(-3, 0.5)) * (
+            rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n)))
+        ev[0] = ev0
+        ev = ev[:, rng.permutation(n)]
+        best = _optimal_drift(ev)
+        got = it._paired_drift(ev)
+        assert got >= best
+        nearest = np.abs(ev[:, :, None] - ev[0]).argmin(axis=-1)
+        if all(len(set(row)) == n for row in nearest):
+            assert got == best
+            exact += 1
+    assert 50 < exact < 300  # both branches ran
+
+
+def test_paired_drift_falls_back_to_the_sorted_pairing():
+    # both eigenvalues are nearest to 0: the (real, imag) order pairs them
+    ev = np.array([[0.0, 1.0], [0.45, 0.4]], dtype=complex)
+    assert it._paired_drift(ev) == 0.55
+    # real spectra pair in ascending order
+    assert it._paired_drift(np.array([[0.0, 1.0], [1.25, 0.5]])) == 0.5
 
 
 def test_collective_defect_for_corner_restriction():

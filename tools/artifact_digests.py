@@ -47,6 +47,9 @@ INF_DIM = {"dim": INF, "re": [1.0], "im": [0.0]}
 TODA4 = {"N": 4, "x": [0.1, -0.2, 0.3], "p": [0.5, -0.25, 0.0, -0.25],
          "alpha": [1.0, 0.5, 0.25], "lambda": [1.0, 0.5, 0.25]}
 TODA_INF = dict(TODA4, N=INF)
+# alpha b < 0: the Lax matrix has the complex spectrum +-0.1995i
+TODA2_COMPLEX = {"N": 2, "x": [-3.0], "p": [0.1, -0.1], "alpha": [-1.0],
+                 "lambda": [1.0]}
 
 LAX = {"dt": 1e-3, "steps": 300, "stride": 30}
 BENCH_SEED = 2024 * 16  # perfbench gives its n-th invocation seed * 16 + n
@@ -123,6 +126,14 @@ CONFIGS = [
     ("orbit-explicit", "orbit-kks", {"params": {"N": 3, "state": H3}}),
     ("toda-explicit", "toda-run",
      {"params": {"initial": TODA4}, "integrator": {"dt": 1e-3, "steps": 200}}),
+    *[(f"toda-complex-{flow}", "toda-run",
+       {"params": {"initial": TODA2_COMPLEX, "flow": flow},
+        "integrator": {"dt": 0.05, "steps": 40}})
+      for flow in ("canonical", "lax")],
+    # the same state at a coarse dt: the spectrum row fails, exit 1
+    ("toda-complex-lax-dt0.2", "toda-run",
+     {"params": {"initial": TODA2_COMPLEX, "flow": "lax"},
+      "integrator": {"dt": 0.2, "steps": 10}}),
     ("toda-t-end", "toda-run",
      {"params": {"N": 4, "t_end": 0.25}, "integrator": {"dt": 1e-3, "stride": 40}}),
     ("toda-t-end-clamps-stride", "toda-run",
