@@ -134,15 +134,8 @@ def fd_gradient(func: Callable, rho, step: float = FD_STEP):
     Pair states are handled componentwise.
     """
     if isinstance(rho, tuple):
-        grads = []
-        for k in range(len(rho)):
-            def fk(m, k=k):
-                parts = list(rho)
-                parts[k] = m
-                return func(tuple(parts))
-
-            grads.append(fd_gradient(fk, rho[k], step))
-        return tuple(grads)
+        return tuple(fd_gradient(lambda m, k=k: func(rho[:k] + (m,) + rho[k + 1:]),
+                                 part, step) for k, part in enumerate(rho))
 
     rho = as_matrix(rho)
     return _wirtinger_gradient(func, rho, step, np.ndindex(rho.shape))
@@ -340,6 +333,10 @@ def _grad_commutator(spec: BracketSpec, df, dg):
 
 
 def _partial_bracket(spec: BracketSpec, df, dg, rho):
+    """tr([df, dg] rho), summed over the slots of a product spec."""
+    if spec.kind == "product":
+        return (_partial_bracket(spec.left, df[0], dg[0], rho[0])
+                + _partial_bracket(spec.right, df[1], dg[1], rho[1]))
     value = _trace_pairing(_grad_commutator(spec, df, dg), rho)
     if spec.kind == "hermitian_real":
         return float(value.real)
@@ -354,15 +351,14 @@ def lp_bracket(spec: BracketSpec, f: Observable, g: Observable, state,
     hermitian_real (a bracket of real functions on a real subspace).
     """
     state = _state(spec, state, tol)
-    if spec.kind == "product":
-        gf1, gf2 = f.grad(state)
-        gg1, gg2 = g.grad(state)
-        return (_partial_bracket(spec.left, gf1, gg1, state[0])
-                + _partial_bracket(spec.right, gf2, gg2, state[1]))
     return _partial_bracket(spec, f.grad(state), g.grad(state), state)
 
 
 def _partial_field(spec: BracketSpec, dh, rho):
+    """The field of gradient dh at rho, slot by slot for a product spec."""
+    if spec.kind == "product":
+        return (_partial_field(spec.left, dh[0], rho[0]),
+                _partial_field(spec.right, dh[1], rho[1]))
     if spec.kind == "lower_coinduced":
         return _coinduced_field(np.asarray(dh, dtype=complex), rho)
     return _commutator(_canonical_grad(spec, dh), rho)
@@ -371,12 +367,6 @@ def _partial_field(spec: BracketSpec, dh, rho):
 def ham_field(spec: BracketSpec, h: Observable, state, tol: float = DEFAULT_TOL):
     """Hamiltonian vector field of h at the state, per the fixed conventions."""
     state = _state(spec, state, tol)
-    if spec.kind == "product":
-        gh1, gh2 = h.grad(state)
-        return (
-            _partial_field(spec.left, gh1, state[0]),
-            _partial_field(spec.right, gh2, state[1]),
-        )
     return _partial_field(spec, h.grad(state), state)
 
 

@@ -40,8 +40,8 @@ from . import orbits as orb
 from . import reduction as red
 from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
-from .integrators import (IntegratorConfig, NumericalAbort, _paired_drift,
-                          evolve)
+from .integrators import (IntegratorConfig, NumericalAbort, Trajectory,
+                          _paired_drift, evolve)
 from .verification import _check, _reduction_op, _write_report, run_all
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
@@ -77,10 +77,10 @@ TODA_MAX_N = 128
 # records x 2 N^2 values of the N x N matrix each lvn-run or toda-run record
 # keeps (3.3e6 for the default toda-run at TODA_MAX_N); at the cap, stride 1:
 # 160 MB and 2 s for toda-run at N >= 33, 163-191 MB and 40-45 s at N = 2,
-# 357 MB and 92 s for lvn-run at N = 1
+# 235 MB and 92 s for lvn-run at N = 1
 MAX_RECORDED_VALUES = 4_000_000
-# reduce-demo "lower" validates N rank-one projectors pairwise, O(N^5): ~3 s
-# at N = 96
+# reduce-demo "lower" applies R and R* a dozen times, each a sum of N
+# sandwiches of N x N products, O(N^4): ~0.9 s at N = 96
 REDUCE_MAX_N = 96
 
 # spawn key of the stream of demo probe draws (see fixtures._stream)
@@ -165,14 +165,12 @@ def _build_integrator(raw: Optional[dict], command: str) -> IntegratorConfig:
     steps = _uint(raw.get("steps"), "integrator.steps", 1000)
     _require(steps >= 1, "integrator.steps must be >= 1")
     stride = _uint(raw.get("stride"), "integrator.stride", max(1, steps // 100))
+    _require(stride >= 1, "integrator.stride must be >= 1")
     method = _choice(raw.get("method"), "integrator.method",
                      ("rk4", "isospectral"), "rk4")
     _require(command != "toda-run" or method == "rk4",
              "toda-run integrates with method rk4 only")
-    try:
-        return IntegratorConfig(dt=dt, steps=steps, stride=stride, method=method)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return IntegratorConfig(dt=dt, steps=steps, stride=stride, method=method)
 
 
 def load_config(path: str, command: str, out_dir: str) -> RunConfig:
@@ -386,7 +384,7 @@ def _run_lvn(rc: RunConfig) -> int:
 
 
 def _lax_invariants(lax: np.ndarray, coords: np.ndarray, alpha, hk_max: int):
-    """h2..h_kmax of each Lax matrix of an (R, N, N) stack, in the bits of
+    """h1..h_kmax of each Lax matrix of an (R, N, N) stack, in the bits of
     the per-matrix formula, and the (R, N) stack of their spectra.
 
     ``coords`` are the (R, 2N - 1) coordinates (p, b) of the stack.  Where
@@ -395,7 +393,7 @@ def _lax_invariants(lax: np.ndarray, coords: np.ndarray, alpha, hk_max: int):
     ascending; otherwise L can have complex eigenvalues, and they are the
     complex ``eigvals`` of L, unordered.
     """
-    hk = {f"h{k}": op._power_traces(lax, k) for k in range(2, hk_max + 1)}
+    hk = {f"h{k}": op._power_traces(lax, k) for k in range(1, hk_max + 1)}
     if (alpha * coords[:, lax.shape[-1]:] >= 0).all():
         return hk, np.linalg.eigvalsh(td._jacobi_matrix(coords, alpha))
     return hk, np.linalg.eigvals(lax)
@@ -411,45 +409,40 @@ def _run_toda(rc: RunConfig) -> int:
     canonical = p["flow"] == "canonical"
     if canonical:
         y0, rhs = td.pack(state0), td.canonical_rhs(state0)
-        columns, momenta = td.toda_columns(n), slice(n - 1, None)
+
+        def momentum(y):
+            # RK4 keeps the total momentum up to roundoff; a diverging flow
+            # loses it, and aborts at the first recorded state that did
+            total = float(np.sum(y[n - 1:]))
+            if abs(total) > td.MOMENTUM_TOL_LOOSE:
+                raise NumericalAbort("canonical Toda flow broke an invariant: "
+                                     "total momentum must vanish")
+            return total
+
+        traj = evolve(y0, rc.integrator, rhs=rhs, monitors={"momentum": momentum})
+        states, columns = traj.states, td.toda_columns(n)
+        coords = td._flaschka_coords(states[:, :n - 1], states[:, n - 1:],
+                                     state0.lam)
+        lax = td._bidiagonal_matrix(coords)
+        lax += a
     else:
         # the flow runs on y = (p, b); the CSV writes the re_ij/im_ij columns
         # of the dense rho of each recorded state
         y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)
-        rhs, columns, momenta = td.bidiagonal_rhs(state0.alpha), None, slice(0, n)
-
-    def h1(y):
-        # h1 = tr L, the total momentum, summed in complex as tr L sums it.
-        # A canonical flow that diverges loses it (RK4 keeps it only up to
-        # roundoff): an abort at the first recorded state that lost it, judged
-        # on the real sum, as the complex one can cancel huge terms to 0.
-        if canonical and abs(float(np.sum(y[momenta]))) > td.MOMENTUM_TOL_LOOSE:
-            raise NumericalAbort("canonical Toda flow broke an invariant: "
-                                 "total momentum must vanish")
-        return np.sum(y[momenta].astype(complex)).real
-
-    traj = evolve(y0, rc.integrator, rhs=rhs, monitors={"h1": h1})
-
-    # everything else is evaluated once, on the (R, N, N) stack of the R
+        traj = evolve(y0, rc.integrator, rhs=td.bidiagonal_rhs(state0.alpha))
+        coords, columns = traj.states, None
+        states = td._bidiagonal_matrix(coords)
+        lax = states + a
+    # every column is evaluated once, on the (R, N, N) stack of the R
     # recorded L = rho + a and on their (R, 2N - 1) coordinates (p, b); the
     # stacked calls give the per-matrix bits
-    if canonical:
-        coords = td._flaschka_coords(traj.states[:, :n - 1],
-                                     traj.states[:, n - 1:], state0.lam)
-        lax = td._bidiagonal_matrix(coords)
-        lax += a
-    else:
-        coords = traj.states
-        traj = replace(traj, states=td._bidiagonal_matrix(coords))
-        lax = traj.states + a
     hk, spectrum = _lax_invariants(lax, coords, state0.alpha, hk_max)
-    traj.monitors.update(hk)
 
     csv_path = _artifact_path(rc)
-    traj.to_csv(csv_path, columns)
+    Trajectory(traj.times, states, hk).to_csv(csv_path, columns)
 
-    rows = [_check(f"h{k}_relative_drift", _relative_drift(traj.monitors[f"h{k}"]),
-                   tol) for k in range(1, hk_max + 1)]
+    rows = [_check(f"{name}_relative_drift", _relative_drift(column), tol)
+            for name, column in hk.items()]
     spread = max(float(np.max(np.abs(spectrum[0]))), 1e-30)
     rows.append(_check("lax_spectrum_relative_drift",
                        _paired_drift(spectrum) / spread, tol))

@@ -264,7 +264,9 @@ def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class DecompositionOfUnity:
-    """Ordered mutually orthogonal self-adjoint projectors summing to identity."""
+    """Ordered projectors, meant to be self-adjoint, mutually orthogonal and
+    to sum to I.  The constructor checks only their shapes;
+    ``validate_decomposition`` checks the laws."""
 
     projectors: tuple = field(default=())
 
@@ -285,19 +287,29 @@ class DecompositionOfUnity:
 
 
 def validate_decomposition(d: DecompositionOfUnity, tol: float = DEFAULT_TOL) -> bool:
-    """Check P_n P_m = delta_nm P_n, sum P_n = I, and P_n* = P_n within tol."""
+    """Check sum P_n = I, and P_n* = P_n and P_n^2 = P_n for each n, each
+    to tol in the largest entry of its defect: k products for k projectors.
+
+    Mutual orthogonality follows: in P_i = P_i (sum_j P_j) P_i, the terms
+    j != i of sum_j P_i P_j P_i add up to zero, and each is the positive
+    semidefinite (P_j P_i)* (P_j P_i), so each vanishes.  Near the tolerance
+    this degrades linearly.  For Hermitian P_n, e = ||sum P - I||_2 and
+    d = max_n ||P_n^2 - P_n||_2 <= 1/4, each P_n lies within
+    d' = (1 - sqrt(1 - 4d)) / 2 <= 2d of a projector Q_n; as sum Q >= Q_i + Q_j
+    and ||Q_i + Q_j||_2 = 1 + ||Q_i Q_j||_2, for i != j
+
+        ||P_i P_j||_2 <= e + (k + 3) d'.
+
+    The factor k is needed: the other k - 2 projectors can each move by d to
+    hide an overlap of (k - 2) d between two, with e = 0.  An accepted
+    Hermitian family has e, d <= N tol, so for N tol <= 1/4 its pairwise
+    products are at most (2k + 7) N tol.
+    """
     ps = d.projectors
-    n = d.dim
-    if float(np.max(np.abs(sum(ps) - np.eye(n)))) > tol:
+    if float(np.max(np.abs(sum(ps) - np.eye(d.dim)))) > tol:
         return False
-    for i, p in enumerate(ps):
-        if float(np.max(np.abs(p - p.conj().T))) > tol:
-            return False
-        for j, q in enumerate(ps):
-            want = p if i == j else 0.0
-            if float(np.max(np.abs(p @ q - want))) > tol:
-                return False
-    return True
+    return all(_holds(ClassTag.HERMITIAN, p, tol)
+               and float(np.max(np.abs(p @ p - p))) <= tol for p in ps)
 
 
 def standard_basis_decomposition(n: int) -> DecompositionOfUnity:

@@ -81,13 +81,11 @@ class ReductionOp:
 
 
 def _decomposition_op(kind: str, projectors, tol: float) -> ReductionOp:
-    if isinstance(projectors, DecompositionOfUnity):
-        ps = projectors.projectors
-    else:
-        ps = tuple(as_matrix(p) for p in projectors)
-    if not validate_decomposition(DecompositionOfUnity(ps), tol):
+    if not isinstance(projectors, DecompositionOfUnity):
+        projectors = DecompositionOfUnity(projectors)
+    if not validate_decomposition(projectors, tol):
         raise ValueError("projectors do not form a decomposition of unity")
-    return ReductionOp(kind, ps)
+    return ReductionOp(kind, projectors.projectors)
 
 
 def measurement(projectors, tol: float = 1e-10) -> ReductionOp:

@@ -212,6 +212,44 @@ def test_pair_inclusion_is_a_poisson_map():
     assert br.poisson_map_defect(phi, br.FULL, pair_spec, f, g, rho) < 1e-12
 
 
+def test_product_field_is_the_two_slot_fields():
+    a1 = seeded_random_state(90, "general", 3)
+    a2 = seeded_random_state(91, "general", 4)
+    rho = seeded_random_state(92, "general", 3)
+    lower = op.project_lower(seeded_random_state(93, "general", 4))
+    spec = br.product(br.FULL, br.LOWER_COINDUCED)
+    field = br.ham_field(spec, br.Observable.pair_linear(a1, a2), (rho, lower))
+    want = (br.ham_field(br.FULL, br.Observable.linear_form(a1), rho),
+            br.ham_field(br.LOWER_COINDUCED, br.Observable.linear_form(a2), lower))
+    assert isinstance(field, tuple) and len(field) == 2
+    for got, slot in zip(field, want):
+        assert got.tobytes() == slot.tobytes()
+
+
+def test_fd_gradient_of_a_product_on_a_pair_state():
+    f = br.Observable.pair_linear(seeded_random_state(94, "general", 3),
+                                  seeded_random_state(95, "general", 2))
+    g = br.Observable.pair_linear(seeded_random_state(96, "general", 3),
+                                  seeded_random_state(97, "general", 2))
+    fg = br.product_observable(f, g)
+    state = (seeded_random_state(98, "general", 3),
+             seeded_random_state(99, "general", 2))
+    numeric, analytic = br.fd_gradient(fg, state), fg.grad(state)
+    assert len(numeric) == len(analytic) == 2
+    for got, want in zip(numeric, analytic):
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want))) < 1e-6
+
+
+def test_library_inputs_outside_their_domain_raise():
+    with pytest.raises(ValueError, match="positive integer"):
+        br.casimir(0)
+    with pytest.raises(ValueError, match="slot must be 0 or 1"):
+        br.pair_inclusion_map(2, 3)
+    with pytest.raises(ValueError, match="unknown gradient domain"):
+        br.Observable(lambda rho: 0.0, domain="bogus")
+
+
 def test_matrix_linear_map_adjoint_identity():
     phi = br.lower_projection_map()
     x = seeded_random_state(77, "general", 4)

@@ -266,7 +266,8 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     dense = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
     scale = float(np.max(np.abs(dense)))
     assert float(np.max(np.abs(spectrum - dense))) <= 1e-12 * scale
-    assert list(hk) == [f"h{k}" for k in range(2, hk_max + 1)]
+    # h1..h_kmax all come from the stack, h1 = tr L included
+    assert list(hk) == list(want)
     for name, column in hk.items():
         assert column.tobytes() == want[name].tobytes(), name
     summary = json.loads((out_dir / "toda_trajectory_summary.json").read_text())
@@ -472,6 +473,20 @@ def test_reduce_demo_all_kinds(tmp_path):
             assert report["trace_norm_excess"] <= 1e-12
 
 
+def test_reduce_demo_skips_positivity_on_a_general_state(tmp_path):
+    # a "random" state is not Hermitian, so the positivity row does not apply
+    for kind in ("measurement", "group"):
+        for state, has_row in (("random-psd", True), ("random", False)):
+            code, out_dir = _run(tmp_path, "reduce-demo",
+                                 {"params": {"kind": kind, "state": state}},
+                                 out=f"{kind}-{state}")
+            assert code == 0
+            report = json.loads((out_dir / "reduction_report.json").read_text())
+            names = {c["name"] for c in report["checks"]}
+            assert "trace_norm_contraction" in names
+            assert ("positivity_preserved" in names) == has_row
+
+
 def test_reduce_demo_group_needs_even_dimension(tmp_path):
     code, out_dir = _run(tmp_path, "reduce-demo",
                          {"params": {"N": 3, "kind": "group"}})
@@ -507,6 +522,15 @@ def test_orbit_kks_dimension_is_capped(tmp_path):
     path = _write_config(tmp_path, {"params": {"N": cli.ORBIT_MAX_N}})
     rc = cli.load_config(path, "orbit-kks", str(tmp_path / "unused"))
     assert rc.params["N"] == 32
+
+
+def test_zero_stride_is_a_config_error(tmp_path, capsys):
+    for command in ("lvn-run", "toda-run"):
+        code, out_dir = _run(tmp_path, command,
+                             {"integrator": {"steps": 5, "stride": 0}}, out=command)
+        assert code == 2
+        assert not out_dir.exists()
+        assert "config error: integrator.stride must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_config_keys_are_rejected(tmp_path):

@@ -375,6 +375,16 @@ def test_spectral_drift_detects_motion():
     assert it.spectral_drift(still) == 0.0
 
 
+def test_evolve_and_spectral_drift_reject_bad_input():
+    cfg = it.IntegratorConfig(dt=0.1, steps=2)
+    with pytest.raises(ValueError, match="finite"):
+        it.evolve(np.array([1.0, np.nan]), cfg, rhs=lambda t, y: y)
+    times = np.array([0.0, 1.0])
+    for states in (np.zeros((2, 2, 3)), np.full((2, 2, 2), np.inf)):
+        with pytest.raises(ValueError, match="finite square"):
+            it.spectral_drift(it.Trajectory(times, states))
+
+
 def test_paired_drift_pairs_a_conjugate_pair_by_nearest_neighbours():
     # the two-site Lax spectrum +-0.1995i with real parts of roundoff whose
     # signs flip between the records: ordering by real part swaps the pair

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,19 +122,160 @@ def test_standard_basis_decomposition_is_valid():
     assert np.array_equal(total, np.eye(4))
 
 
+def _pairwise_valid(d, tol=op.DEFAULT_TOL):
+    # the k^2 route the one-pass check replaced: every product P_i P_j
+    ps = d.projectors
+    if float(np.max(np.abs(sum(ps) - np.eye(d.dim)))) > tol:
+        return False
+    for i, p in enumerate(ps):
+        if float(np.max(np.abs(p - p.conj().T))) > tol:
+            return False
+        for j, q in enumerate(ps):
+            want = p if i == j else 0.0
+            if float(np.max(np.abs(p @ q - want))) > tol:
+                return False
+    return True
+
+
+def _exact_families():
+    from liepoisson.verification import _reduction_op
+    rng = np.random.Generator(np.random.PCG64(19))
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5))
+                        + 1j * rng.standard_normal((5, 5)))
+    h = q @ np.diag([1.0, 1.0, 3.0, 3.0, 3.0]).astype(complex) @ q.conj().T
+    yield from (op.standard_basis_decomposition(n) for n in (1, 2, 5, 33))
+    yield op.spectral_projectors(h)  # degenerate: ranks 2 and 3
+    for kind in ("measurement", "lower_triangularize"):
+        for n in (4, 5, 8):
+            yield op.DecompositionOfUnity(_reduction_op(kind, n).operators)
+
+
+def test_one_pass_and_pairwise_checks_accept_exact_families():
+    for d in _exact_families():
+        assert op.validate_decomposition(d), d
+        assert _pairwise_valid(d), d
+
+
 def test_validate_decomposition_rejects_bad_families():
+    # both checks reject a family that breaks any one law
     p = np.diag([1.0, 0.0]).astype(complex)
-    # does not sum to the identity
-    bad_sum = op.DecompositionOfUnity((p, p))
-    assert not op.validate_decomposition(bad_sum)
-    # not idempotent
+    # idempotent, summing to I and mutually orthogonal, but oblique
+    oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     q = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex) * 1.2
-    bad_proj = op.DecompositionOfUnity((q, np.eye(2) - q))
-    assert not op.validate_decomposition(bad_proj)
-    # not mutually orthogonal
     r = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    bad_orth = op.DecompositionOfUnity((r, r))
-    assert not op.validate_decomposition(bad_orth)
+    # Hermitian and summing to I, but u and v overlap, so the third is no
+    # projector
+    u, v = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+    pu, pv = np.outer(u, u).astype(complex), np.outer(v, v).astype(complex)
+    families = {
+        "non-hermitian": (oblique, np.eye(2) - oblique),
+        "non-idempotent": (q, np.eye(2) - q),
+        "wrong sum": (p, p),
+        "overlapping": (r, r),
+        "overlapping, summing to I": (pu, pv, np.eye(3) - pu - pv),
+    }
+    for name, ps in families.items():
+        d = op.DecompositionOfUnity(ps)
+        assert not op.validate_decomposition(d), name
+        assert not _pairwise_valid(d), name
+
+
+def test_validate_decomposition_forms_k_products_and_no_stack():
+    n = 64
+    d = op.standard_basis_decomposition(n)
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(self.shape)
+            return np.ndarray.__matmul__(self, other)
+
+    counting = SimpleNamespace(
+        projectors=tuple(p.view(Counting) for p in d.projectors), dim=n)
+    assert op.validate_decomposition(counting)
+    assert products == [(n, n)] * n  # one P @ P each, not n^2 products
+    # one N x N defect at a time: the peak stays far below the 4 MB of a
+    # (k, N, N) stack of the 64 projectors
+    tracemalloc.start()
+    assert op.validate_decomposition(d)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 16 * n * n * 16
+
+
+def _bound(ps):
+    """e + (k + 3) d' of the validate_decomposition docstring."""
+    eye = np.eye(ps[0].shape[0])
+    e = np.linalg.norm(sum(ps) - eye, 2)
+    d = max(np.linalg.norm(p @ p - p, 2) for p in ps)
+    assert d <= 0.25
+    return e + (len(ps) + 3) * (1 - np.sqrt(1 - 4 * d)) / 2
+
+
+def _worst_product(ps):
+    return max((np.linalg.norm(p @ q, 2) for i, p in enumerate(ps)
+                for j, q in enumerate(ps) if i != j), default=0.0)
+
+
+def test_accepted_perturbed_families_keep_the_docstring_bound():
+    # random Hermitian decompositions, each projector moved by Hermitian
+    # noise of size eps; the bound is for exact arithmetic, so forming a
+    # product may add a roundoff of a few N eps_machine on top
+    rng = np.random.Generator(np.random.PCG64(2024))
+    accepted = 0
+    for n in (2, 4, 8):
+        for eps in 10.0 ** np.arange(-14, -5):
+            for _ in range(12):
+                v, _ = np.linalg.qr(rng.standard_normal((n, n))
+                                    + 1j * rng.standard_normal((n, n)))
+                cuts = np.sort(rng.choice(np.arange(1, n), rng.integers(0, n),
+                                          replace=False))
+                ps = []
+                for block in np.split(v, cuts, axis=1):
+                    noise = (rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))
+                    p = block @ block.conj().T + eps * noise
+                    ps.append((p + p.conj().T) / 2)
+                d = op.DecompositionOfUnity(ps)
+                for tol in (eps / 10, 10 * eps * n):
+                    if _pairwise_valid(d, tol):
+                        assert op.validate_decomposition(d, tol)
+                    if op.validate_decomposition(d, tol):
+                        accepted += 1
+                        roundoff = 8 * n * np.finfo(float).eps
+                        assert _worst_product(ps) <= _bound(ps) + roundoff
+                        assert _bound(ps) <= (2 * len(ps) + 7) * n * tol + roundoff
+    assert accepted >= 250  # the sweep is not vacuous
+
+
+def test_the_bound_needs_its_factor_k():
+    # k - 2 projectors each give up s along x and gain it along y, which
+    # hides an overlap c = (k - 2) s between two rank-one projectors; every
+    # law holds to about s, and the sum is I
+    k, c = 10, 8e-7
+    s = c / (k - 2)
+    a, b = np.sqrt((1 + c) / 2), np.sqrt((1 - c) / 2)
+    eye = np.eye(k, dtype=complex)
+    ps = [np.outer(w, w).astype(complex)
+          for w in (a * eye[0] + b * eye[1], a * eye[0] - b * eye[1])]
+    shift = s * (np.outer(eye[1], eye[1]) - np.outer(eye[0], eye[0]))
+    ps += [np.outer(eye[m], eye[m]) + shift for m in range(2, k)]
+    d = op.DecompositionOfUnity(ps)
+    assert op.validate_decomposition(d, 2 * s)
+    assert not _pairwise_valid(d, 2 * s)
+    worst = _worst_product(ps)
+    assert worst == pytest.approx(c, rel=1e-6)
+    assert worst <= _bound(ps)
+    # a bound without k would not hold: the overlap is (k - 2) times d
+    d_max = max(np.linalg.norm(p @ p - p, 2) for p in ps)
+    assert worst > (k - 3) * d_max
+
+
+def test_decomposition_of_unity_rejects_empty_and_mixed_families():
+    with pytest.raises(ValueError, match="at least one"):
+        op.DecompositionOfUnity([])
+    with pytest.raises(ValueError, match="one dimension"):
+        op.DecompositionOfUnity([np.eye(2), np.eye(3)])
 
 
 def test_spectral_projectors_reconstruct_degenerate_spectrum():

@@ -159,6 +159,22 @@ def test_factory_validation():
     w = np.diag([1.0, 1j]).astype(complex)
     with pytest.raises(ValueError):
         red.group_average([np.eye(2, dtype=complex), w])
+    with pytest.raises(ValueError, match="one dimension"):
+        red.group_average([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
+
+
+def test_decomposition_kinds_coerce_each_projector_once(monkeypatch):
+    calls = []
+    coerce = op.as_matrix
+    monkeypatch.setattr(op, "as_matrix", lambda m: calls.append(1) or coerce(m))
+    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    rop = red.measurement([p, np.eye(3) - p])
+    assert len(calls) == 2
+    # a DecompositionOfUnity is taken as it is, its arrays shared
+    d = op.standard_basis_decomposition(3)
+    calls.clear()
+    assert red.lower_triangularize(d).operators is d.projectors
+    assert calls == [] and rop.kind == "measurement"
 
 
 def test_json_roundtrip_preserves_behavior():

@@ -1,6 +1,7 @@
 """sha256 digests of what the CLI prints and writes, over a fixed config list.
 
     python3 tools/artifact_digests.py > digests.txt
+    python3 tools/artifact_digests.py <git revision>
 
 Runs each config below in a fresh ``python -m liepoisson.cli`` process,
 one at a time, against the ``src/`` next to this file, and prints
@@ -11,14 +12,17 @@ one at a time, against the ``src/`` next to this file, and prints
     <label> <artifact> <sha256>      one line per file written, sorted
 
 with the output directory replaced by ``OUT`` in stdout and stderr.  Two
-checkouts that behave the same print the same lines, so ``diff`` of their
-outputs is the check that a refactor left every exit code, message and
-artifact unchanged.  Copy the script into the other checkout's ``tools/``
-to run it there.
+trees that behave the same print the same lines.  Given a git revision, the
+script extracts that revision's ``src/`` with ``git archive`` into a
+temporary directory, runs every config against both trees, and prints only
+the lines that differ: ``- <line>`` from the revision, ``+ <line>`` from
+this tree.  It exits 1 if any line differs, so it is the one-command check
+that a refactor left every exit code, message and artifact unchanged.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -199,9 +203,53 @@ def digest(label: str, command: str, config: dict, env: dict) -> list:
     return lines
 
 
-def main() -> int:
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def _extract_src(revision: str, dest: str) -> str:
+    """The ``src/`` of a git revision, written under dest by ``git archive``."""
+    root = os.path.dirname(SRC)
+    archive = subprocess.run(["git", "-C", root, "archive", "--format=tar",
+                              revision, "src"], capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout,
+                   capture_output=True, check=True)
+    return os.path.join(dest, "src")
+
+
+def compare(revision: str) -> int:
+    """Print the lines that differ between the revision and this tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            old_env = _env(_extract_src(revision, tmp))
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot extract src/ of {revision!r}: "
+                  f"{exc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+            return 2
+        new_env = _env(SRC)
+        differ = False
+        for label, command, config in CONFIGS:
+            old = digest(label, command, config, old_env)
+            new = digest(label, command, config, new_env)
+            for mark, lines, other in (("-", old, new), ("+", new, old)):
+                for line in lines:
+                    if line not in other:
+                        differ = True
+                        print(f"{mark} {line}", flush=True)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="sha256 digests of every CLI output over fixed configs")
+    parser.add_argument("revision", nargs="?",
+                        help="a git revision to compare against; prints only "
+                             "the lines that differ and exits 1 if any do")
+    args = parser.parse_args(argv)
+    if args.revision is not None:
+        return compare(args.revision)
+    env = _env(SRC)
     for label, command, config in CONFIGS:
         for line in digest(label, command, config, env):
             print(line, flush=True)
