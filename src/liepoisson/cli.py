@@ -16,10 +16,11 @@ directory).  Runs are deterministic: identical config and library versions
 give byte-identical output files.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 config error (nothing is
-written); 3 numerical abort (NaN, overflow, or a lost invariant during
-integration).  Every config fault, also one that needs the parsed data (a
-non-Hermitian hamiltonian, a state whose size is not N), is raised by
-``load_config``, before anything runs.
+written); 3 numerical abort (NaN or overflow, in a flow or in the arithmetic
+on an explicit state, or a lost invariant during integration).  Every config
+fault, also one that needs the parsed data (a non-Hermitian hamiltonian, a
+state whose size is not N), is raised by ``load_config``, before anything
+runs.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ TODA_MAX_N = 128
 # 160 MB and 2 s for toda-run at N >= 33, 163-191 MB and 40-45 s at N = 2,
 # 235 MB and 92 s for lvn-run at N = 1
 MAX_RECORDED_VALUES = 4_000_000
-# reduce-demo "lower" applies R and R* a dozen times, each a sum of N
-# sandwiches of N x N products, O(N^4): ~0.9 s at N = 96
+# reduce-demo "lower" applies R and R* ten times, each a sum of N
+# sandwiches of N x N products, O(N^4): ~0.33 s at N = 96 (best of 5)
 REDUCE_MAX_N = 96
 
 # spawn key of the stream of demo probe draws (see fixtures._stream)
@@ -450,6 +451,10 @@ def _run_toda(rc: RunConfig) -> int:
                          f"trajectory: {csv_path}")
 
 
+# explicit states are accepted up to the float limit and their products can
+# leave it: the numpy operation that first overflows or makes a NaN raises
+# FloatingPointError, which run reports as a numerical abort
+@np.errstate(over="raise", invalid="raise")
 def _run_reduce(rc: RunConfig) -> int:
     n, kind, tol = rc.params["N"], rc.params["kind"], rc.params["tol"]
     rho = _drawn(rc, "state", _DENSITY_TAGS)
@@ -459,14 +464,15 @@ def _run_reduce(rc: RunConfig) -> int:
     rng = _stream(rc.seed, PROBE_STREAM)
     x = _complex_normal(rng, n)
     y = _complex_normal(rng, n)
+    dual_x = red.apply_dual(rop, x)
 
     rows = [
         _check("idempotence",
                float(np.max(np.abs(red.apply(rop, image) - image))), 1e-12),
         _check("closure_defect", red.closure_defect(rop, x, y), 1e-12),
         _check("adjointness",
-               abs(op.trace_pairing(red.apply_dual(rop, x), rho)
-                   - op.trace_pairing(x, red.apply(rop, rho))), tol),
+               abs(op.trace_pairing(dual_x, rho)
+                   - op.trace_pairing(x, image)), tol),
         _check("reduction_condition",
                bk.reduction_condition_defect(
                    lambda m: red.apply(rop, m),
@@ -477,6 +483,9 @@ def _run_reduce(rc: RunConfig) -> int:
     # the trace-norm bound is a law only for pinching and averaging;
     # triangular truncation can expand, so report its excess as data
     trace_norm_excess = float(op.trace_norm(image) - op.trace_norm(rho))
+    if not math.isfinite(trace_norm_excess):
+        # the SVD under trace_norm overflows without a floating point error
+        raise NumericalAbort("trace norm overflows")
     if kind != "lower":
         contracts = red.contraction_check(rop, rho)
         rows.append(_check("trace_norm_contraction", 0.0 if contracts else 1.0, 0.0))
@@ -493,10 +502,11 @@ def _run_reduce(rc: RunConfig) -> int:
     return _write_report(
         path, rows, f"report: {path}", kind=rop.kind,
         before=op.matrix_to_json(rho), after=op.matrix_to_json(image),
-        dual_sample=op.matrix_to_json(red.apply_dual(rop, x)),
+        dual_sample=op.matrix_to_json(dual_x),
         trace_norm_excess=trace_norm_excess)
 
 
+@np.errstate(over="raise", invalid="raise")
 def _run_orbit(rc: RunConfig) -> int:
     n, tol = rc.params["N"], rc.params["tol"]
     rng = _stream(rc.seed, PROBE_STREAM)
@@ -546,7 +556,7 @@ def run(rc: RunConfig) -> int:
     """Execute a config from ``load_config``; returns the process exit code."""
     try:
         return _RUNNERS[rc.command](rc)
-    except NumericalAbort as exc:
+    except (NumericalAbort, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
 

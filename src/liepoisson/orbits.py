@@ -8,9 +8,12 @@ carries the two-form
 
 The form does not depend on which x generates a given tangent vector
 (``kks_welldefined_defect`` measures this), it is antisymmetric, and it is
-weakly nondegenerate on the tangent space: its Gram matrix over a basis of
-generators has exactly the rank of the tangent space itself
-(``kks_form_rank`` versus ``characteristic_rank``).
+weakly nondegenerate on the tangent space: its Gram matrix over the
+generators E_ab is the matrix of x -> [x, rho] with row (a, b) moved to
+(b, a), so it has exactly the rank of the tangent space.  For the same
+reason ``kks_form_rank`` and ``characteristic_rank`` take the SVD of one
+matrix up to its row order: their agreement checks the two closed forms
+against each other, not the law by an independent route.
 """
 
 from __future__ import annotations
@@ -111,9 +114,10 @@ def characteristic_rank(point) -> int:
 def kks_form_rank(point) -> int:
     """Rank of the Gram matrix G[(ab),(cd)] = omega(rho)([E_ab,rho],[E_cd,rho]).
 
-    The form is weakly nondegenerate on the tangent space precisely when this
-    equals ``characteristic_rank``; the two are compared by the verification
-    suite rather than assumed.
+    G is the matrix of x -> [x, rho] with row (a, b) moved to (b, a),
+    G[(ab),(cd)] = [E_cd, rho]_ba, so this equals ``characteristic_rank``
+    by construction: comparing the two compares one matrix with its own row
+    permutation.
     """
     return _svd_rank(_kks_gram(as_matrix(point)))
 

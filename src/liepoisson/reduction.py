@@ -13,8 +13,8 @@ pairing tr(R*(x) rho) = tr(x R(rho)):
   unitaries; the dual averages with the conjugations reversed.  The image of
   R* is the commutant of the group.
 
-``apply`` and ``apply_dual`` sum the sandwiches l_n rho r_n and r_n x l_n
-over each kind's factors (see ``_factors``).
+``apply`` and ``apply_dual`` are one sandwich sum (``_sandwich``) over the
+factors each constructor builds once; R* swaps the lefts and the rights.
 
 All three satisfy the multiplicative closure law
 R*(R*(x) R*(y)) = R*(x) R*(y), which is the condition for the image bracket
@@ -59,15 +59,19 @@ KINDS = ("measurement", "lower_triangularize", "group_average")
 
 @dataclass(frozen=True)
 class ReductionOp:
-    """A validated projection R with its dual R*.
+    """A validated projection R(rho) = sum_n l_n rho r_n / scale, with its
+    dual R*(x) = sum_n r_n x l_n / scale.
 
-    ``operators`` holds the defining family: ordered projectors for the two
-    decomposition kinds, group elements for the averaging kind.  Treat the
-    stored arrays as read-only.
+    ``operators`` holds the lefts l_n, the defining family: ordered projectors
+    for the decomposition kinds, group elements for the averaging kind.
+    ``rights`` holds the projectors, their running sums or the u*, and
+    ``scale`` is |G| or 1.  Treat the stored arrays as read-only.
     """
 
     kind: str
     operators: tuple
+    rights: Sequence
+    scale: int
 
     @property
     def dim(self) -> int:
@@ -80,22 +84,24 @@ class ReductionOp:
         return f"ReductionOp({self.kind}, {len(self)} x {self.dim}d)"
 
 
-def _decomposition_op(kind: str, projectors, tol: float) -> ReductionOp:
+def _decomposition(projectors, tol: float) -> tuple:
     if not isinstance(projectors, DecompositionOfUnity):
         projectors = DecompositionOfUnity(projectors)
     if not validate_decomposition(projectors, tol):
         raise ValueError("projectors do not form a decomposition of unity")
-    return ReductionOp(kind, projectors.projectors)
+    return projectors.projectors
 
 
 def measurement(projectors, tol: float = 1e-10) -> ReductionOp:
     """Block-diagonal pinching over a decomposition of unity."""
-    return _decomposition_op("measurement", projectors, tol)
+    ps = _decomposition(projectors, tol)
+    return ReductionOp("measurement", ps, ps, 1)
 
 
 def lower_triangularize(projectors, tol: float = 1e-10) -> ReductionOp:
     """Block lower-triangular truncation; the order of projectors matters."""
-    return _decomposition_op("lower_triangularize", projectors, tol)
+    ps = _decomposition(projectors, tol)
+    return ReductionOp("lower_triangularize", ps, np.cumsum(ps, axis=0), 1)
 
 
 def group_average(unitaries: Sequence, tol: float = 1e-10) -> ReductionOp:
@@ -122,34 +128,24 @@ def group_average(unitaries: Sequence, tol: float = 1e-10) -> ReductionOp:
             w = u @ v
             if not any(operator_norm(w - x) <= tol for x in us):
                 raise ValueError("unitary family is not closed under products")
-    return ReductionOp("group_average", us)
+    return ReductionOp("group_average", us, tuple(u.conj().T for u in us),
+                       len(us))
 
 
-def _factors(op: ReductionOp):
-    """(lefts, rights, scale) with R(rho) = sum_n l_n rho r_n / scale and
-    R*(x) = sum_n r_n x l_n / scale."""
-    ps = op.operators
-    if op.kind == "measurement":
-        return ps, ps, 1
-    if op.kind == "lower_triangularize":
-        return ps, np.cumsum(ps, axis=0), 1
-    if op.kind == "group_average":
-        return ps, [u.conj().T for u in ps], len(ps)
-    raise ValueError(f"unknown reduction kind {op.kind!r}")
+def _sandwich(lefts, m, rights, scale) -> np.ndarray:
+    """sum_n l_n m r_n / scale for a validated m: R(m) over an op's factors,
+    R*(m) over the same factors swapped."""
+    return sum(l @ m @ r for l, r in zip(lefts, rights)) / scale
 
 
 def apply(op: ReductionOp, rho) -> np.ndarray:
     """R(rho)."""
-    rho = as_matrix(rho)
-    lefts, rights, scale = _factors(op)
-    return sum(l @ rho @ r for l, r in zip(lefts, rights)) / scale
+    return _sandwich(op.operators, as_matrix(rho), op.rights, op.scale)
 
 
 def apply_dual(op: ReductionOp, x) -> np.ndarray:
     """R*(x), the trace-pairing adjoint of R."""
-    x = as_matrix(x)
-    lefts, rights, scale = _factors(op)
-    return sum(r @ x @ l for l, r in zip(lefts, rights)) / scale
+    return _sandwich(op.rights, as_matrix(x), op.operators, op.scale)
 
 
 def closure_defect(op: ReductionOp, x, y) -> float:
@@ -158,8 +154,9 @@ def closure_defect(op: ReductionOp, x, y) -> float:
     Zero means the image of R* is closed under products, the hypothesis that
     makes the induced bracket on im R a Poisson bracket.
     """
-    a = apply_dual(op, x) @ apply_dual(op, y)
-    return operator_norm(apply_dual(op, a) - a)
+    a = (_sandwich(op.rights, as_matrix(x), op.operators, op.scale)
+         @ _sandwich(op.rights, as_matrix(y), op.operators, op.scale))
+    return operator_norm(_sandwich(op.rights, a, op.operators, op.scale) - a)
 
 
 def contraction_check(op: ReductionOp, rho, tol: float = 1e-10) -> bool:

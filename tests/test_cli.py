@@ -17,6 +17,7 @@ import liepoisson
 from liepoisson import cli
 from liepoisson import integrators as it
 from liepoisson import operators as op
+from liepoisson import reduction as red
 from liepoisson import toda as td
 from liepoisson import verification as vf
 
@@ -492,6 +493,41 @@ def test_reduce_demo_group_needs_even_dimension(tmp_path):
                          {"params": {"N": 3, "kind": "group"}})
     assert code == 2
     assert not out_dir.exists()
+
+
+def test_reduce_demo_lower_applies_the_reduction_ten_times(tmp_path,
+                                                          monkeypatch):
+    # adjointness and dual_sample reuse the one R(rho) and the one R*(x)
+    calls = []
+    sandwich = red._sandwich
+    monkeypatch.setattr(red, "_sandwich",
+                        lambda *a: calls.append(1) or sandwich(*a))
+    code, _ = _run(tmp_path, "reduce-demo", {"params": {"N": 8, "kind": "lower"}})
+    assert code == 0
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1.7e308])
+def test_states_near_the_float_limit_keep_the_exit_code_contract(tmp_path,
+                                                                 scale):
+    # every entry is finite, so load_config accepts the state; at 1.7e308
+    # its products leave the floats, and the run is a numerical abort
+    state = {"dim": 4, "re": [scale] * 16, "im": [0.0] * 16}
+    runs = [("reduce-demo", {"kind": k}) for k in ("measurement", "lower", "group")]
+    runs.append(("orbit-kks", {}))
+    for command, extra in runs:
+        payload = {"params": {"N": 4, "state": state, **extra}}
+        done, out_dir = _cli_process(tmp_path, command, payload,
+                                     out=f"{command}-{extra.get('kind')}")
+        assert done.returncode in (0, 1, 3), done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
+        if done.returncode == 3:
+            _assert_numerical_abort(done, out_dir, "")
+        for path in out_dir.glob("*.json"):
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path
+        assert (done.returncode == 3) == (scale == 1.7e308), (command, extra)
 
 
 def test_orbit_kks_report(tmp_path):

@@ -136,6 +136,17 @@ def test_closed_form_rank_matrices_match_the_basis_loops(n):
         assert orb.kks_form_rank(rho) == orb.characteristic_rank(rho), kind
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_kks_gram_is_the_tangent_matrix_with_its_rows_swapped(n):
+    # G[(ab),(cd)] = d_bc rho_da - d_da rho_bc = [E_cd, rho]_ba: the two
+    # ranks take the SVD of one matrix, up to the row order (a, b) -> (b, a)
+    swap = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    for kind in ("general", "hermitian", "psd", "lower"):
+        rho = seeded_random_state(150 + n, kind, n)
+        assert np.array_equal(orb._kks_gram(rho),
+                              orb._tangent_matrix(rho)[swap]), kind
+
+
 def test_coadjoint_action_preserves_spectrum_and_form():
     rho = seeded_random_state(141, "hermitian", 4)
     skew = op.skew_hermitian_part(seeded_random_state(142, "general", 4))

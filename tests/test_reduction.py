@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,34 @@ def test_decomposition_kinds_coerce_each_projector_once(monkeypatch):
     calls.clear()
     assert red.lower_triangularize(d).operators is d.projectors
     assert calls == [] and rop.kind == "measurement"
+
+
+def test_lower_kind_sums_its_running_sums_once(monkeypatch):
+    calls = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum",
+                        lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+    rop = red.lower_triangularize(op.standard_basis_decomposition(4))
+    assert len(calls) == 1
+    rho = seeded_random_state(103, "general", 4)
+    red.apply(rop, rho)
+    red.apply_dual(rop, rho)
+    red.closure_defect(rop, rho, rho)
+    assert len(calls) == 1
+
+
+def test_apply_builds_no_stack_of_factors():
+    n = 64
+    rop = red.lower_triangularize(op.standard_basis_decomposition(n))
+    rho = seeded_random_state(104, "general", n)
+    # a few N x N products at a time: the peak stays far below the 4 MB of
+    # one (k, N, N) stack of the 64 running sums
+    tracemalloc.start()
+    red.apply(rop, rho)
+    red.apply_dual(rop, rho)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 16 * n * n * 16
 
 
 def test_json_roundtrip_preserves_behavior():

@@ -48,6 +48,8 @@ H3 = _matrix([[1.0, 0.5, 0.0], [0.5, -1.0, 0.25], [0.0, 0.25, 0.5]],
 RHO3 = _matrix([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]])
 NON_HERMITIAN = _matrix([[0.0, 1.0], [0.0, 0.0]])
 INF_DIM = {"dim": INF, "re": [1.0], "im": [0.0]}
+# finite, but past the float limit once multiplied or summed
+HUGE4 = _matrix([[1.7e308] * 4] * 4)
 TODA4 = {"N": 4, "x": [0.1, -0.2, 0.3], "p": [0.5, -0.25, 0.0, -0.25],
          "alpha": [1.0, 0.5, 0.25], "lambda": [1.0, 0.5, 0.25]}
 TODA_INF = dict(TODA4, N=INF)
@@ -69,6 +71,8 @@ CONFIGS = [
       for k in ("measurement", "lower", "group")],
     *[(f"reduce-{k}-n5", "reduce-demo", {"params": {"N": 5, "kind": k}})
       for k in ("measurement", "lower")],
+    *[(f"reduce-{k}-n96", "reduce-demo", {"params": {"N": 96, "kind": k}})
+      for k in ("measurement", "lower", "group")],
     ("lvn-isospectral", "lvn-run",
      {"params": {"N": 4}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 50,
                                          "method": "isospectral"}}),
@@ -152,6 +156,10 @@ CONFIGS = [
      {"params": {"initial": {"N": 2, "x": [800.0], "p": [0.0, 0.0],
                              "alpha": [1.0], "lambda": [1.0]}},
       "integrator": {"dt": 1e-3, "steps": 5}}),
+    *[(f"reduce-{k}-overflow", "reduce-demo",
+       {"params": {"N": 4, "kind": k, "state": HUGE4}})
+      for k in ("measurement", "lower", "group")],
+    ("orbit-overflow", "orbit-kks", {"params": {"N": 4, "state": HUGE4}}),
     # config faults: exit 2, nothing written
     ("lvn-non-hermitian", "lvn-run",
      {"params": {"hamiltonian": NON_HERMITIAN}, "integrator": {"steps": 5}}),
