@@ -531,10 +531,19 @@ def reduction_condition_defect(apply_map: Callable, dual_map: Callable,
     """
     rho = as_matrix(rho)
     image = apply_map(rho)
-    if float(np.max(np.abs(apply_map(image) - image))) > 1e-10:
+    again = apply_map(image)
+    return _lifted_condition_defect(dual_map(fbar.grad(image)),
+                                    dual_map(gbar.grad(image)), rho, image,
+                                    again, realified)
+
+
+def _lifted_condition_defect(a, b, rho, image, again,
+                             realified: bool = False) -> float:
+    """``reduction_condition_defect`` from the lifted gradients
+    a = R*(Dfbar(R rho)) and b = R*(Dgbar(R rho)), the state, its image
+    R(rho) and again = R(R(rho))."""
+    if float(np.max(np.abs(again - image))) > 1e-10:
         raise ValueError("reduction map is not idempotent")
-    a = dual_map(fbar.grad(image))
-    b = dual_map(gbar.grad(image))
     if realified:
         a, b = skew_hermitian_part(a), skew_hermitian_part(b)
     c = commutator(a, b)

@@ -80,8 +80,8 @@ TODA_MAX_N = 128
 # 160 MB and 2 s for toda-run at N >= 33, 163-191 MB and 40-45 s at N = 2,
 # 235 MB and 92 s for lvn-run at N = 1
 MAX_RECORDED_VALUES = 4_000_000
-# reduce-demo "lower" applies R and R* ten times, each a sum of N
-# sandwiches of N x N products, O(N^4): ~0.33 s at N = 96 (best of 5)
+# reduce-demo "lower" applies R and R* five times, each a sum of N
+# sandwiches of N x N products, O(N^4): ~0.25 s at N = 96 (best of 5)
 REDUCE_MAX_N = 96
 
 # spawn key of the stream of demo probe draws (see fixtures._stream)
@@ -360,11 +360,9 @@ def _run_lvn(rc: RunConfig) -> int:
     rho0 = _drawn(rc, "initial_state", _DENSITY_TAGS)
     gen = -1j * h
 
-    def generator(r):
-        return gen
-
     if rc.integrator.method == "isospectral":
-        traj = evolve(rho0, rc.integrator, hgrad=generator)
+        # the constant generator: every step conjugates by exp(-i h dt)
+        traj = evolve(rho0, rc.integrator, hgrad=gen)
     else:
         traj = evolve(rho0, rc.integrator,
                       rhs=lambda t, r: op._commutator(gen, r))
@@ -464,21 +462,24 @@ def _run_reduce(rc: RunConfig) -> int:
     rng = _stream(rc.seed, PROBE_STREAM)
     x = _complex_normal(rng, n)
     y = _complex_normal(rng, n)
+    # each distinct application once: R(rho), R*(x), R*(y), R(R(rho)) and
+    # the closure's R*(R*(x) R*(y)).  The linear probes tr(x .), tr(y .)
+    # have the gradients x and y everywhere, so the reduction condition's
+    # lifted gradients are R*(x) and R*(y)
     dual_x = red.apply_dual(rop, x)
+    dual_y = red.apply_dual(rop, y)
+    again = red.apply(rop, image)
 
     rows = [
-        _check("idempotence",
-               float(np.max(np.abs(red.apply(rop, image) - image))), 1e-12),
-        _check("closure_defect", red.closure_defect(rop, x, y), 1e-12),
+        _check("idempotence", float(np.max(np.abs(again - image))), 1e-12),
+        _check("closure_defect", red._closure_defect(rop, dual_x, dual_y),
+               1e-12),
         _check("adjointness",
                abs(op.trace_pairing(dual_x, rho)
                    - op.trace_pairing(x, image)), tol),
         _check("reduction_condition",
-               bk.reduction_condition_defect(
-                   lambda m: red.apply(rop, m),
-                   lambda m: red.apply_dual(rop, m),
-                   bk.Observable.linear_form(x),
-                   bk.Observable.linear_form(y), rho), tol),
+               bk._lifted_condition_defect(dual_x, dual_y, rho, image, again),
+               tol),
     ]
     # the trace-norm bound is a law only for pinching and averaging;
     # triangular truncation can expand, so report its excess as data

@@ -8,15 +8,20 @@ with rho_mid an explicit midpoint predictor.  Whatever the accuracy in time
 (second order), the spectrum of rho is preserved to roundoff at every step,
 because conjugation cannot move eigenvalues.  RK4 conserves spectra only to
 O(dt^4) per unit time; the contrast between the two is itself a test target.
+For a generator K that does not depend on rho, as for the linear
+Hamiltonian tr(h rho) with K = -i h, the flow is the coadjoint action
+rho -> e^(tK) rho e^(-tK), and every step is the conjugation by the one
+propagator Q = exp(dt K); ``evolve`` takes such a K as a matrix and builds
+Q once per run.  ``rk4_step`` sums its stages into arrays it made itself.
 
 ``evolve`` records every ``stride``-th state plus the final one, checks each
 step for non-finite entries (raising ``NumericalAbort``), and evaluates any
 requested scalar monitors along the way.  Each record goes into its row of
 arrays sized ``IntegratorConfig.records`` before the first step, so a run
 holds its recorded values and nothing per record beside them.  It validates
-the initial state once; from there that per-step check is the only guard,
-and the right-hand sides and generators it drives may run on trusted
-kernels.
+the initial state (and a constant generator) once; from there that
+per-step check is the only guard, on every route, and the right-hand sides
+and generators it drives may run on trusted kernels.
 ``Trajectory.to_csv`` alone flattens the recorded states into columns and
 writes 17 significant digits, enough to round-trip a double exactly, one
 block of rows at a time.  ``spectral_drift`` pairs the eigenvalues of each
@@ -26,15 +31,16 @@ less drift than the best pairing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from .brackets import (FULL, BracketSpec, MatrixLinearMap, Observable,
-                       _pullback, ham_field)
-from .operators import _commutator, _conjugate, as_matrix, expm
+                       _partial_field, _pullback, _state)
+from .operators import DEFAULT_TOL, _commutator, _conjugate, as_matrix, expm
 
 __all__ = [
     "IntegratorConfig",
@@ -81,13 +87,64 @@ class IntegratorConfig:
         return self.steps // self.stride + 1 + (self.steps % self.stride != 0)
 
 
+@functools.lru_cache(maxsize=16)
+def _rk4_constants(dt: float, dtype) -> tuple:
+    """0.5 dt, dt, 2 and dt / 6 as read-only 0-d arrays of ``dtype``.
+
+    A product of a Python float and an array of a float or complex dtype
+    casts the float to that dtype, so these give its bits, without the
+    cast on every call."""
+    out = tuple(np.array(c, dtype=dtype) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
+    for c in out:
+        c.flags.writeable = False
+    return out
+
+
+def _matches(k, y) -> bool:
+    """Whether k is an array of y's dtype and shape."""
+    return type(k) is np.ndarray and k.dtype is y.dtype and k.shape == y.shape
+
+
+def _stage(y, c: float, k, const):
+    """y + c * k; with ``const``, c as a 0-d array of y's dtype, it is built
+    in the one new array c * k."""
+    if const is None:
+        return y + c * k
+    s = np.multiply(const, k)
+    return np.add(y, s, s)
+
+
 def rk4_step(rhs: Callable, t: float, y, dt: float):
-    """One classical fourth-order Runge-Kutta step for y' = rhs(t, y)."""
+    """One classical fourth-order Runge-Kutta step for y' = rhs(t, y).
+
+    Gives the bits of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), evaluated in that
+    order with numpy's dtype promotion.  Where y is a float or complex
+    array, dt a float and every k an array of y's dtype and shape, it makes
+    five new arrays (three stage states and two sums) and sums in place,
+    with the constants cast once per (dt, dtype); otherwise it evaluates the
+    formula as written.  It never writes into y, into an array ``rhs``
+    returned, or into a stage state once ``rhs`` was given it.
+    """
+    half = 0.5 * dt
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    fast = (type(y) is np.ndarray and type(dt) is float and y.ndim > 0
+            and y.dtype.kind in "fc" and _matches(k1, y))
+    if fast:
+        c_half, c_dt, c_two, c_sixth = _rk4_constants(dt, y.dtype)
+    k2 = rhs(t + half, _stage(y, half, k1, c_half if fast else None))
+    fast = fast and _matches(k2, y)
+    k3 = rhs(t + half, _stage(y, half, k2, c_half if fast else None))
+    fast = fast and _matches(k3, y)
+    k4 = rhs(t + dt, _stage(y, dt, k3, c_dt if fast else None))
+    if not (fast and _matches(k4, y)):
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = np.multiply(c_two, k2)
+    np.add(k1, acc, acc)
+    two_k3 = np.multiply(c_two, k3)
+    np.add(acc, two_k3, acc)
+    np.add(acc, k4, acc)
+    np.multiply(c_sixth, acc, acc)
+    return np.add(y, acc, acc)
 
 
 def isospectral_step(hgrad: Callable, rho, dt: float):
@@ -151,15 +208,20 @@ class Trajectory:
 
 
 def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
-           hgrad: Optional[Callable] = None,
+           hgrad: Optional[Union[Callable, np.ndarray]] = None,
            monitors: Optional[Dict[str, Callable]] = None) -> Trajectory:
     """Integrate from y0 and record every cfg.stride-th state plus the last.
 
-    method "rk4" needs ``rhs(t, y)``; "isospectral" needs ``hgrad(rho)`` (the
-    commutator generator) and a matrix state.  ``monitors`` maps names to
-    scalar functions of the state, evaluated at recorded times.  A non-finite
-    y0 raises ValueError; non-finite values later in the run abort it with
-    ``NumericalAbort``.
+    method "rk4" needs ``rhs(t, y)``; "isospectral" needs the commutator
+    generator and a matrix state: either ``hgrad(rho)``, or one matrix K
+    for a generator that does not depend on the state.  A constant K makes
+    every step the same conjugation by Q = exp(dt K), the coadjoint action
+    of one propagator, so Q is built once; the states are those of
+    ``isospectral_step`` with ``lambda rho: K``, bit for bit.  ``monitors``
+    maps names to scalar functions of the state, evaluated at recorded
+    times.  A non-finite y0 raises ValueError; non-finite values later in
+    the run abort it with ``NumericalAbort``, after every step on either
+    route.
     """
     if cfg.method == "rk4":
         if rhs is None:
@@ -172,6 +234,24 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
         raise ValueError("initial state must have finite entries")
     monitors = monitors or {}
 
+    dt = cfg.dt
+    if cfg.method == "rk4":
+        def step(k, y):
+            # the module's rk4_step, looked up at every step
+            return rk4_step(rhs, (k - 1) * dt, y, dt)
+    elif callable(hgrad):
+        def step(k, y):
+            return isospectral_step(hgrad, y, dt)
+    else:
+        gen = as_matrix(hgrad)
+        if as_matrix(y).shape != gen.shape:
+            raise ValueError("the generator and the state must have one shape")
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = expm(dt * gen)  # past the float limit, step 1 aborts the run
+
+        def step(k, y):
+            return _conjugate(q, y)
+
     times = np.empty(cfg.records)
     states = np.empty((cfg.records, *y.shape), dtype=y.dtype)
     values = {name: np.empty(cfg.records) for name in monitors}
@@ -181,7 +261,7 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
         if not np.can_cast(state.dtype, states.dtype):
             # a real y0 whose flow turns complex records complex states
             states = states.astype(np.result_type(states, state))
-        times[row] = k * cfg.dt
+        times[row] = k * dt
         states[row] = state
         for name, fn in monitors.items():
             values[name][row] = float(np.real(fn(state)))
@@ -191,11 +271,7 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
     # so numpy's own overflow and invalid-value warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.steps + 1):
-            t_prev = (k - 1) * cfg.dt
-            if cfg.method == "rk4":
-                y = rk4_step(rhs, t_prev, y, cfg.dt)
-            else:
-                y = isospectral_step(hgrad, y, cfg.dt)
+            y = step(k, y)
             if not np.isfinite(y).all():
                 raise NumericalAbort(f"non-finite state after step {k}")
             if k % cfg.stride == 0 or k == cfg.steps:
@@ -256,13 +332,22 @@ def collective_defect(jmap: MatrixLinearMap, h_down: Observable,
     the worst max-abs difference between J(upstairs state) and the downstairs
     state over the recorded times.  When J intertwines the two field
     conventions this is pure integration error, shrinking as O(dt^4).
+
+    Both initial states are validated here, rho0 for the full bracket and
+    J(rho0) for ``down_spec``; the flows then step on the trusted fields,
+    which keep a state in its spec's space, and ``evolve`` checks each
+    step's state for non-finite entries.
     """
-    rho0 = as_matrix(rho0)
+    if down_spec.kind == "product":
+        raise ValueError("collective_defect integrates matrix states, not pairs")
+    rho0 = _state(FULL, rho0, DEFAULT_TOL)
+    down0 = _state(down_spec, jmap.apply(rho0), DEFAULT_TOL)
 
     h_up = _pullback(h_down, jmap)
-    up = evolve(rho0, cfg, rhs=lambda t, y: ham_field(FULL, h_up, y))
-    down = evolve(jmap.apply(rho0), cfg,
-                  rhs=lambda t, y: ham_field(down_spec, h_down, y))
+    up = evolve(rho0, cfg,
+                rhs=lambda t, y: _partial_field(FULL, h_up.grad(y), y))
+    down = evolve(down0, cfg,
+                  rhs=lambda t, y: _partial_field(down_spec, h_down.grad(y), y))
 
     worst = 0.0
     for s_up, s_down in zip(up.states, down.states):

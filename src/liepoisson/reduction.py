@@ -57,7 +57,7 @@ __all__ = [
 KINDS = ("measurement", "lower_triangularize", "group_average")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionOp:
     """A validated projection R(rho) = sum_n l_n rho r_n / scale, with its
     dual R*(x) = sum_n r_n x l_n / scale.
@@ -65,7 +65,9 @@ class ReductionOp:
     ``operators`` holds the lefts l_n, the defining family: ordered projectors
     for the decomposition kinds, group elements for the averaging kind.
     ``rights`` holds the projectors, their running sums or the u*, and
-    ``scale`` is |G| or 1.  Treat the stored arrays as read-only.
+    ``scale`` is |G| or 1.  Treat the stored arrays as read-only.  Two ops
+    are equal only if they are the same object, and hash by identity: the
+    arrays they hold have no single truth value to compare by.
     """
 
     kind: str
@@ -154,8 +156,14 @@ def closure_defect(op: ReductionOp, x, y) -> float:
     Zero means the image of R* is closed under products, the hypothesis that
     makes the induced bracket on im R a Poisson bracket.
     """
-    a = (_sandwich(op.rights, as_matrix(x), op.operators, op.scale)
-         @ _sandwich(op.rights, as_matrix(y), op.operators, op.scale))
+    return _closure_defect(
+        op, _sandwich(op.rights, as_matrix(x), op.operators, op.scale),
+        _sandwich(op.rights, as_matrix(y), op.operators, op.scale))
+
+
+def _closure_defect(op: ReductionOp, dual_x, dual_y) -> float:
+    """``closure_defect`` from dual_x = R*(x) and dual_y = R*(y)."""
+    a = dual_x @ dual_y
     return operator_norm(_sandwich(op.rights, a, op.operators, op.scale) - a)
 
 

@@ -318,7 +318,10 @@ def lax_rhs(a, k: int = 2):
     a = as_matrix(a)
 
     def rhs(t, rho):
-        return _coinduced_field(np.linalg.matrix_power(rho + a, k - 1), rho)
+        lax = rho + a
+        if k != 2:  # (rho + a)^1 is rho + a itself
+            lax = np.linalg.matrix_power(lax, k - 1)
+        return _coinduced_field(lax, rho)
 
     return rhs
 

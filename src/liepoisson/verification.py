@@ -439,7 +439,7 @@ def _dynamics_checks(fx) -> List[CheckResult]:
 
     cfg = it.IntegratorConfig(dt=0.05, steps=200, stride=10, method="isospectral")
     t2 = bk.casimir(2)
-    traj = it.evolve(rho0, cfg, hgrad=lambda r: -1j * h0,
+    traj = it.evolve(rho0, cfg, hgrad=-1j * h0,
                      monitors={"T2": lambda r: t2(r).real})
     c_drift = float(np.max(np.abs(traj.monitors["T2"] - traj.monitors["T2"][0])))
     out.append(_check("lvn_isospectral_casimir_drift", c_drift, 1e-10))
@@ -452,7 +452,7 @@ def _dynamics_checks(fx) -> List[CheckResult]:
     c = c / op.operator_norm(c)
 
     def mean_field_gen(r):
-        return -1j * (a + float(np.real(np.trace(c @ r))) * c)
+        return -1j * (a + (c @ r).trace().real * c)
 
     def mean_field_rhs(t, r):
         return op._commutator(mean_field_gen(r), r)
@@ -492,11 +492,14 @@ def _dynamics_checks(fx) -> List[CheckResult]:
     out.append(_check("isospectral_order_ratio", abs(i1 / i2 / 4.0 - 1.0), 0.2))
 
     half = n // 2
-    jmap = bk.MatrixLinearMap(
-        lambda r: np.array(r[:half, :half]),
-        lambda gsmall: np.pad(np.asarray(gsmall, dtype=complex),
-                              ((0, n - half), (0, n - half))),
-        "corner block")
+
+    def corner_adjoint(gsmall):
+        full = np.zeros((n, n), dtype=complex)
+        full[:half, :half] = gsmall
+        return full
+
+    jmap = bk.MatrixLinearMap(lambda r: np.array(r[:half, :half]),
+                              corner_adjoint, "corner block")
     m = fx["draw"]()[:half, :half]
     h_down = bk.Observable.quadratic_form(0.5 * (m + m.conj().T),
                                           np.eye(half, dtype=complex), "h down")

@@ -14,12 +14,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import liepoisson
+from liepoisson import brackets as br
 from liepoisson import cli
 from liepoisson import integrators as it
 from liepoisson import operators as op
 from liepoisson import reduction as red
 from liepoisson import toda as td
 from liepoisson import verification as vf
+from liepoisson.fixtures import _complex_normal, _stream, seeded_random_state
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -495,16 +497,36 @@ def test_reduce_demo_group_needs_even_dimension(tmp_path):
     assert not out_dir.exists()
 
 
-def test_reduce_demo_lower_applies_the_reduction_ten_times(tmp_path,
-                                                          monkeypatch):
-    # adjointness and dual_sample reuse the one R(rho) and the one R*(x)
-    calls = []
+def test_reduce_demo_lower_applies_each_distinct_reduction_once(tmp_path,
+                                                                monkeypatch):
+    # R(rho), R*(x), R(R(rho)), R*(y) and R*(R*(x) R*(y)), each once: the
+    # rows and dual_sample reuse them
+    inputs = []
     sandwich = red._sandwich
     monkeypatch.setattr(red, "_sandwich",
-                        lambda *a: calls.append(1) or sandwich(*a))
+                        lambda *a: inputs.append(a[1].copy()) or sandwich(*a))
     code, _ = _run(tmp_path, "reduce-demo", {"params": {"N": 8, "kind": "lower"}})
     assert code == 0
-    assert len(calls) == 10
+    assert len(inputs) == 5
+    assert len({m.tobytes() for m in inputs}) == 5
+
+
+@pytest.mark.parametrize("kind", sorted(cli.REDUCE_KINDS))
+def test_reduce_demo_rows_give_the_bits_of_the_public_defects(tmp_path, kind):
+    # the closure and condition rows reuse R*(x), R*(y), R(rho), R(R(rho))
+    code, out_dir = _run(tmp_path, "reduce-demo",
+                         {"seed": 5, "params": {"N": 6, "kind": kind}})
+    assert code == 0
+    report = json.loads((out_dir / "reduction_report.json").read_text())
+    rows = {row["name"]: row["defect"] for row in report["checks"]}
+    rop = vf._reduction_op(cli.REDUCE_KINDS[kind], 6)
+    rho = seeded_random_state(5, "psd", 6)
+    rng = _stream(5, cli.PROBE_STREAM)
+    x, y = _complex_normal(rng, 6), _complex_normal(rng, 6)
+    assert rows["closure_defect"] == red.closure_defect(rop, x, y)
+    assert rows["reduction_condition"] == br.reduction_condition_defect(
+        lambda m: red.apply(rop, m), lambda m: red.apply_dual(rop, m),
+        br.Observable.linear_form(x), br.Observable.linear_form(y), rho)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1.7e308])

@@ -41,6 +41,75 @@ def test_rk4_is_fourth_order_on_the_oscillator():
     assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
 
+def _textbook_rk4(rhs, t, y, dt):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_M = seeded_random_state(190, "general", 4)
+_Y = seeded_random_state(191, "general", 4)[:, :3]
+
+# (initial state, rhs): the dtype pairs of y and rhs(t, y), a float32 flow
+# and an rhs whose values broadcast against y
+_RK4_CASES = {
+    "real-real": (_Y.real, lambda t, y: _M.real @ y + np.cos(t) * y * y),
+    "complex-complex": (_Y, lambda t, y: _M @ y - 0.5j * t * y),
+    "real-complex": (_Y.real, lambda t, y: 1j * (_M @ y)),
+    "complex-real": (_Y, lambda t, y: _M.real @ np.abs(y)),
+    "float32": (_Y.real.astype(np.float32),
+                lambda t, y: (_M.real.astype(np.float32) @ y) * np.float32(0.5)),
+    "broadcast": (_Y.real, lambda t, y: np.array([[y.sum()]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RK4_CASES))
+def test_rk4_step_gives_the_bits_of_the_textbook_formula(case):
+    y0, rhs = _RK4_CASES[case]
+    got, want = y0, y0
+    for k in range(5):
+        got = it.rk4_step(rhs, 0.1 * k, got, 0.1)
+        want = _textbook_rk4(rhs, 0.1 * k, want, 0.1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_rk4_step_writes_into_no_array_it_was_given_or_returned():
+    seen = []
+
+    def identity(t, y):
+        # every stage state, and each k it returns, is the array it was given
+        seen.append((y, y.copy()))
+        return y
+
+    y0 = _Y.copy()
+    out = it.rk4_step(identity, 0.0, y0, 0.1)
+    assert len(seen) == 4 and seen[0][0] is y0
+    for given, snapshot in seen:
+        assert given.tobytes() == snapshot.tobytes()
+        assert out is not given
+    assert out.tobytes() == _textbook_rk4(identity, 0.0, _Y, 0.1).tobytes()
+
+    shared = _M[:, :3].copy()
+    out = it.rk4_step(lambda t, y: shared, 0.0, y0, 0.1)
+    assert shared.tobytes() == _M[:, :3].tobytes()
+    assert y0.tobytes() == _Y.tobytes()
+    assert out is not shared and out is not y0
+
+
+def test_evolve_calls_the_module_rk4_step_once_per_step(monkeypatch):
+    # looked up at every step, so a rebound rk4_step sees each one
+    times = []
+    step = it.rk4_step
+    monkeypatch.setattr(it, "rk4_step",
+                        lambda rhs, t, y, dt: times.append(t) or step(rhs, t, y, dt))
+    cfg = it.IntegratorConfig(dt=0.1, steps=13, stride=4)
+    it.evolve(np.array([1.0, 0.5]), cfg, rhs=lambda t, y: -y)
+    assert times == [(k - 1) * 0.1 for k in range(1, 14)]
+
+
 def test_isospectral_step_keeps_spectrum_exactly():
     rho = seeded_random_state(160, "hermitian", 5)
     h0 = seeded_random_state(161, "hermitian", 5)
@@ -83,6 +152,42 @@ def test_isospectral_step_is_exact_for_constant_generators():
 
     assert np.max(np.abs(end_state(4) - exact)) < 1e-12
     assert np.max(np.abs(end_state(16) - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["psd", "real"])
+def test_constant_generator_evolve_gives_the_bits_of_the_callable(monkeypatch,
+                                                                  kind):
+    # one matrix K: Q = exp(dt K) is built once, and every step is the
+    # conjugation isospectral_step makes with lambda rho: K
+    k = -1j * seeded_random_state(164, "hermitian", 5)
+    rho = (seeded_random_state(165, "psd", 5) if kind == "psd"
+           else np.diag([1.0, 2.0, 4.0, -1.0, 0.5]))
+    cfg = it.IntegratorConfig(dt=0.01, steps=60, stride=7, method="isospectral")
+    monitors = {"T2": lambda r: np.trace(r @ r).real}
+    want = it.evolve(rho, cfg, hgrad=lambda r: k, monitors=monitors)
+
+    calls = []
+    expm = it.expm
+    monkeypatch.setattr(it, "expm", lambda a: calls.append(1) or expm(a))
+    monkeypatch.setattr(it, "isospectral_step", None)
+    got = it.evolve(rho, cfg, hgrad=k, monitors=monitors)
+    assert len(calls) == 1
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.dtype == want.states.dtype == complex
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.monitors["T2"].tobytes() == want.monitors["T2"].tobytes()
+
+
+def test_constant_generator_evolve_validates_and_aborts():
+    cfg = it.IntegratorConfig(dt=0.5, steps=3, method="isospectral")
+    rho = seeded_random_state(166, "psd", 3)
+    with pytest.raises(ValueError, match="one shape"):
+        it.evolve(rho, cfg, hgrad=np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        it.evolve(rho, cfg, hgrad=np.full((3, 3), np.nan))
+    # exp(dt K) past the float limit: the first step's state is not finite
+    with pytest.raises(it.NumericalAbort, match="after step 1"):
+        it.evolve(rho, cfg, hgrad=np.diag([3000.0, 0.0, -3000.0]))
 
 
 def test_isospectral_step_is_second_order_for_state_dependent_generators():
@@ -457,3 +562,51 @@ def test_collective_defect_for_corner_restriction():
     cfg = it.IntegratorConfig(dt=0.005, steps=100, stride=20)
     defect = it.collective_defect(jmap, h_down, br.FULL, rho0, cfg)
     assert defect < 1e-6
+
+
+def _corner_map(small, big):
+    def embed(m):
+        full = np.zeros((big, big), dtype=complex)
+        full[:small, :small] = m
+        return full
+
+    return br.MatrixLinearMap(lambda m: np.array(m[:small, :small]), embed,
+                              name="corner")
+
+
+@pytest.mark.parametrize("down", ["full", "lower"])
+def test_collective_defect_gives_the_bits_of_the_ham_field_route(down):
+    # the trusted fields are ham_field's, less its per-stage validation
+    if down == "full":
+        jmap, spec = _corner_map(2, 4), br.FULL
+        m = seeded_random_state(172, "hermitian", 2)
+        h_down = br.Observable.quadratic_form(m, np.eye(2), "h down")
+    else:
+        jmap, spec = br.lower_projection_map(), br.LOWER_COINDUCED
+        h_down = br.Observable.quadratic_form(
+            seeded_random_state(172, "general", 4), np.eye(4), "h down")
+    rho0 = seeded_random_state(173, "psd", 4)
+    cfg = it.IntegratorConfig(dt=0.005, steps=30, stride=7)
+
+    h_up = br._pullback(h_down, jmap)
+    up = it.evolve(rho0, cfg, rhs=lambda t, y: br.ham_field(br.FULL, h_up, y))
+    low = it.evolve(jmap.apply(rho0), cfg,
+                    rhs=lambda t, y: br.ham_field(spec, h_down, y))
+    want = 0.0
+    for s_up, s_down in zip(up.states, low.states):
+        want = max(want, float(np.max(np.abs(jmap.apply(s_up) - s_down))))
+    assert it.collective_defect(jmap, h_down, spec, rho0, cfg) == want
+
+
+def test_collective_defect_validates_both_initial_states():
+    identity = br.MatrixLinearMap(lambda m: np.array(m), lambda g: g, "identity")
+    h = br.Observable.linear_form(seeded_random_state(174, "general", 3))
+    rho0 = seeded_random_state(175, "general", 3)
+    cfg = it.IntegratorConfig(dt=0.01, steps=2)
+    with pytest.raises(ValueError, match="lower-triangular"):
+        it.collective_defect(identity, h, br.LOWER_COINDUCED, rho0, cfg)
+    with pytest.raises(ValueError, match="finite"):
+        it.collective_defect(identity, h, br.FULL, np.full((3, 3), np.inf), cfg)
+    with pytest.raises(ValueError, match="pairs"):
+        it.collective_defect(br.pair_inclusion_map(0, 3), h,
+                             br.product(br.FULL, br.FULL), rho0, cfg)

@@ -207,6 +207,17 @@ def test_apply_builds_no_stack_of_factors():
     assert peak < 16 * n * n * 16
 
 
+def test_ops_compare_and_hash_by_identity():
+    # equal but distinct arrays have no single truth value to compare by
+    a = red.measurement(op.standard_basis_decomposition(2))
+    b = red.measurement(op.standard_basis_decomposition(2))
+    assert (a == b) is False
+    assert (a == a) is True
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
 def test_json_roundtrip_preserves_behavior():
     for rop in _standard_ops(3):
         back = red.reduction_from_json(red.reduction_to_json(rop))
