@@ -8,9 +8,9 @@ of ``tools/artifact_digests.py``, and imports it and the ``src/`` next to
 this file into one process, under the package names ``lp_base`` and
 ``lp_this``.  The invocations of the chosen workload and their configs
 come from ``WORKLOADS`` and ``make_configs`` of ``perfbench/run.py``, which
-is imported, so both follow any change to the benchmark.  Each pair runs every invocation
-once on each tree, the tree that goes first alternating from pair to pair,
-and times ``cli.run`` alone, as the benchmark's ``run_s`` does; config
+is imported, so both follow any change to the benchmark.  Each pair runs
+every invocation once on each tree, the tree that goes first alternating
+from pair to pair, and times ``cli.run`` alone, as the benchmark's ``run_s`` does; config
 loading and the import are left out.  BLAS runs with one thread.
 
 For each invocation and for the whole pass it prints the median time of
