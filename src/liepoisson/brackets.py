@@ -27,6 +27,11 @@ Sign conventions (fixed, and asserted by tests):
 A zero state gives bracket value 0 for every variant (the structures are
 linear in the state); that case is ordinary, not an error.
 
+An ``Observable`` is a function with its gradient, all the bracket sees of
+it.  Finite differences serve one case, the bracket of two non-linear
+observables: ``bracket_observable`` picks ``fd_gradient``,
+``fd_gradient_lower`` or ``fd_gradient_skew`` by the spec's kind.
+
 ``lp_bracket`` and ``ham_field`` validate the state once, on entry (see
 ``_state``); from there the gradients an observable returns are taken as
 they come and every formula runs on the trusted kernels of ``operators``.
@@ -116,15 +121,6 @@ def product(left: BracketSpec, right: BracketSpec) -> BracketSpec:
     return BracketSpec("product", left, right)
 
 
-def _domain_for(spec: BracketSpec) -> str:
-    return {
-        "full": "full",
-        "lower_coinduced": "lower",
-        "hermitian_real": "skew",
-        "product": "full",
-    }[spec.kind]
-
-
 def fd_gradient(func: Callable, rho, step: float = FD_STEP):
     """Central-difference gradient representative under the trace pairing.
 
@@ -189,48 +185,26 @@ def fd_gradient_skew(func: Callable, rho, step: float = FD_STEP):
     return g
 
 
-# gradient domain -> name of its fd gradient, looked up at call time so that
-# a rebound function (a tracer, the verify coverage recorder) sees the call
-_FD_BY_DOMAIN = {
-    "full": "fd_gradient",
-    "lower": "fd_gradient_lower",
-    "skew": "fd_gradient_skew",
-}
-
-
 class Observable:
-    """Scalar function of a state with a gradient representative.
+    """Scalar function of a state with its gradient representative.
 
     The gradient is the matrix G with df(rho).delta = tr(G delta) (for the
-    product bracket, a pair of such matrices).  Passing gradient=None selects
-    central finite differences with the given step; ``domain`` then decides
-    which directions are probed ("full", "lower", or "skew").  ``linear``
-    marks constant gradients, which lets bracket-of-bracket constructions
-    stay exact.
+    product bracket, a pair of such matrices); every observable carries one.
+    ``linear`` marks constant gradients, which lets bracket-of-bracket
+    constructions stay exact.
     """
 
-    def __init__(self, evaluate, gradient=None, *, linear=False,
-                 fd_step=FD_STEP, domain="full", name=""):
-        if domain not in _FD_BY_DOMAIN:
-            raise ValueError(f"unknown gradient domain {domain!r}")
+    def __init__(self, evaluate, gradient, *, linear=False, name=""):
         self._eval = evaluate
-        self._grad = gradient
+        self.grad = gradient
         self.linear = bool(linear)
-        self.fd_step = float(fd_step)
-        self.domain = domain
         self.name = name
 
     def __call__(self, rho):
         return self._eval(rho)
 
-    def grad(self, rho):
-        if self._grad is not None:
-            return self._grad(rho)
-        return globals()[_FD_BY_DOMAIN[self.domain]](self._eval, rho, self.fd_step)
-
     def __repr__(self) -> str:
-        mode = "analytic" if self._grad is not None else f"fd(h={self.fd_step:g})"
-        return f"Observable({self.name or '<anon>'}, {mode})"
+        return f"Observable({self.name or '<anon>'})"
 
     @classmethod
     def linear_form(cls, a, name="") -> "Observable":
@@ -259,7 +233,7 @@ class Observable:
         """
         a = skew_hermitian_part(as_matrix(a))
         return cls(lambda rho: float(trace_pairing(a, rho).real),
-                   lambda rho: a, linear=True, domain="skew",
+                   lambda rho: a, linear=True,
                    name=name or "Re tr(a rho)")
 
     @classmethod
@@ -273,24 +247,24 @@ class Observable:
         )
 
 
-def _state(spec: BracketSpec, state, tol: float):
+def _state(spec: BracketSpec, state):
     """The state as validated matrices (a pair of them for a product spec).
 
-    Raises ValueError unless the state lies in the spec's state space.
+    Raises ValueError unless the state lies in the spec's state space, to
+    ``DEFAULT_TOL``.
     """
     if spec.kind == "product":
         if not (isinstance(state, tuple) and len(state) == 2):
             raise ValueError("product bracket expects a pair state")
-        return (_state(spec.left, state[0], tol),
-                _state(spec.right, state[1], tol))
+        return _state(spec.left, state[0]), _state(spec.right, state[1])
     if spec.kind not in ("full", "lower_coinduced", "hermitian_real"):
         raise ValueError(f"unknown bracket spec {spec!r}")
     rho = as_matrix(state)
     if spec.kind == "lower_coinduced":
-        if not _holds(ClassTag.LOWER_TRIANGULAR, rho, tol):
+        if not _holds(ClassTag.LOWER_TRIANGULAR, rho, DEFAULT_TOL):
             raise ValueError("lower_coinduced bracket needs a lower-triangular state")
     elif spec.kind == "hermitian_real":
-        if not _holds(ClassTag.SKEW_HERMITIAN, rho, tol):
+        if not _holds(ClassTag.SKEW_HERMITIAN, rho, DEFAULT_TOL):
             raise ValueError("hermitian_real bracket needs a skew-Hermitian state")
     return rho
 
@@ -343,14 +317,13 @@ def _partial_bracket(spec: BracketSpec, df, dg, rho):
     return value
 
 
-def lp_bracket(spec: BracketSpec, f: Observable, g: Observable, state,
-               tol: float = DEFAULT_TOL):
+def lp_bracket(spec: BracketSpec, f: Observable, g: Observable, state):
     """Evaluate the Lie-Poisson bracket {f, g} at the given state.
 
     Returns a complex number for full/lower_coinduced/product and a float for
     hermitian_real (a bracket of real functions on a real subspace).
     """
-    state = _state(spec, state, tol)
+    state = _state(spec, state)
     return _partial_bracket(spec, f.grad(state), g.grad(state), state)
 
 
@@ -364,9 +337,9 @@ def _partial_field(spec: BracketSpec, dh, rho):
     return _commutator(_canonical_grad(spec, dh), rho)
 
 
-def ham_field(spec: BracketSpec, h: Observable, state, tol: float = DEFAULT_TOL):
+def ham_field(spec: BracketSpec, h: Observable, state):
     """Hamiltonian vector field of h at the state, per the fixed conventions."""
-    state = _state(spec, state, tol)
+    state = _state(spec, state)
     return _partial_field(spec, h.grad(state), state)
 
 
@@ -390,31 +363,44 @@ def casimir(k: int) -> Observable:
     return Observable(evaluate, gradient, linear=(k == 1), name=f"tr(rho^{k})/{k}")
 
 
-def bracket_observable(spec: BracketSpec, f: Observable, g: Observable,
-                       fd_step: float = FD_STEP_NESTED) -> Observable:
+# spec kind -> name of the fd gradient over its state space, looked up at
+# call time so that a rebound function (a tracer, the coverage recorder) sees it
+_FD_BY_KIND = {"full": "fd_gradient", "lower_coinduced": "fd_gradient_lower",
+               "hermitian_real": "fd_gradient_skew", "product": "fd_gradient"}
+
+
+def bracket_observable(spec: BracketSpec, f: Observable, g: Observable) -> Observable:
     """The function rho -> {f, g}(rho) as an Observable.
 
     When both arguments are linear the bracket is again linear with the exact
-    gradient [df, dg] of projected representatives; otherwise the gradient
-    falls back to central differences (with the nested step) over directions
-    that stay inside the spec's state space.
+    gradient [df, dg] of projected representatives; otherwise its gradient is
+    taken by central differences with step ``FD_STEP_NESTED``, over the
+    directions of the spec's state space: ``fd_gradient`` for full and
+    product specs, ``fd_gradient_lower`` and ``fd_gradient_skew`` for the
+    lower-coinduced and realified ones.
     """
     name = f"{{{f.name},{g.name}}}"
+
+    def value(rho):
+        return lp_bracket(spec, f, g, rho)
+
     if f.linear and g.linear:
-        return Observable(lambda rho: lp_bracket(spec, f, g, rho),
+        return Observable(value,
                           lambda rho: _grad_commutator(spec, f.grad(rho),
                                                        g.grad(rho)),
                           linear=True, name=name)
-    return Observable(lambda rho: lp_bracket(spec, f, g, rho),
-                      None, fd_step=fd_step, domain=_domain_for(spec), name=name)
+    fd_name = _FD_BY_KIND[spec.kind]
+    return Observable(value,
+                      lambda rho: globals()[fd_name](value, rho, FD_STEP_NESTED),
+                      name=name)
 
 
 def jacobi_defect(spec: BracketSpec, f: Observable, g: Observable, h: Observable,
-                  state, fd_step: float = FD_STEP_NESTED) -> float:
+                  state) -> float:
     """|{{f,g},h} + {{g,h},f} + {{h,f},g}| at the state."""
     total = 0.0 + 0.0j
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        inner = bracket_observable(spec, a, b, fd_step)
+        inner = bracket_observable(spec, a, b)
         total += lp_bracket(spec, inner, c, state)
     return abs(total)
 

@@ -113,9 +113,8 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _uint(raw, label: str, default=None) -> int:
+def _uint(raw, label: str, default: int) -> int:
     if raw is None:
-        _require(default is not None, f"{label} is required")
         return default
     _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0,
              f"{label} must be a non-negative integer")
@@ -133,9 +132,8 @@ def _positive_number(raw, label: str, default=None) -> float:
     return float(raw)
 
 
-def _choice(raw, label: str, allowed, default=None) -> str:
+def _choice(raw, label: str, allowed, default: str) -> str:
     if raw is None:
-        _require(default is not None, f"{label} is required")
         return default
     _require(isinstance(raw, str) and raw in allowed,
              f"{label} must be one of {sorted(allowed)}")
@@ -398,6 +396,8 @@ def _lax_invariants(lax: np.ndarray, coords: np.ndarray, alpha, hk_max: int):
     return hk, np.linalg.eigvals(lax)
 
 
+# as for _run_reduce below: an explicit state's b or alpha lambda can overflow
+@np.errstate(over="raise", invalid="raise")
 def _run_toda(rc: RunConfig) -> int:
     p = rc.params
     state0 = p["initial"]
@@ -436,15 +436,15 @@ def _run_toda(rc: RunConfig) -> int:
     # recorded L = rho + a and on their (R, 2N - 1) coordinates (p, b); the
     # stacked calls give the per-matrix bits
     hk, spectrum = _lax_invariants(lax, coords, state0.alpha, hk_max)
-
-    csv_path = _artifact_path(rc)
-    Trajectory(traj.times, states, hk).to_csv(csv_path, columns)
-
+    # the rows come before the CSV, so an overflow in them writes nothing
     rows = [_check(f"{name}_relative_drift", _relative_drift(column), tol)
             for name, column in hk.items()]
     spread = max(float(np.max(np.abs(spectrum[0]))), 1e-30)
     rows.append(_check("lax_spectrum_relative_drift",
                        _paired_drift(spectrum) / spread, tol))
+
+    csv_path = _artifact_path(rc)
+    Trajectory(traj.times, states, hk).to_csv(csv_path, columns)
     return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
                          f"trajectory: {csv_path}")
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .brackets import (FULL, BracketSpec, MatrixLinearMap, Observable,
                        _partial_field, _pullback, _state)
-from .operators import DEFAULT_TOL, _commutator, _conjugate, as_matrix, expm
+from .operators import _commutator, _conjugate, as_matrix, expm
 
 __all__ = [
     "IntegratorConfig",
@@ -169,7 +169,7 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
     maps names to scalar functions of the state, evaluated at recorded
     times.  A non-finite y0 raises ValueError; non-finite values later in
     the run abort it with ``NumericalAbort``, after every step on either
-    route.
+    route, and so do a non-finite or singular propagator Q.
     """
     if cfg.method == "rk4":
         if rhs is None:
@@ -195,10 +195,15 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
         if as_matrix(y).shape != gen.shape:
             raise ValueError("the generator and the state must have one shape")
         with np.errstate(over="ignore", invalid="ignore"):
-            q = expm(dt * gen)  # past the float limit, step 1 aborts the run
+            q = expm(dt * gen)
+        if not np.isfinite(q).all():  # so is the state after step 1
+            raise NumericalAbort("non-finite state after step 1")
 
         def step(k, y):
-            return _conjugate(q, y)
+            try:
+                return _conjugate(q, y)
+            except np.linalg.LinAlgError as exc:  # Q underflowed to singular
+                raise NumericalAbort("the propagator exp(dt K) is singular") from exc
 
     times = np.empty(cfg.records)
     states = np.empty((cfg.records, *y.shape), dtype=y.dtype)
@@ -288,8 +293,8 @@ def collective_defect(jmap: MatrixLinearMap, h_down: Observable,
     """
     if down_spec.kind == "product":
         raise ValueError("collective_defect integrates matrix states, not pairs")
-    rho0 = _state(FULL, rho0, DEFAULT_TOL)
-    down0 = _state(down_spec, jmap.apply(rho0), DEFAULT_TOL)
+    rho0 = _state(FULL, rho0)
+    down0 = _state(down_spec, jmap.apply(rho0))
 
     h_up = _pullback(h_down, jmap)
     up = evolve(rho0, cfg,

@@ -22,6 +22,7 @@ per-step finiteness check.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,9 +187,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     and the result squared s times.  The approximant r = q^-1 p is formed as
     p = V + U, q = V - U from its even part V and odd part U.  Trusts its
     input to be a square complex matrix with finite entries (see as_matrix).
+    Past the float limit it returns a non-finite matrix, never raises.
     """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=complex)
     eye = np.eye(a.shape[0], dtype=complex)
     a2 = a @ a
     for m, theta, b in _PADE:
@@ -202,8 +206,9 @@ def expm(a: np.ndarray) -> np.ndarray:
             u = a @ u
             return np.linalg.solve(v - u, v + u)
     s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    a = a / 2.0 ** s
-    a2 = a2 / 4.0 ** s
+    scale = math.ldexp(1.0, -s)  # 2^-s: the bits of / 2^s, as 4^s can overflow
+    a = a * scale
+    a2 = a2 * scale * scale
     a4 = a2 @ a2
     a6 = a2 @ a4
     b = _B13
@@ -317,10 +322,10 @@ def standard_basis_decomposition(n: int) -> DecompositionOfUnity:
     return DecompositionOfUnity([elementary(n, k, k) for k in range(n)])
 
 
-def spectral_projectors(h: np.ndarray, tol: float = 1e-8) -> DecompositionOfUnity:
+def spectral_projectors(h: np.ndarray) -> DecompositionOfUnity:
     """Decomposition of unity from the eigenspaces of a Hermitian matrix.
 
-    Eigenvalues closer than tol are grouped into one block, so degenerate
+    Eigenvalues closer than 1e-8 are grouped into one block, so degenerate
     spectra produce higher-rank projectors.  Ordering follows the ascending
     eigenvalue order of ``numpy.linalg.eigh``.
     """
@@ -331,7 +336,7 @@ def spectral_projectors(h: np.ndarray, tol: float = 1e-8) -> DecompositionOfUnit
     blocks = []
     start = 0
     for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[start] > tol:
+        if k == len(w) or w[k] - w[start] > 1e-8:
             vec = v[:, start:k]
             blocks.append(vec @ vec.conj().T)
             start = k

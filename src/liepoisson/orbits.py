@@ -60,15 +60,15 @@ def kks_eval(point, x, y) -> complex:
     return trace_pairing(commutator(as_matrix(x), as_matrix(y)), rho)
 
 
-def kks_welldefined_defect(point, x1, x2, y, tol: float = 1e-10) -> float:
+def kks_welldefined_defect(point, x1, x2, y) -> float:
     """|omega computed from generator x1 minus from x2| for one tangent vector.
 
     x1 and x2 must generate the same tangent vector at rho ([x1 - x2, rho] = 0
-    to tol); anything else is a usage error, not a defect, and raises.
+    to 1e-10); anything else is a usage error, not a defect, and raises.
     """
     rho = as_matrix(point)
     mismatch = float(np.max(np.abs(commutator(as_matrix(x1) - as_matrix(x2), rho))))
-    if mismatch > tol:
+    if mismatch > 1e-10:
         raise ValueError(
             f"generators disagree on the tangent vector (|[x1-x2, rho]| = {mismatch:.3g})")
     return abs(kks_eval(rho, x1, y) - kks_eval(rho, x2, y))

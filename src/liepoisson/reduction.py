@@ -19,7 +19,7 @@ factors each constructor builds once; R* swaps the lefts and the rights.
 All three satisfy the multiplicative closure law
 R*(R*(x) R*(y)) = R*(x) R*(y), which is the condition for the image bracket
 tr([R* dx, R* dy] mu) to satisfy the Jacobi identity; ``closure_defect``
-measures it directly.
+measures it directly.  Every law and check here holds to one ``TOL``.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 KINDS = ("measurement", "lower_triangularize", "group_average")
+TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,31 +87,31 @@ class ReductionOp:
         return f"ReductionOp({self.kind}, {len(self)} x {self.dim}d)"
 
 
-def _decomposition(projectors, tol: float) -> tuple:
+def _decomposition(projectors) -> tuple:
     if not isinstance(projectors, DecompositionOfUnity):
         projectors = DecompositionOfUnity(projectors)
-    if not validate_decomposition(projectors, tol):
+    if not validate_decomposition(projectors, TOL):
         raise ValueError("projectors do not form a decomposition of unity")
     return projectors.projectors
 
 
-def measurement(projectors, tol: float = 1e-10) -> ReductionOp:
+def measurement(projectors) -> ReductionOp:
     """Block-diagonal pinching over a decomposition of unity."""
-    ps = _decomposition(projectors, tol)
+    ps = _decomposition(projectors)
     return ReductionOp("measurement", ps, ps, 1)
 
 
-def lower_triangularize(projectors, tol: float = 1e-10) -> ReductionOp:
+def lower_triangularize(projectors) -> ReductionOp:
     """Block lower-triangular truncation; the order of projectors matters."""
-    ps = _decomposition(projectors, tol)
+    ps = _decomposition(projectors)
     return ReductionOp("lower_triangularize", ps, np.cumsum(ps, axis=0), 1)
 
 
-def group_average(unitaries: Sequence, tol: float = 1e-10) -> ReductionOp:
+def group_average(unitaries: Sequence) -> ReductionOp:
     """Averaging over a finite group of unitaries.
 
     The family must contain the identity, consist of unitaries, and be closed
-    under multiplication (each product must match a listed element to tol);
+    under multiplication (each product must match a listed element to TOL);
     inverses then come for free in a finite set.
     """
     us = tuple(as_matrix(u) for u in unitaries)
@@ -121,14 +122,14 @@ def group_average(unitaries: Sequence, tol: float = 1e-10) -> ReductionOp:
     for u in us:
         if u.shape[0] != n:
             raise ValueError("group elements must share one dimension")
-        if operator_norm(u @ u.conj().T - eye) > tol:
+        if operator_norm(u @ u.conj().T - eye) > TOL:
             raise ValueError("group element is not unitary")
-    if not any(operator_norm(u - eye) <= tol for u in us):
+    if not any(operator_norm(u - eye) <= TOL for u in us):
         raise ValueError("group does not contain the identity")
     for u in us:
         for v in us:
             w = u @ v
-            if not any(operator_norm(w - x) <= tol for x in us):
+            if not any(operator_norm(w - x) <= TOL for x in us):
                 raise ValueError("unitary family is not closed under products")
     return ReductionOp("group_average", us, tuple(u.conj().T for u in us),
                        len(us))
@@ -167,19 +168,19 @@ def _closure_defect(op: ReductionOp, dual_x, dual_y) -> float:
     return operator_norm(_sandwich(op.rights, a, op.operators, op.scale) - a)
 
 
-def contraction_check(op: ReductionOp, rho, tol: float = 1e-10) -> bool:
-    """Whether ||R(rho)||_1 <= ||rho||_1 (+ tol) at this rho.
+def contraction_check(op: ReductionOp, rho) -> bool:
+    """Whether ||R(rho)||_1 <= ||rho||_1 (+ TOL) at this rho.
 
     The bound is a law for ``measurement`` and ``group_average``, which are
     averages of unitary conjugations.  ``lower_triangularize`` is not a
     trace-norm contraction and can increase the trace norm: it takes
     [[.5, .4], [.4, .5]] (norm 1) to [[.5, 0], [.4, .5]] (norm 1.077).
     """
-    return trace_norm(apply(op, rho)) <= trace_norm(rho) + tol
+    return trace_norm(apply(op, rho)) <= trace_norm(rho) + TOL
 
 
-def positivity_check(op: ReductionOp, rho, tol: float = 1e-10) -> Optional[bool]:
-    """Whether R preserves positive semidefiniteness at this rho.
+def positivity_check(op: ReductionOp, rho) -> Optional[bool]:
+    """Whether R preserves positive semidefiniteness at this rho, to TOL.
 
     Returns None for lower_triangularize (its image leaves the Hermitian
     cone, so the question does not apply); otherwise rho must be PSD and the
@@ -188,14 +189,14 @@ def positivity_check(op: ReductionOp, rho, tol: float = 1e-10) -> Optional[bool]
     if op.kind == "lower_triangularize":
         return None
     rho = as_matrix(rho)
-    if operator_norm(rho - rho.conj().T) > tol:
+    if operator_norm(rho - rho.conj().T) > TOL:
         raise ValueError("positivity check needs a Hermitian state")
-    if float(np.linalg.eigvalsh(rho).min()) < -tol:
+    if float(np.linalg.eigvalsh(rho).min()) < -TOL:
         raise ValueError("positivity check needs a PSD state")
     image = apply(op, rho)
-    if operator_norm(image - image.conj().T) > tol:
+    if operator_norm(image - image.conj().T) > TOL:
         return False
-    return float(np.linalg.eigvalsh(image).min()) >= -tol
+    return float(np.linalg.eigvalsh(image).min()) >= -TOL
 
 
 def reduction_to_json(op: ReductionOp) -> dict:

@@ -171,14 +171,15 @@ def pack(state: TodaState) -> np.ndarray:
     return np.concatenate([state.x, state.p])
 
 
-def unpack(y, template: TodaState, momentum_tol: float = MOMENTUM_TOL_LOOSE) -> TodaState:
-    """Rebuild a state from a packed vector, reusing the template's weights."""
+def unpack(y, template: TodaState) -> TodaState:
+    """Rebuild a state from a packed vector, reusing the template's weights;
+    its total momentum may drift by ``MOMENTUM_TOL_LOOSE``."""
     y = np.asarray(y, dtype=float).reshape(-1)
     n = template.n
     if y.size != 2 * n - 1:
         raise ValueError(f"packed vector must have length {2 * n - 1}")
     return TodaState(y[:n - 1], y[n - 1:], template.alpha, template.lam,
-                     momentum_tol=momentum_tol)
+                     momentum_tol=MOMENTUM_TOL_LOOSE)
 
 
 def canonical_rhs(template: TodaState):
@@ -298,8 +299,7 @@ def toda_hk(k: int, a) -> Observable:
         return _canonical_grad(LOWER_COINDUCED,
                                np.linalg.matrix_power(rho + a, k - 1))
 
-    return Observable(evaluate, gradient, domain="lower",
-                      name=f"tr((rho+a)^{k})/{k}")
+    return Observable(evaluate, gradient, name=f"tr((rho+a)^{k})/{k}")
 
 
 def lax_field(pair: LaxPair, k: int = 2) -> np.ndarray:

@@ -163,6 +163,45 @@ def test_bracket_observable_iterates_correctly():
     assert np.max(np.abs(h.grad(rho) - op.commutator(a, b))) < 1e-8
 
 
+def _nonlinear_pair(seed, n, m):
+    """The product of two linear forms on (n x n, m x m) pair states."""
+    lin = [br.Observable.pair_linear(
+               seeded_random_state(seed + 2 * k, "general", n),
+               seeded_random_state(seed + 2 * k + 1, "general", m))
+           for k in (0, 1)]
+    return br.product_observable(*lin)
+
+
+@pytest.mark.parametrize("kind", ["full", "lower_coinduced", "hermitian_real",
+                                  "product"])
+def test_bracket_observable_takes_the_fd_gradient_of_its_spec(kind):
+    # a bracket of non-linear observables has the fd gradient over the
+    # spec's state space, at the nested step, bit for bit
+    quad = [br.Observable.quadratic_form(seeded_random_state(200 + k, "general", 3),
+                                         seeded_random_state(210 + k, "general", 3))
+            for k in (0, 1)]
+    general = seeded_random_state(220, "general", 3)
+    spec, f, g, state, fd = {
+        "full": (br.FULL, *quad, general, br.fd_gradient),
+        "lower_coinduced": (br.LOWER_COINDUCED, *quad,
+                            seeded_random_state(221, "lower", 3),
+                            br.fd_gradient_lower),
+        "hermitian_real": (br.HERMITIAN_REAL, *quad,
+                           op.skew_hermitian_part(general), br.fd_gradient_skew),
+        "product": (br.product(br.FULL, br.FULL), _nonlinear_pair(230, 3, 2),
+                    _nonlinear_pair(240, 3, 2),
+                    (general, seeded_random_state(222, "general", 2)),
+                    br.fd_gradient),
+    }[kind]
+    h = br.bracket_observable(spec, f, g)
+    assert not h.linear
+    got, want = h.grad(state), fd(h, state, br.FD_STEP_NESTED)
+    if kind == "product":
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_product_bracket_sums_slotwise():
     n = 3
     a1 = seeded_random_state(65, "general", n)
@@ -246,8 +285,6 @@ def test_library_inputs_outside_their_domain_raise():
         br.casimir(0)
     with pytest.raises(ValueError, match="slot must be 0 or 1"):
         br.pair_inclusion_map(2, 3)
-    with pytest.raises(ValueError, match="unknown gradient domain"):
-        br.Observable(lambda rho: 0.0, domain="bogus")
 
 
 def test_matrix_linear_map_adjoint_identity():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -550,6 +551,50 @@ def test_states_near_the_float_limit_keep_the_exit_code_contract(tmp_path,
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path
         assert (done.returncode == 3) == (scale == 1.7e308), (command, extra)
+
+
+def _scaled_lvn_inputs(scale):
+    """scale * diag(1, -1) and scale * ones((2, 2)) as matrix objects."""
+    return {"hamiltonian": {"dim": 2, "re": [scale, 0.0, 0.0, -scale],
+                            "im": [0.0] * 4},
+            "initial_state": {"dim": 2, "re": [scale] * 4, "im": [0.0] * 4}}
+
+
+_TODA3_NEAR_LIMIT = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25]}
+# explicit inputs whose flows, propagators exp(dt K), Flaschka images or
+# weights alpha lambda leave the floats, on every route of both flows
+CONTRACT_RUNS = [
+    *[(f"lvn-{scale:g}-dt{dt:g}-{method}", "lvn-run",
+       {"params": _scaled_lvn_inputs(scale),
+        "integrator": {"dt": dt, "steps": 3, "method": method}})
+      for scale in (1.0, 1e150, 1e200, 1.7e308) for dt in (1e-3, 1.0, 1e300)
+      for method in ("rk4", "isospectral")],
+    *[(f"toda-{name}-{flow}", "toda-run",
+       {"params": {"initial": dict(_TODA3_NEAR_LIMIT, **weights), "flow": flow},
+        "integrator": {"dt": 1e-3, "steps": 3}})
+      for name, weights in (
+          ("lambda1.7e308", {"alpha": [1.0, 1.0], "lambda": [1.7e308, 1.0]}),
+          ("alpha-lambda1e400", {"alpha": [1e200, 1.0], "lambda": [1e200, 1.0]}))
+      for flow in ("canonical", "lax")],
+]
+
+
+@pytest.mark.parametrize("command, payload",
+                         [run[1:] for run in CONTRACT_RUNS],
+                         ids=[run[0] for run in CONTRACT_RUNS])
+def test_whole_runs_keep_the_exit_code_contract(tmp_path, capsys, command,
+                                                payload):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out_dir = _run(tmp_path, command, payload)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err and "Warning" not in err
+    if code in (2, 3):
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+    if code == 3:
+        assert err.startswith("numerical abort: ") and err.count("\n") == 1
 
 
 def test_orbit_kks_report(tmp_path):

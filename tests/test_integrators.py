@@ -156,6 +156,17 @@ def test_constant_generator_evolve_validates_and_aborts():
     # exp(dt K) past the float limit: the first step's state is not finite
     with pytest.raises(it.NumericalAbort, match="after step 1"):
         it.evolve(rho, cfg, hgrad=np.diag([3000.0, 0.0, -3000.0]))
+    # the same where 4^s or the 1-norm of dt K overflows
+    for k in (np.diag([1e308, 0.0, -1e308]), np.full((3, 3), 1.7e308)):
+        with pytest.raises(it.NumericalAbort, match="after step 1"):
+            it.evolve(rho, cfg, hgrad=k)
+    # exp(dt K) of K = -i diag(1e147, -1e147) underflows to a finite
+    # singular matrix that no solve can conjugate by
+    ones = np.ones((2, 2), dtype=complex)
+    with pytest.raises(it.NumericalAbort, match="singular"):
+        it.evolve(1e150 * ones, it.IntegratorConfig(dt=1e-3, steps=3,
+                                                    method="isospectral"),
+                  hgrad=np.diag([-1e150j, 1e150j]))
 
 
 def test_isospectral_step_is_second_order_for_state_dependent_generators():

@@ -352,6 +352,17 @@ def test_expm_inverse_and_diagonal_identities():
     assert np.max(np.abs(np.diag(e) / np.exp(d) - 1.0)) <= 1e-13
 
 
+def test_expm_past_the_float_limit_is_non_finite_and_never_raises():
+    # 4.0 ** s overflowed for 1-norms above about 3.6e154; past the float
+    # limit the 1-norm itself overflows
+    huge = np.full((4, 4), 1.7e305, dtype=complex)
+    cases = [huge, -1e300j * np.diag([1.0, -1.0]), 1e3 * huge]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [op.expm(a) for a in cases]
+    assert all(not np.isfinite(r).all() for r in results)
+    assert np.isnan(results[2]).all()
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(seed=SEEDS, n=DIMS)
 def test_projection_pairs_are_complementary(seed, n):

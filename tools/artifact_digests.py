@@ -53,6 +53,14 @@ HUGE4 = _matrix([[1.7e308] * 4] * 4)
 TODA4 = {"N": 4, "x": [0.1, -0.2, 0.3], "p": [0.5, -0.25, 0.0, -0.25],
          "alpha": [1.0, 0.5, 0.25], "lambda": [1.0, 0.5, 0.25]}
 TODA_INF = dict(TODA4, N=INF)
+DIAG2 = _matrix([[1.0, 0.0], [0.0, -1.0]])
+ONES2 = _matrix([[1.0, 1.0], [1.0, 1.0]])
+# exp(dt K) of this hamiltonian underflows to a finite singular matrix
+DIAG2_1E150 = _matrix([[1e150, 0.0], [0.0, -1e150]])
+ONES2_1E150 = _matrix([[1e150, 1e150], [1e150, 1e150]])
+# b_1 = lambda_1 e^{x_1} overflows in the Flaschka image
+TODA3_HUGE_LAMBDA = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25],
+                     "alpha": [1.0, 1.0], "lambda": [1.7e308, 1.0]}
 # alpha b < 0: the Lax matrix has the complex spectrum +-0.1995i
 TODA2_COMPLEX = {"N": 2, "x": [-3.0], "p": [0.1, -0.1], "alpha": [-1.0],
                  "lambda": [1.0]}
@@ -160,6 +168,21 @@ CONFIGS = [
        {"params": {"N": 4, "kind": k, "state": HUGE4}})
       for k in ("measurement", "lower", "group")],
     ("orbit-overflow", "orbit-kks", {"params": {"N": 4, "state": HUGE4}}),
+    # exp(dt K) past the float limit, on the isospectral lvn-run's one
+    # propagator: 4^s, the 1-norm of dt K, and a singular propagator
+    *[(f"lvn-isospectral-overflow-{name}", "lvn-run",
+       {"params": params,
+        "integrator": {"dt": dt, "steps": 3, "method": "isospectral"}})
+      for name, params, dt in (
+          ("huge4", {"hamiltonian": HUGE4}, 1e-3),
+          ("dt1e300", {"hamiltonian": DIAG2, "initial_state": ONES2}, 1e300),
+          ("huge4-dt1", {"hamiltonian": HUGE4}, 1.0),
+          ("singular", {"hamiltonian": DIAG2_1E150,
+                        "initial_state": ONES2_1E150}, 1e-3))],
+    *[(f"toda-flaschka-overflow-{flow}", "toda-run",
+       {"params": {"initial": TODA3_HUGE_LAMBDA, "flow": flow},
+        "integrator": {"dt": 1e-3, "steps": 3}})
+      for flow in ("canonical", "lax")],
     # config faults: exit 2, nothing written
     ("lvn-non-hermitian", "lvn-run",
      {"params": {"hamiltonian": NON_HERMITIAN}, "integrator": {"steps": 5}}),
