@@ -11,16 +11,18 @@ reduce-demo  apply a reduction map to a state, write before/after + defects
 orbit-kks    sample the orbit two-form at a state, write ranks + table
 
 Every command reads one self-describing JSON config (no environment
-variables) and writes its artifacts under --out (default: current
-directory).  Runs are deterministic: identical config and library versions
-give byte-identical output files.
+variables) and writes its artifacts into --out (default: current
+directory); the config's ``output_path`` is a file name there.  Runs are
+deterministic: identical config and library versions give byte-identical
+output files.
 
 Exit codes: 0 all checks pass; 1 a check failed; 2 config error (nothing is
 written); 3 numerical abort (NaN or overflow, in a flow or in the arithmetic
 on an explicit state, or a lost invariant during integration).  Every config
 fault, also one that needs the parsed data (a non-Hermitian hamiltonian, a
-state whose size is not N), is raised by ``load_config``, before anything
-runs.
+state whose size is not N) or the file system (an --out under a file), is
+raised by ``load_config``, before anything runs.  ``run`` is the one float
+boundary: the first overflow or NaN of any command ends it with exit 3.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from . import orbits as orb
 from . import reduction as red
 from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
-from .integrators import (IntegratorConfig, NumericalAbort, Trajectory,
-                          _paired_drift, evolve)
+from .integrators import (METHODS, IntegratorConfig, NumericalAbort,
+                          Trajectory, _paired_drift, evolve)
 from .verification import _check, _reduction_op, _write_report, run_all
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
@@ -68,8 +70,9 @@ REDUCE_KINDS = {"measurement": "measurement", "lower": "lower_triangularize",
 ORBIT_MAX_N = 32
 # each sample costs O(N^3): 1000 take ~0.25 s at N = 4 and ~2.7 s at N = 32
 ORBIT_MAX_SAMPLES = 1000
-# verify takes ~1.1 s at dim 16; above it full_bracket_leibniz's absolute
-# tolerance no longer holds (dim 18: 1.3e-10 against 1e-10)
+# verify takes ~1.1 s at dim 16.  full_bracket_leibniz's absolute 1e-10 does
+# not hold at every seed inside the cap: dim 14 seed 18 gives 1.2e-10, dim 16
+# seeds 2, 9, 10, 19 give 1.0e-10 to 1.8e-10, and verify exits 1 there
 VERIFY_MAX_DIM = 16
 # lvn-run's default 1000 RK4 steps of dense N x N products: ~2.6 s at N = 64
 LVN_MAX_N = 64
@@ -165,8 +168,7 @@ def _build_integrator(raw: Optional[dict], command: str) -> IntegratorConfig:
     _require(steps >= 1, "integrator.steps must be >= 1")
     stride = _uint(raw.get("stride"), "integrator.stride", max(1, steps // 100))
     _require(stride >= 1, "integrator.stride must be >= 1")
-    method = _choice(raw.get("method"), "integrator.method",
-                     ("rk4", "isospectral"), "rk4")
+    method = _choice(raw.get("method"), "integrator.method", METHODS, "rk4")
     _require(command != "toda-run" or method == "rk4",
              "toda-run integrates with method rk4 only")
     return IntegratorConfig(dt=dt, steps=steps, stride=stride, method=method)
@@ -194,6 +196,15 @@ def load_config(path: str, command: str, out_dir: str) -> RunConfig:
     output_path = raw.get("output_path", DEFAULT_OUTPUT[command])
     _require(isinstance(output_path, str) and output_path,
              "output_path must be a non-empty string")
+    _require(output_path not in (".", "..") and "\0" not in output_path
+             and os.path.basename(output_path) == output_path,
+             f"output_path must be a file name inside --out, not {output_path!r}")
+    # --out, or its nearest existing ancestor, must be a directory
+    path = out_dir
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    _require(out_dir and os.path.isdir(path or "."),
+             f"--out {out_dir!r} cannot be made a directory")
     integrator = None
     if command in ("lvn-run", "toda-run"):
         integrator = _build_integrator(raw.get("integrator"), command)
@@ -370,12 +381,12 @@ def _run_lvn(rc: RunConfig) -> int:
                                                axis1=-2, axis2=-1))
     for k in (1, 2, 3, 4):
         traj.monitors[f"T{k}"] = op._power_traces(traj.states, k)
-    csv_path = _artifact_path(rc)
-    traj.to_csv(csv_path)
-
+    # the rows come before the CSV, so an overflow in them writes nothing
     rows = [_check(f"{key}_relative_drift", _relative_drift(traj.monitors[key]),
                    rc.params["drift_tol"])
             for key in ("T1", "T2", "T3", "T4", "energy")]
+    csv_path = _artifact_path(rc)
+    traj.to_csv(csv_path)
     return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
                          f"trajectory: {csv_path}")
 
@@ -396,8 +407,6 @@ def _lax_invariants(lax: np.ndarray, coords: np.ndarray, alpha, hk_max: int):
     return hk, np.linalg.eigvals(lax)
 
 
-# as for _run_reduce below: an explicit state's b or alpha lambda can overflow
-@np.errstate(over="raise", invalid="raise")
 def _run_toda(rc: RunConfig) -> int:
     p = rc.params
     state0 = p["initial"]
@@ -449,10 +458,6 @@ def _run_toda(rc: RunConfig) -> int:
                          f"trajectory: {csv_path}")
 
 
-# explicit states are accepted up to the float limit and their products can
-# leave it: the numpy operation that first overflows or makes a NaN raises
-# FloatingPointError, which run reports as a numerical abort
-@np.errstate(over="raise", invalid="raise")
 def _run_reduce(rc: RunConfig) -> int:
     n, kind, tol = rc.params["N"], rc.params["kind"], rc.params["tol"]
     rho = _drawn(rc, "state", _DENSITY_TAGS)
@@ -507,7 +512,6 @@ def _run_reduce(rc: RunConfig) -> int:
         trace_norm_excess=trace_norm_excess)
 
 
-@np.errstate(over="raise", invalid="raise")
 def _run_orbit(rc: RunConfig) -> int:
     n, tol = rc.params["N"], rc.params["tol"]
     rng = _stream(rc.seed, PROBE_STREAM)
@@ -554,9 +558,12 @@ _RUNNERS = {
 
 
 def run(rc: RunConfig) -> int:
-    """Execute a config from ``load_config``; returns the process exit code."""
+    """Execute a config from ``load_config``; returns the process exit code.
+    Explicit inputs reach the float limit and their products can leave it:
+    the first overflow or NaN of any command is a numerical abort."""
     try:
-        return _RUNNERS[rc.command](rc)
+        with np.errstate(over="raise", invalid="raise"):
+            return _RUNNERS[rc.command](rc)
     except (NumericalAbort, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

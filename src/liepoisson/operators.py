@@ -260,10 +260,12 @@ def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
         return float(np.max(np.abs(np.triu(m, 1)), initial=0.0)) <= tol
     if tag is ClassTag.STRICTLY_UPPER:
         return float(np.max(np.abs(np.tril(m)), initial=0.0)) <= tol
-    if tag is ClassTag.HERMITIAN:
-        return float(np.max(np.abs(m - m.conj().T))) <= tol
-    if tag is ClassTag.SKEW_HERMITIAN:
-        return float(np.max(np.abs(m + m.conj().T))) <= tol
+    # a defect past the float limit is inf, which fails any tol
+    with np.errstate(over="ignore"):
+        if tag is ClassTag.HERMITIAN:
+            return float(np.max(np.abs(m - m.conj().T))) <= tol
+        if tag is ClassTag.SKEW_HERMITIAN:
+            return float(np.max(np.abs(m + m.conj().T))) <= tol
     raise ValueError(f"unknown tag {tag!r}")
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 
@@ -579,6 +583,16 @@ CONTRACT_RUNS = [
 ]
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_strict_json(out_dir):
+    """Every JSON written parses without NaN, Infinity or -Infinity."""
+    for path in out_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 @pytest.mark.parametrize("command, payload",
                          [run[1:] for run in CONTRACT_RUNS],
                          ids=[run[0] for run in CONTRACT_RUNS])
@@ -595,6 +609,7 @@ def test_whole_runs_keep_the_exit_code_contract(tmp_path, capsys, command,
         assert not out_dir.exists() or not any(out_dir.iterdir())
     if code == 3:
         assert err.startswith("numerical abort: ") and err.count("\n") == 1
+    _assert_strict_json(out_dir)
 
 
 def test_orbit_kks_report(tmp_path):
@@ -636,20 +651,32 @@ def test_zero_stride_is_a_config_error(tmp_path, capsys):
         assert "config error: integrator.stride must be >= 1" in capsys.readouterr().err
 
 
-def test_unknown_config_keys_are_rejected(tmp_path):
+def test_unknown_config_keys_are_rejected(tmp_path, capsys):
+    (tmp_path / "afile").write_text("kept")
     cases = [
-        {"seeds": 1},
-        {"params": {"dim": 4, "bogus": 1}},
-        {"seed": -3},
-        {"seed": "many"},
-        {"command": "toda-run"},
-        {"params": {"dim": 5}},
-        {"integrator": {"dt": 1e-3}},
+        ({"seeds": 1}, "out"),
+        ({"params": {"dim": 4, "bogus": 1}}, "out"),
+        ({"seed": -3}, "out"),
+        ({"seed": "many"}, "out"),
+        ({"command": "toda-run"}, "out"),
+        ({"params": {"dim": 5}}, "out"),
+        ({"integrator": {"dt": 1e-3}}, "out"),
+        # output locations that cannot be written, or lie outside --out
+        ({}, "afile"),
+        ({}, "afile/sub"),
+        ({"output_path": "sub/x.json"}, "out"),
+        ({"output_path": "../escape.json"}, "out"),
+        ({"output_path": str(tmp_path / "absolute.json")}, "out"),
+        ({"output_path": "nul\0.json"}, "out"),
     ]
-    for payload in cases:
-        code, out_dir = _run(tmp_path, "verify", payload)
-        assert code == 2, payload
-        assert not out_dir.exists()
+    for payload, out in cases:
+        code, out_dir = _run(tmp_path, "verify", payload, out=out)
+        assert code == 2, (payload, out)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out_dir.is_dir()
+    assert (tmp_path / "afile").read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
 
 def test_malformed_or_missing_config_file(tmp_path):
@@ -982,7 +1009,7 @@ def _configs(command):
     return st.tuples(st.just(command), (config | _JSON).map(json.dumps))
 
 
-@settings(max_examples=300, deadline=None,
+@settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(cli.COMMANDS).flatmap(_configs))
 @example(case=INFINITE_SIZES[0])
@@ -999,3 +1026,85 @@ def test_load_config_returns_a_run_config_or_raises_config_error(tmp_path, case)
     except cli.ConfigError:
         return
     assert isinstance(rc, cli.RunConfig)
+
+
+# ------------------------------------------------- the whole-run contract
+
+_SCALES = st.floats(0.0, 308.0).map(lambda e: 10.0 ** e) | st.just(1.7e308)
+
+
+def _unit(size):
+    return st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)
+
+
+def _explicit_matrix(n, hermitian):
+    """An n x n matrix object with entries up to a drawn scale; the scale
+    multiplies a Hermitian matrix into an exactly Hermitian one."""
+    def build(args):
+        re, im, scale = args
+        m = np.reshape(re, (n, n)) + 1j * np.reshape(im, (n, n))
+        if hermitian:
+            m = (m + m.conj().T) / 2
+        return op.matrix_to_json(scale * m)
+    return st.tuples(_unit(n * n), _unit(n * n), _SCALES).map(build)
+
+
+def _integrator(method):
+    return st.fixed_dictionaries({
+        "dt": st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e),
+        "steps": st.integers(1, 3), "method": method})
+
+
+@st.composite
+def _whole_runs(draw):
+    """An explicit 2..4-dimensional run of one of the four run commands."""
+    command = draw(st.sampled_from(["lvn-run", "toda-run", "reduce-demo",
+                                    "orbit-kks"]))
+    n = draw(st.integers(2, 4))
+    if command == "lvn-run":
+        params = {"hamiltonian": draw(_explicit_matrix(n, draw(st.booleans()))),
+                  "initial_state": draw(_explicit_matrix(n, False))}
+        method = st.sampled_from(["rk4", "isospectral"])
+        return command, {"params": params, "integrator": draw(_integrator(method))}
+    if command == "toda-run":
+        # the last momentum cancels the sum of the others exactly
+        p = [draw(_SCALES) * v for v in draw(_unit(n - 1))]
+        initial = {"N": n, "x": [800.0 * v for v in draw(_unit(n - 1))],
+                   "p": p + [-sum(p)],
+                   "alpha": [2.0 * v for v in draw(_unit(n - 1))],
+                   "lambda": [draw(_SCALES) * v for v in draw(_unit(n - 1))]}
+        params = {"initial": initial,
+                  "flow": draw(st.sampled_from(["canonical", "lax"]))}
+        return command, {"params": params,
+                         "integrator": draw(_integrator(st.just("rk4")))}
+    params = {"N": n, "state": draw(_explicit_matrix(n, draw(st.booleans())))}
+    if command == "reduce-demo":
+        params["kind"] = draw(st.sampled_from(sorted(cli.REDUCE_KINDS)))
+    else:
+        params["samples"] = draw(st.integers(1, 3))
+    return command, {"params": params}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_whole_runs())
+# the flow stays finite, and only its monitors tr(rho^3), tr(rho^4) overflow
+@example(case=("lvn-run", {"params": _scaled_lvn_inputs(1.0) | {
+    "initial_state": {"dim": 2, "re": [1e120] * 4, "im": [0.0] * 4}},
+    "integrator": {"dt": 1e-3, "steps": 3, "method": "rk4"}}))
+def test_fuzzed_whole_runs_keep_the_exit_code_contract(case):
+    command, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code, out_dir = _run(tmp, command, payload)
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err and "Warning" not in err
+        if code in (2, 3):
+            assert not out_dir.exists() or not any(out_dir.iterdir())
+        _assert_strict_json(out_dir)

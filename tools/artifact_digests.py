@@ -58,6 +58,7 @@ ONES2 = _matrix([[1.0, 1.0], [1.0, 1.0]])
 # exp(dt K) of this hamiltonian underflows to a finite singular matrix
 DIAG2_1E150 = _matrix([[1e150, 0.0], [0.0, -1e150]])
 ONES2_1E150 = _matrix([[1e150, 1e150], [1e150, 1e150]])
+ONES2_1E120 = _matrix([[1e120, 1e120], [1e120, 1e120]])
 # b_1 = lambda_1 e^{x_1} overflows in the Flaschka image
 TODA3_HUGE_LAMBDA = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25],
                      "alpha": [1.0, 1.0], "lambda": [1.7e308, 1.0]}
@@ -179,6 +180,11 @@ CONFIGS = [
           ("huge4-dt1", {"hamiltonian": HUGE4}, 1.0),
           ("singular", {"hamiltonian": DIAG2_1E150,
                         "initial_state": ONES2_1E150}, 1e-3))],
+    # the flow stays finite, and only the monitors tr(rho^3), tr(rho^4)
+    # overflow
+    ("lvn-monitor-overflow", "lvn-run",
+     {"params": {"hamiltonian": DIAG2, "initial_state": ONES2_1E120},
+      "integrator": {"dt": 1e-3, "steps": 3}}),
     *[(f"toda-flaschka-overflow-{flow}", "toda-run",
        {"params": {"initial": TODA3_HUGE_LAMBDA, "flow": flow},
         "integrator": {"dt": 1e-3, "steps": 3}})
@@ -192,6 +198,7 @@ CONFIGS = [
     ("orbit-state-dim", "orbit-kks", {"params": {"N": 4, "state": H3}}),
     ("toda-initial-N", "toda-run",
      {"params": {"N": 5, "initial": TODA4}, "integrator": {"steps": 5}}),
+    ("output-path-subdir", "reduce-demo", {"output_path": "sub/x.json"}),
     ("toda-t-end-overflow", "toda-run",
      {"params": {"t_end": 1e300}, "integrator": {"dt": 1e-10}}),
     ("lvn-hamiltonian-dim-inf", "lvn-run",
