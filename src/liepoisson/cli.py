@@ -20,9 +20,10 @@ Exit codes: 0 all checks pass; 1 a check failed; 2 config error (nothing is
 written); 3 numerical abort (NaN or overflow, in a flow or in the arithmetic
 on an explicit state, or a lost invariant during integration).  Every config
 fault, also one that needs the parsed data (a non-Hermitian hamiltonian, a
-state whose size is not N) or the file system (an --out under a file), is
-raised by ``load_config``, before anything runs.  ``run`` is the one float
-boundary: the first overflow or NaN of any command ends it with exit 3.
+state whose size is not N) or the file system (an --out under a file, a
+directory where an artifact goes), is raised by ``load_config``, before
+anything runs.  ``run`` is the one float boundary: the first overflow or
+NaN of any command ends it with exit 3.
 """
 
 from __future__ import annotations
@@ -205,8 +206,16 @@ def load_config(path: str, command: str, out_dir: str) -> RunConfig:
         path = os.path.dirname(path)
     _require(out_dir and os.path.isdir(path or "."),
              f"--out {out_dir!r} cannot be made a directory")
+    # and no directory may stand where an artifact is to be written
+    trajectory = command in ("lvn-run", "toda-run")
+    names = [output_path]
+    if trajectory:
+        names.append(_summary_name(output_path))
+    for name in names:
+        _require(not os.path.isdir(os.path.join(out_dir, name)),
+                 f"--out {out_dir!r} holds a directory named {name!r}")
     integrator = None
-    if command in ("lvn-run", "toda-run"):
+    if trajectory:
         integrator = _build_integrator(raw.get("integrator"), command)
     else:
         _require("integrator" not in raw,
@@ -335,8 +344,8 @@ def _artifact_path(rc: RunConfig, name: Optional[str] = None) -> str:
     return os.path.join(rc.out_dir, name if name else rc.output_path)
 
 
-def _summary_name(rc: RunConfig) -> str:
-    stem, _ = os.path.splitext(rc.output_path)
+def _summary_name(output_path: str) -> str:
+    stem, _ = os.path.splitext(output_path)
     return f"{stem}_summary.json"
 
 
@@ -387,20 +396,23 @@ def _run_lvn(rc: RunConfig) -> int:
             for key in ("T1", "T2", "T3", "T4", "energy")]
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
-    return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
-                         f"trajectory: {csv_path}")
+    summary = _artifact_path(rc, _summary_name(rc.output_path))
+    return _write_report(summary, rows, f"trajectory: {csv_path}")
 
 
-def _lax_invariants(lax: np.ndarray, coords: np.ndarray, alpha, hk_max: int):
-    """h1..h_kmax of each Lax matrix of an (R, N, N) stack, in the bits of
-    the per-matrix formula, and the (R, N) stack of their spectra.
+def _lax_invariants(coords: np.ndarray, alpha, hk_max: int):
+    """h1..h_kmax of the Lax matrix L = rho + a of each row of the
+    (R, 2N - 1) coordinates (p, b), and the (R, N) stack of their spectra.
 
-    ``coords`` are the (R, 2N - 1) coordinates (p, b) of the stack.  Where
-    every alpha_i b_i >= 0, L is similar to the real symmetric Jacobi matrix
-    of ``toda._jacobi_matrix`` and the spectra are its ``eigvalsh``, real and
-    ascending; otherwise L can have complex eigenvalues, and they are the
-    complex ``eigvals`` of L, unordered.
+    L is real and tridiagonal, and both come from the one real (R, N, N)
+    stack ``toda._lax_matrix``: h_k = tr(L^k)/k by ``_power_traces``, in the
+    bits of the per-matrix formula.  Where every alpha_i b_i >= 0, L is
+    similar to the real symmetric Jacobi matrix of ``toda._jacobi_matrix``
+    and the spectra are its ``eigvalsh``, real and ascending; otherwise L
+    can have complex eigenvalues, and they are the ``eigvals`` of the real
+    L, unordered.
     """
+    lax = td._lax_matrix(coords, alpha)
     hk = {f"h{k}": op._power_traces(lax, k) for k in range(1, hk_max + 1)}
     if (alpha * coords[:, lax.shape[-1]:] >= 0).all():
         return hk, np.linalg.eigvalsh(td._jacobi_matrix(coords, alpha))
@@ -413,38 +425,37 @@ def _run_toda(rc: RunConfig) -> int:
     if isinstance(state0, str):
         state0 = seeded_random_state(rc.seed, "toda", p["N"])
     hk_max, tol = p["hk_max"], p["drift_tol"]
-    n, a = state0.n, td.flaschka(state0).a
-    canonical = p["flow"] == "canonical"
-    if canonical:
-        y0, rhs = td.pack(state0), td.canonical_rhs(state0)
-
+    n = state0.n
+    # the validated Flaschka image of the initial state, where its overflow
+    # aborts
+    pair0 = td.flaschka(state0)
+    if p["flow"] == "canonical":
         def momentum(y):
             # RK4 keeps the total momentum up to roundoff; a diverging flow
             # loses it, and aborts at the first recorded state that did
-            total = float(np.sum(y[n - 1:]))
+            total = float(y[n - 1:].sum())
             if abs(total) > td.MOMENTUM_TOL_LOOSE:
                 raise NumericalAbort("canonical Toda flow broke an invariant: "
                                      "total momentum must vanish")
             return total
 
-        traj = evolve(y0, rc.integrator, rhs=rhs, monitors={"momentum": momentum})
+        traj = evolve(td.pack(state0), rc.integrator,
+                      rhs=td.canonical_rhs(state0),
+                      monitors={"momentum": momentum})
         states, columns = traj.states, td.toda_columns(n)
         coords = td._flaschka_coords(states[:, :n - 1], states[:, n - 1:],
                                      state0.lam)
-        lax = td._bidiagonal_matrix(coords)
-        lax += a
     else:
         # the flow runs on y = (p, b); the CSV writes the re_ij/im_ij columns
-        # of the dense rho of each recorded state
-        y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)
-        traj = evolve(y0, rc.integrator, rhs=td.bidiagonal_rhs(state0.alpha))
+        # of the dense complex rho of each recorded state
+        traj = evolve(td._bidiagonal_coords(pair0.rho), rc.integrator,
+                      rhs=td.bidiagonal_rhs(state0.alpha))
         coords, columns = traj.states, None
         states = td._bidiagonal_matrix(coords)
-        lax = states + a
-    # every column is evaluated once, on the (R, N, N) stack of the R
-    # recorded L = rho + a and on their (R, 2N - 1) coordinates (p, b); the
-    # stacked calls give the per-matrix bits
-    hk, spectrum = _lax_invariants(lax, coords, state0.alpha, hk_max)
+    # every column is evaluated once, on the (R, 2N - 1) recorded
+    # coordinates (p, b) and the real (R, N, N) stack of L = rho + a they
+    # give; the stacked calls give the per-matrix bits
+    hk, spectrum = _lax_invariants(coords, state0.alpha, hk_max)
     # the rows come before the CSV, so an overflow in them writes nothing
     rows = [_check(f"{name}_relative_drift", _relative_drift(column), tol)
             for name, column in hk.items()]
@@ -454,8 +465,8 @@ def _run_toda(rc: RunConfig) -> int:
 
     csv_path = _artifact_path(rc)
     Trajectory(traj.times, states, hk).to_csv(csv_path, columns)
-    return _write_report(_artifact_path(rc, _summary_name(rc)), rows,
-                         f"trajectory: {csv_path}")
+    summary = _artifact_path(rc, _summary_name(rc.output_path))
+    return _write_report(summary, rows, f"trajectory: {csv_path}")
 
 
 def _run_reduce(rc: RunConfig) -> int:

@@ -23,8 +23,9 @@ canonical flow equals the k = 2 Lax field exactly (an algebraic identity, not
 an approximation; ``intertwining_defect`` is roundoff), and the h_k mutually
 Poisson-commute under the lower-coinduced bracket (``involution_defect``).
 
-Positions above ~700 overflow exp; those evaluations raise NumericalAbort
-rather than return inf.
+Positions above ~700 overflow exp.  Where a state comes from outside,
+``toda_hamiltonian``, ``canonical_field``, ``flaschka`` and
+``flaschka_tangent`` raise NumericalAbort for them rather than return inf.
 
 The k = 2 flow keeps rho lower bidiagonal, rho = diag(p) + sum_i b_i E_{i+1,i},
 so it also runs on the real vector y = (p, b) of length 2N - 1:
@@ -38,14 +39,24 @@ the states it records.  The dense field ``lax_field``/``lax_rhs`` serves
 every k and is the reference the (p, b) flow is checked against.
 
 ``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
-inputs when they are built; the fields themselves trust them, so a dense RK4
-stage costs the matrix power, two matrix products and two selections with
-cached triangle masks, and a diverging flow reaches the integrator's
-finiteness check instead of failing inside a stage.
+inputs when they are built, and ``canonical_rhs(template)`` takes the
+weights of a validated ``TodaState``; the fields themselves trust them,
+so a dense RK4 stage costs the matrix power, two matrix products and two
+selections with cached triangle masks, a canonical stage one unguarded
+``np.exp``, and a diverging flow, also one whose positions pass the exp
+limit, reaches the integrator's finiteness check instead of failing inside
+a stage.
+
+The Lax matrix L = rho + a of y = (p, b) is real and tridiagonal: diagonal
+p, subdiagonal b, superdiagonal alpha (``_lax_matrix``).  ``toda-run``
+evaluates h_1..h_kmax on the real stack of the L it records, and builds the
+complex rho (``_bidiagonal_matrix``) only for the Lax flow's CSV columns.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +105,20 @@ def _as_float_vector(v, length: int, label: str) -> np.ndarray:
     return v
 
 
+def _momentum_vanishes(p: np.ndarray, tol: float) -> bool:
+    """|sum p| <= tol for finite p, with no overflow on the way.
+
+    While 2 N max|p| stays under the float limit no partial sum can pass
+    it, and the sum is np.sum's, bit for bit.  Beyond that the sum runs on
+    p 2^-s with 2^s > N, which keeps every partial sum finite, against
+    tol 2^-s: above the subnormal range, scaling by a power of two commutes
+    with the rounding."""
+    if np.max(np.abs(p)) <= sys.float_info.max / (2 * p.size):
+        return abs(float(np.sum(p))) <= tol
+    s = p.size.bit_length()
+    return abs(float(np.sum(np.ldexp(p, -s)))) <= math.ldexp(tol, -s)
+
+
 @dataclass(frozen=True)
 class TodaState:
     """Canonical data (x, p) plus bond weights (alpha, lam) for N sites."""
@@ -112,7 +137,7 @@ class TodaState:
         object.__setattr__(self, "x", _as_float_vector(x, n - 1, "x"))
         object.__setattr__(self, "alpha", _as_float_vector(alpha, n - 1, "alpha"))
         object.__setattr__(self, "lam", _as_float_vector(lam, n - 1, "lam"))
-        if abs(float(np.sum(self.p))) > momentum_tol:
+        if not _momentum_vanishes(self.p, momentum_tol):
             raise ValueError("total momentum must vanish")
         if np.any(self.lam == 0.0):
             raise ValueError("couplings lam must be nonzero")
@@ -150,19 +175,20 @@ def _bond_telescope(c, out):
     return out
 
 
-def _canonical_field(x, p, weight, out):
-    """(xdot, pdot) written into out[:N-1] and out[N-1:]; weight = alpha lam."""
-    m = x.size
+def _canonical_field(bond_exp, p, weight, out):
+    """(xdot, pdot) written into out[:N-1] and out[N-1:], from the bond
+    exponentials e^{x_k} and weight = alpha lam."""
+    m = bond_exp.size
     np.subtract(p[:-1], p[1:], out=out[:m])
-    _bond_telescope(weight * _bond_exponentials(x), out[m:])  # bond forces
+    _bond_telescope(weight * bond_exp, out[m:])  # bond forces
     return out
 
 
 def canonical_field(state: TodaState):
     """(xdot, pdot) of the canonical equations of motion."""
     m = state.x.size
-    out = _canonical_field(state.x, state.p, state.alpha * state.lam,
-                           np.empty(2 * m + 1))
+    out = _canonical_field(_bond_exponentials(state.x), state.p,
+                           state.alpha * state.lam, np.empty(2 * m + 1))
     return out[:m], out[m:]
 
 
@@ -183,11 +209,14 @@ def unpack(y, template: TodaState) -> TodaState:
 
 
 def canonical_rhs(template: TodaState):
-    """rhs(t, y) on packed vectors, suitable for the rk4 integrator."""
+    """rhs(t, y) on packed vectors, suitable for the rk4 integrator.
+
+    The closure trusts y: positions past the exp limit give inf, and
+    ``evolve``'s per-step check aborts the run."""
     weight, m = template.alpha * template.lam, template.n - 1
 
     def rhs(t, y):
-        return _canonical_field(y[:m], y[m:], weight, np.empty_like(y))
+        return _canonical_field(np.exp(y[:m]), y[m:], weight, np.empty_like(y))
 
     return rhs
 
@@ -216,15 +245,30 @@ class LaxPair:
         return self.rho + self.a
 
 
+def _tridiagonal(diag, lower, upper, dtype=float) -> np.ndarray:
+    """The matrices with diagonal ``diag``, subdiagonal ``lower`` and
+    superdiagonal ``upper``; an (R, N, N) stack for (R, ...) rows."""
+    n = diag.shape[-1]
+    k = np.arange(n)
+    m = np.zeros((*diag.shape[:-1], n, n), dtype=dtype)
+    m[..., k, k] = diag
+    m[..., k[1:], k[:-1]] = lower
+    m[..., k[:-1], k[1:]] = upper
+    return m
+
+
 def _bidiagonal_matrix(y) -> np.ndarray:
     """The complex matrix diag(p) + sum_i b_i E_{i+1,i} of y = (p, b), or
     the (R, N, N) stack of the R rows of an (R, 2N - 1) stack."""
     n = (y.shape[-1] + 1) // 2
-    k = np.arange(n)
-    rho = np.zeros((*y.shape[:-1], n, n), dtype=complex)
-    rho[..., k, k] = y[..., :n]
-    rho[..., k[1:], k[:-1]] = y[..., n:]
-    return rho
+    return _tridiagonal(y[..., :n], y[..., n:], 0.0, complex)
+
+
+def _lax_matrix(y, alpha) -> np.ndarray:
+    """The real Lax matrix L = rho + a of y = (p, b): diagonal p,
+    subdiagonal b and superdiagonal alpha; row by row for a stack."""
+    n = (y.shape[-1] + 1) // 2
+    return _tridiagonal(y[..., :n], y[..., n:], alpha)
 
 
 def _jacobi_matrix(y, alpha) -> np.ndarray:
@@ -235,13 +279,8 @@ def _jacobi_matrix(y, alpha) -> np.ndarray:
     characteristic polynomial of a tridiagonal matrix depends on its
     off-diagonal entries only through the products alpha_i b_i."""
     n = (y.shape[-1] + 1) // 2
-    k = np.arange(n)
     off = np.sqrt(alpha * y[..., n:])
-    jac = np.zeros((*y.shape[:-1], n, n))
-    jac[..., k, k] = y[..., :n]
-    jac[..., k[1:], k[:-1]] = off
-    jac[..., k[:-1], k[1:]] = off
-    return jac
+    return _tridiagonal(y[..., :n], off, off)
 
 
 def _bidiagonal_coords(rho) -> np.ndarray:

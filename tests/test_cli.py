@@ -251,12 +251,12 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     if flow == "canonical":
         table, _ = _csv_table(out_dir / "toda_trajectory.csv")
         ys = np.column_stack([table[c] for c in td.toda_columns(n)])
-        laxes = [td.flaschka(td.unpack(y, state0)).lax for y in ys]
+        laxes = [td.flaschka(td.unpack(y, state0)).lax.real for y in ys]
         coords = np.array([td._flaschka_coords(y[:n - 1], y[n - 1:], state0.lam)
                            for y in ys])
     else:
         table, rhos = _csv_table(out_dir / "toda_trajectory.csv", n)
-        laxes = [rho + a for rho in rhos]
+        laxes = [(rho + a).real for rho in rhos]
         coords = np.array([td._bidiagonal_coords(rho) for rho in rhos])
     want = {f"h{k}": np.array([_reference_hk(lax, k) for lax in laxes])
             for k in range(1, hk_max + 1)}
@@ -267,8 +267,7 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     assert (state0.alpha * coords[:, n:] > 0).all()
     spectra = np.array([np.linalg.eigvalsh(_reference_jacobi(y, state0.alpha))
                         for y in coords])
-    hk, spectrum = cli._lax_invariants(np.array(laxes), coords, state0.alpha,
-                                       hk_max)
+    hk, spectrum = cli._lax_invariants(coords, state0.alpha, hk_max)
     assert spectrum.tobytes() == spectra.tobytes()
     # and they are the real spectra of L itself, in ascending order
     dense = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
@@ -283,6 +282,90 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     spread = max(float(np.max(np.abs(spectra[0]))), 1e-30)
     assert (drift["lax_spectrum_relative_drift"]
             == float(np.max(np.abs(spectra - spectra[0]))) / spread)
+
+
+def _gamma(m):
+    # Higham's gamma_m = m u / (1 - m u), u the unit roundoff
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+@pytest.mark.parametrize("signs", ["positive", "negative", "mixed"])
+def test_real_h_columns_stay_within_roundoff_of_the_complex_traces(signs):
+    # The h-columns come from the real stack of L; the complex dense stack
+    # they came from before gives the same values up to roundoff.  Both
+    # compute the walk sum tr(L^k) = sum over closed k-walks of products of
+    # entries, whose terms sum in absolute value to tr(|L|^k): that is the
+    # scale.  A product whose inner sums have at most q nonzero terms errs
+    # by at most gamma_q |A||B| entrywise (Higham, Thm 3.5: a zero term adds
+    # no rounding, and a complex product of reals rounds as the real one),
+    # and errors of factors compose as (1 + gamma_a)(1 + gamma_b) <=
+    # 1 + gamma_(a+b).  matrix_power reaches L^k, k <= 8, by at most four
+    # products of banded powers (L^8 = L^4 L^4 from L^4 = L^2 L^2 from
+    # L^2 = L L), with q <= 3, 5, 9: gamma_31 at worst (L^7: 24).  The
+    # trace adds gamma_(N-1) and the division by k one rounding, so each
+    # route is within gamma_(N+31) tr(|L|^k)/k of h_k, and the two within
+    # twice that.
+    rng = np.random.default_rng(2024)
+    hk_max = 8
+    for n in range(2, 41):
+        p = rng.standard_normal((4, n))
+        b = np.exp(rng.standard_normal((4, n - 1)))
+        alpha = np.exp(rng.standard_normal(n - 1))
+        if signs == "negative":
+            alpha = -alpha
+        elif signs == "mixed":
+            alpha *= rng.choice([-1.0, 1.0], n - 1)
+        coords = np.concatenate([p, b], axis=1)
+        hk, _ = cli._lax_invariants(coords, alpha, hk_max)
+        lax = td._lax_matrix(coords, alpha)
+        for k in range(1, hk_max + 1):
+            dense = op._power_traces(lax.astype(complex), k)
+            size = op._power_traces(np.abs(lax), k)
+            gap = np.abs(hk[f"h{k}"] - dense)
+            assert (gap <= 2 * _gamma(n + 31) * size).all(), (n, k)
+
+
+def _reference_canonical_rhs(template):
+    # the canonical stage the CLI ran before, with the exp guard in it
+    weight, m = template.alpha * template.lam, template.n - 1
+
+    def rhs(t, y):
+        x, p = y[:m], y[m:]
+        if (x > td.X_OVERFLOW_LIMIT).any():
+            raise it.NumericalAbort("Toda position exceeds the exp limit")
+        force = weight * np.exp(x)
+        pdot = np.concatenate([[0.0], force]) - np.concatenate([force, [0.0]])
+        return np.concatenate([p[:-1] - p[1:], pdot])
+
+    return rhs
+
+
+@pytest.mark.parametrize("flow", ["canonical", "lax"])
+def test_toda_run_state_columns_keep_their_bits(tmp_path, flow):
+    # the state columns do not move with the h-columns: the canonical
+    # (x, p) are the RK4 states of the guarded stage, and the Lax re_ij,
+    # im_ij those of the dense complex rho of each recorded (p, b)
+    n, seed = 12, 5
+    cfg = it.IntegratorConfig(dt=1e-2, steps=60, stride=3)
+    payload = {"seed": seed, "params": {"N": n, "flow": flow},
+               "integrator": {"dt": cfg.dt, "steps": cfg.steps,
+                              "stride": cfg.stride}}
+    code, out_dir = _run(tmp_path, "toda-run", payload)
+    assert code == 0
+    state0 = cli.seeded_random_state(seed, "toda", n)
+    if flow == "canonical":
+        table, _ = _csv_table(out_dir / "toda_trajectory.csv")
+        got = np.column_stack([table[c] for c in td.toda_columns(n)])
+        want = it.evolve(td.pack(state0), cfg,
+                         rhs=_reference_canonical_rhs(state0)).states
+    else:
+        _, got = _csv_table(out_dir / "toda_trajectory.csv", n)
+        y0 = np.concatenate([state0.p, state0.lam * np.exp(state0.x)])
+        ys = it.evolve(y0, cfg, rhs=td.bidiagonal_rhs(state0.alpha)).states
+        want = np.array([np.diag(y[:n]).astype(complex) + np.diag(y[n:], -1)
+                         for y in ys])
+    assert got.tobytes() == want.tobytes()
 
 
 def _spectrum_routes(monkeypatch):
@@ -677,6 +760,26 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
         assert not out_dir.is_dir()
     assert (tmp_path / "afile").read_text() == "kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
+@pytest.mark.parametrize("command, payload, name", [
+    ("verify", {}, "report.json"),
+    ("reduce-demo", {}, "reduction_report.json"),
+    ("orbit-kks", {}, "orbit_report.json"),
+    ("lvn-run", {}, "lvn_trajectory.csv"),
+    ("lvn-run", {}, "lvn_trajectory_summary.json"),
+    ("toda-run", {}, "toda_trajectory_summary.json"),
+    ("toda-run", {"output_path": "run.csv"}, "run_summary.json"),
+])
+def test_a_directory_where_an_artifact_goes_is_a_config_error(
+        tmp_path, capsys, command, payload, name):
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code, out_dir = _run(tmp_path, command, payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert repr(name) in err
+    assert list(out_dir.rglob("*")) == [out_dir / name]
 
 
 def test_malformed_or_missing_config_file(tmp_path):

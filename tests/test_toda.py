@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,11 +188,63 @@ def test_lax_flow_preserves_the_spectrum():
 
 
 def test_overflow_positions_abort():
+    # the public entries check the positions of a state from outside
     state = td.TodaState([800.0], [0.0, 0.0], [1.0], [1.0])
-    with pytest.raises(it.NumericalAbort):
-        td.toda_hamiltonian(state)
-    with pytest.raises(it.NumericalAbort):
-        td.flaschka(state)
+    assert state.x[0] > td.X_OVERFLOW_LIMIT
+    for entry in (td.toda_hamiltonian, td.flaschka, td.canonical_field,
+                  lambda s: td.flaschka_tangent(s, [0.0], [0.0, 0.0])):
+        with pytest.raises(it.NumericalAbort, match="exp overflow limit"):
+            entry(state)
+
+
+def test_canonical_flow_past_the_exp_limit_aborts_at_the_step_check():
+    # the stages trust their positions.  alpha < 0 makes the bond attract,
+    # and lambda = 1e-300 keeps its force negligible below x ~ 690: x gains
+    # 200 a step, the stages of step 4 pass the exp limit, e^x turns inf,
+    # and evolve's per-step finiteness check ends the run
+    state = td.TodaState([0.0], [100.0, -100.0], [-1.0], [1e-300])
+    cfg = it.IntegratorConfig(dt=1.0, steps=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(it.NumericalAbort,
+                           match="^non-finite state after step 4$"):
+            it.evolve(td.pack(state), cfg, rhs=td.canonical_rhs(state))
+
+
+def test_momentum_check_cannot_overflow():
+    huge = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # every float sum of these momenta in this order overflows; their
+        # total is 0, or 3.4e308
+        state = td.TodaState([0.0] * 3, [huge, huge, -huge, -huge],
+                             [1.0] * 3, [1.0] * 3)
+        with pytest.raises(ValueError, match="total momentum must vanish"):
+            td.TodaState([0.0] * 3, [huge, huge, huge, -huge], [1.0] * 3,
+                         [1.0] * 3)
+        # under the float boundary of the CLI, unpack takes the same check
+        with np.errstate(over="raise", invalid="raise"):
+            again = td.unpack(td.pack(state), state)
+    assert np.array_equal(again.p, state.p)
+
+
+@given(SEEDS)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_momentum_check_decides_as_the_float_sum(seed):
+    # momenta whose sum cannot overflow are checked on np.sum's bits; the
+    # same momenta scaled by 2^e past that bound decide as they do, since
+    # scaling by a power of two commutes with the rounding
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    p = rng.standard_normal(n)
+    p[-1] = -np.sum(p[:-1]) + rng.choice([0.0, 1e-13, 1e-12, 1e-11])
+    tol = td.MOMENTUM_TOL
+    vanishes = abs(float(np.sum(p))) <= tol
+    assert td._momentum_vanishes(p, tol) == vanishes
+    e = 1023 - int(np.frexp(np.max(np.abs(p)))[1])  # max|p| 2^e >= 2^1022
+    huge = np.ldexp(p, e)
+    assert np.max(np.abs(huge)) > sys.float_info.max / (2 * n)
+    assert td._momentum_vanishes(huge, math.ldexp(tol, e)) == vanishes
 
 
 def test_columns_for_csv_output():

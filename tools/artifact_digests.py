@@ -11,7 +11,8 @@ one at a time, against the ``src/`` next to this file, and prints
     <label> stderr <sha256>
     <label> <artifact> <sha256>      one line per file written, sorted
 
-with the output directory replaced by ``OUT`` in stdout and stderr.  Two
+with the output directory replaced by ``OUT`` in stdout and stderr.  A few
+labels find empty directories in the output directory (``PREMADE_DIRS``).  Two
 trees that behave the same print the same lines.  Given a git revision, the
 script extracts that revision's ``src/`` with ``git archive`` into a
 temporary directory, runs every config against both trees, and prints only
@@ -65,6 +66,14 @@ TODA3_HUGE_LAMBDA = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25],
 # alpha b < 0: the Lax matrix has the complex spectrum +-0.1995i
 TODA2_COMPLEX = {"N": 2, "x": [-3.0], "p": [0.1, -0.1], "alpha": [-1.0],
                  "lambda": [1.0]}
+# alpha < 0 makes the bond attract: x'' = 2 e^x blows up at t = pi / 2, and
+# x passes the exp limit in the middle of the canonical flow
+TODA2_BLOW_UP = {"N": 2, "x": [0.0], "p": [0.0, 0.0], "alpha": [-1.0],
+                 "lambda": [1.0]}
+# the total momentum vanishes, but a float sum of the momenta overflows
+TODA4_HUGE_P = {"N": 4, "x": [0.0] * 3, "p": [1.7e308, 1.7e308, -1.7e308,
+                                              -1.7e308],
+                "alpha": [1.0] * 3, "lambda": [1.0] * 3}
 
 LAX = {"dt": 1e-3, "steps": 300, "stride": 30}
 BENCH_SEED = 2024 * 16  # perfbench gives its n-th invocation seed * 16 + n
@@ -189,6 +198,11 @@ CONFIGS = [
        {"params": {"initial": TODA3_HUGE_LAMBDA, "flow": flow},
         "integrator": {"dt": 1e-3, "steps": 3}})
       for flow in ("canonical", "lax")],
+    ("toda-canonical-exp-limit-mid-flow", "toda-run",
+     {"params": {"initial": TODA2_BLOW_UP},
+      "integrator": {"dt": 1e-3, "steps": 3000, "stride": 100}}),
+    ("toda-momentum-sum-overflow", "toda-run",
+     {"params": {"initial": TODA4_HUGE_P}, "integrator": {"steps": 5}}),
     # config faults: exit 2, nothing written
     ("lvn-non-hermitian", "lvn-run",
      {"params": {"hamiltonian": NON_HERMITIAN}, "integrator": {"steps": 5}}),
@@ -199,6 +213,9 @@ CONFIGS = [
     ("toda-initial-N", "toda-run",
      {"params": {"N": 5, "initial": TODA4}, "integrator": {"steps": 5}}),
     ("output-path-subdir", "reduce-demo", {"output_path": "sub/x.json"}),
+    # --out holds a directory named like an artifact (see PREMADE_DIRS)
+    ("reduce-report-is-directory", "reduce-demo", {}),
+    ("toda-summary-is-directory", "toda-run", {"integrator": {"steps": 5}}),
     ("toda-t-end-overflow", "toda-run",
      {"params": {"t_end": 1e300}, "integrator": {"dt": 1e-10}}),
     ("lvn-hamiltonian-dim-inf", "lvn-run",
@@ -212,6 +229,13 @@ CONFIGS = [
 ]
 
 
+# empty directories made in --out before the run of a label
+PREMADE_DIRS = {
+    "reduce-report-is-directory": ["reduction_report.json"],
+    "toda-summary-is-directory": ["toda_trajectory_summary.json"],
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -223,6 +247,8 @@ def digest(label: str, command: str, config: dict, env: dict) -> list:
         out_dir = os.path.join(tmp, "out")
         with open(cfg_path, "w") as fh:
             json.dump(config, fh)
+        for name in PREMADE_DIRS.get(label, ()):
+            os.makedirs(os.path.join(out_dir, name))
         done = subprocess.run(
             [sys.executable, "-m", "liepoisson.cli", command, "--config",
              cfg_path, "--out", out_dir],
