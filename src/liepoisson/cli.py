@@ -410,7 +410,10 @@ def _lax_invariants(coords: np.ndarray, alpha, hk_max: int):
     similar to the real symmetric Jacobi matrix of ``toda._jacobi_matrix``
     and the spectra are its ``eigvalsh``, real and ascending; otherwise L
     can have complex eigenvalues, and they are the ``eigvals`` of the real
-    L, unordered.
+    L, unordered.  ``eigvals`` returns a real stack when every eigenvalue
+    in it is real, and ``integrators._paired_drift`` pairs such a stack in
+    ascending order, the optimal pairing of real numbers; a complex stack
+    it pairs nearest neighbour to nearest neighbour.
     """
     lax = td._lax_matrix(coords, alpha)
     hk = {f"h{k}": op._power_traces(lax, k) for k in range(1, hk_max + 1)}

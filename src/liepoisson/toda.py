@@ -56,7 +56,6 @@ complex rho (``_bidiagonal_matrix``) only for the Lax flow's CSV columns.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +107,10 @@ def _as_float_vector(v, length: int, label: str) -> np.ndarray:
 def _momentum_vanishes(p: np.ndarray, tol: float) -> bool:
     """|sum p| <= tol for finite p, with no overflow on the way.
 
-    While 2 N max|p| stays under the float limit no partial sum can pass
-    it, and the sum is np.sum's, bit for bit.  Beyond that the sum runs on
-    p 2^-s with 2^s > N, which keeps every partial sum finite, against
-    tol 2^-s: above the subnormal range, scaling by a power of two commutes
-    with the rounding."""
-    if np.max(np.abs(p)) <= sys.float_info.max / (2 * p.size):
-        return abs(float(np.sum(p))) <= tol
+    The sum runs on p 2^-s with 2^s > N, which keeps every partial sum
+    finite, against tol 2^-s: above the subnormal range, scaling by a power
+    of two commutes with the rounding, so the decision is that of the plain
+    float sum wherever that sum is finite."""
     s = p.size.bit_length()
     return abs(float(np.sum(np.ldexp(p, -s)))) <= math.ldexp(tol, -s)
 

@@ -404,6 +404,24 @@ def test_toda_run_spectrum_route(tmp_path, monkeypatch, flow):
     assert calls == {"eigvals": 1, "eigvalsh": 0}
 
 
+def test_mixed_sign_real_spectrum_pairs_in_ascending_order():
+    # alpha_2 b_2 < 0 sends the spectrum to eigvals, but on well separated
+    # diagonals every eigenvalue stays real: eigvals then returns a real
+    # stack, which _paired_drift pairs in ascending order, and that drift is
+    # the nearest-neighbour one the complex stack gives
+    t = np.arange(5.0)[:, None]
+    p = np.array([2.0, 0.0, -2.0]) + 0.01 * t * np.array([1.0, 0.0, -1.0])
+    coords = np.concatenate([p, np.tile([0.1, 0.2], (5, 1))], axis=1)
+    alpha = np.array([1.0, -0.5])
+    _, spectrum = cli._lax_invariants(coords, alpha, 2)
+    assert not np.iscomplexobj(spectrum)
+    drift = it._paired_drift(spectrum)
+    assert drift == it._paired_drift(spectrum.astype(complex))
+    # the outer diagonal entries move by 0.04; the off-diagonal products
+    # add a second-order shift of a few percent of that
+    assert 0.04 < drift < 0.045
+
+
 def _two_site_drift(out_dir, flow):
     """The relative drift of the eigenvalues +-i omega of the two-site L,
     omega^2 = -alpha b - ((p1 - p2) / 2)^2 with alpha = -1, from the

@@ -231,9 +231,9 @@ def test_momentum_check_cannot_overflow():
 @given(SEEDS)
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_momentum_check_decides_as_the_float_sum(seed):
-    # momenta whose sum cannot overflow are checked on np.sum's bits; the
-    # same momenta scaled by 2^e past that bound decide as they do, since
-    # scaling by a power of two commutes with the rounding
+    # momenta whose sum cannot overflow decide as np.sum does; the same
+    # momenta scaled by 2^e to where a plain sum could overflow decide as
+    # they do, since scaling by a power of two commutes with the rounding
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 40))
     p = rng.standard_normal(n)
