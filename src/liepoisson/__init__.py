@@ -44,7 +44,7 @@ from .brackets import (
     product_observable,
     reduction_condition_defect,
 )
-from .fixtures import KINDS, seeded_random_state, seeded_rng
+from .fixtures import KINDS, seeded_random_state
 from .integrators import (
     IntegratorConfig,
     NumericalAbort,
@@ -64,7 +64,6 @@ from .operators import (
     elementary,
     expm,
     hermitian_part,
-    identity,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -87,7 +86,6 @@ from .orbits import (
     kks_form_rank,
     kks_welldefined_defect,
     rank_one_state,
-    tangent_vector,
 )
 from .reduction import (
     ReductionOp,

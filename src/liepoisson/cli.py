@@ -544,7 +544,7 @@ def _run_orbit(rc: RunConfig) -> int:
         val = orb.kks_eval(rho, x, y)
         antisym = max(antisym, abs(val + orb.kks_eval(rho, y, x)))
         pairing = max(pairing, abs(
-            val + op.trace_pairing(y, orb.tangent_vector(x, rho))))
+            val + op.trace_pairing(y, op.commutator(x, rho))))
         samples.append({"sample": idx, "re": float(val.real),
                         "im": float(val.imag)})
 

@@ -16,9 +16,10 @@ import numpy as np
 # instead of inside the first run that draws a fixture
 import numpy.random
 
+from .operators import hermitian_part
 from .toda import TodaState, default_weights
 
-__all__ = ["KINDS", "seeded_random_state", "seeded_rng"]
+__all__ = ["KINDS", "seeded_random_state"]
 
 KINDS = ("general", "hermitian", "psd", "lower", "toda")
 
@@ -28,13 +29,6 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     the kinds take keys 0..4, other streams keys far above them."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def seeded_rng(seed: int, kind: str) -> np.random.Generator:
-    """The PCG64 generator for this (seed, kind) pair."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown fixture kind {kind!r}; choose from {KINDS}")
-    return _stream(seed, KINDS.index(kind))
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -56,14 +50,15 @@ def seeded_random_state(seed: int, kind: str, n: int):
 
     All kinds but "toda" return an n x n complex matrix.
     """
-    rng = seeded_rng(seed, kind)
+    if kind not in KINDS:
+        raise ValueError(f"unknown fixture kind {kind!r}; choose from {KINDS}")
+    rng = _stream(seed, KINDS.index(kind))
     if n < 1:
         raise ValueError("state dimension must be at least 1")
     if kind == "general":
         return _complex_normal(rng, n)
     if kind == "hermitian":
-        m = _complex_normal(rng, n)
-        return 0.5 * (m + m.conj().T)
+        return hermitian_part(_complex_normal(rng, n))
     if kind == "psd":
         m = _complex_normal(rng, n)
         w = m @ m.conj().T

@@ -124,7 +124,9 @@ class Trajectory:
         re_ij, im_ij for matrix states, else y0, y1, ... or ``columns``.
 
         The table is built and written ``CSV_BLOCK_VALUES`` values at a
-        time, so the write holds one block beside the recorded values."""
+        time, so the write holds one block beside the recorded values.
+        ``columns`` must name every state column; otherwise ValueError, and
+        nothing is written."""
         rows, matrix = len(self.times), self.states.ndim == 3
         if matrix:
             n = self.states.shape[1]
@@ -132,7 +134,12 @@ class Trajectory:
                      for part in ("re", "im")]
         else:
             names = [f"y{k}" for k in range(math.prod(self.states.shape[1:]))]
-        header = ["t", *(names if columns is None else columns), *self.monitors]
+        if columns is not None:
+            if len(columns) != len(names):
+                raise ValueError(f"{len(columns)} column names for "
+                                 f"{len(names)} state columns")
+            names = list(columns)
+        header = ["t", *names, *self.monitors]
         width = 1 + len(names) + len(self.monitors)
         fmt = ",".join(["%.17g"] * width) + "\n"
         block = max(1, CSV_BLOCK_VALUES // width)

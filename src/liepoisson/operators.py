@@ -36,7 +36,6 @@ __all__ = [
     "elementary",
     "expm",
     "hermitian_part",
-    "identity",
     "matrix_from_json",
     "matrix_to_json",
     "operator_norm",
@@ -67,10 +66,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=complex)
 
 
 def elementary(n: int, i: int, j: int) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "kks_form_rank",
     "kks_welldefined_defect",
     "rank_one_state",
-    "tangent_vector",
 ]
 
 # conjugation by g loses roughly cond(g) worth of precision; past this we
@@ -47,11 +46,6 @@ def coadjoint_act(g, point) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ValueError(f"conjugating element too ill-conditioned (cond={cond:.3g})")
     return _conjugate(g, rho)
-
-
-def tangent_vector(x, point) -> np.ndarray:
-    """[x, rho]: the orbit direction generated by x at rho."""
-    return commutator(as_matrix(x), as_matrix(point))
 
 
 def kks_eval(point, x, y) -> complex:

@@ -32,7 +32,6 @@ import numpy as np
 from .operators import (
     DecompositionOfUnity,
     as_matrix,
-    identity,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -76,15 +75,9 @@ class ReductionOp:
     rights: Sequence
     scale: int
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
     def __repr__(self) -> str:
-        return f"ReductionOp({self.kind}, {len(self)} x {self.dim}d)"
+        return (f"ReductionOp({self.kind}, {len(self.operators)} x "
+                f"{self.operators[0].shape[0]}d)")
 
 
 def _decomposition(projectors) -> tuple:
@@ -118,7 +111,7 @@ def group_average(unitaries: Sequence) -> ReductionOp:
     if not us:
         raise ValueError("group_average needs at least one unitary")
     n = us[0].shape[0]
-    eye = identity(n)
+    eye = np.eye(n, dtype=complex)
     for u in us:
         if u.shape[0] != n:
             raise ValueError("group elements must share one dimension")

@@ -338,9 +338,9 @@ def toda_hk(k: int, a) -> Observable:
 
 
 def lax_field(pair: LaxPair, k: int = 2) -> np.ndarray:
-    """pi_lower([rho, pi+ (rho + a)^(k-1)]), the h_k flow of the pair."""
-    _check_index(k)
-    return _coinduced_field(np.linalg.matrix_power(pair.lax, k - 1), pair.rho)
+    """pi_lower([rho, pi+ (rho + a)^(k-1)]), the h_k flow of the pair:
+    ``lax_rhs(pair.a, k)`` at ``pair.rho``."""
+    return lax_rhs(pair.a, k)(0.0, pair.rho)
 
 
 def lax_rhs(a, k: int = 2):

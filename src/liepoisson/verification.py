@@ -134,8 +134,7 @@ def _fixtures(seed: int, dim: int) -> dict:
         return _complex_normal(rng, dim)
 
     def draw_herm():
-        m = draw()
-        return 0.5 * (m + m.conj().T)
+        return op.hermitian_part(draw())
 
     return {
         "dim": dim, "general": gen, "hermitian": herm, "psd": psd,
@@ -399,7 +398,7 @@ def _orbit_checks(fx) -> List[CheckResult]:
     out.append(_check("kks_antisymmetry", d, 1e-10))
 
     d = abs(orb.kks_eval(rho, x, y)
-            + op.trace_pairing(y, orb.tangent_vector(x, rho)))
+            + op.trace_pairing(y, op.commutator(x, rho)))
     out.append(_check("kks_pairing_identity", d, 1e-12))
 
     commuting = rho @ rho + 2.0 * rho + np.eye(n)
@@ -501,7 +500,7 @@ def _dynamics_checks(fx) -> List[CheckResult]:
     jmap = bk.MatrixLinearMap(lambda r: np.array(r[:half, :half]),
                               corner_adjoint, "corner block")
     m = fx["draw"]()[:half, :half]
-    h_down = bk.Observable.quadratic_form(0.5 * (m + m.conj().T),
+    h_down = bk.Observable.quadratic_form(op.hermitian_part(m),
                                           np.eye(half, dtype=complex), "h down")
     cfg_c = it.IntegratorConfig(dt=0.005, steps=200, stride=20)
     out.append(_check("collective_flow_matches_reduced",

@@ -546,6 +546,22 @@ def test_diverging_canonical_toda_run_aborts(tmp_path):
     _assert_numerical_abort(done, out_dir, "canonical Toda flow broke an invariant")
 
 
+def test_canonical_toda_run_that_loses_its_momentum_aborts(tmp_path, capsys):
+    # a bond stretched to x_1 = 17 pulls with e^17 ~ 2.4e7: by step 3 the
+    # momenta reach 8e10 and their float sum 5.8e-6, past the loose
+    # tolerance, while every entry is still finite
+    initial = {"N": 3, "x": [17.0, 0.0], "p": [0.0, 0.0, 0.0],
+               "alpha": [1.0, 1.0], "lambda": [1.0, 1.0]}
+    code, out_dir = _run(tmp_path, "toda-run", {
+        "params": {"initial": initial},
+        "integrator": {"dt": 1e-3, "steps": 50, "stride": 1}})
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical abort: canonical Toda flow broke an invariant: "
+        "total momentum must vanish\n")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_toda_run_rejects_non_finite_time_spans(tmp_path):
     cases = [
         {"params": {"t_end": float("inf")}},
@@ -879,6 +895,23 @@ def test_cli_run_loads_no_modules(tmp_path):
             assert not loaded, (command, payload, loaded)
         """)
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_traces(tmp_path):
+    # perfbench/spans.py install() reads sys.modules["liepoisson.<m>"] for
+    # each of its MODULES once the CLI is imported; a module loaded lazily
+    # would make every traced benchmark run raise KeyError
+    perfbench = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    done = _python(tmp_path, f"""
+        import sys
+        import liepoisson.cli
+        sys.path.insert(0, {perfbench!r})
+        from spans import MODULES
+        print([m for m in MODULES if f"liepoisson.{{m}}" not in sys.modules])
+        """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ------------------------------------------------- the config boundary

@@ -350,6 +350,19 @@ def test_matrix_flatten_column_names_and_csv_roundtrip(tmp_path):
     assert cells[1, 2] == rho[0, 0].imag
 
 
+def test_to_csv_refuses_column_names_that_miss_the_state_width(tmp_path):
+    traj = it.Trajectory(times=np.array([0.0, 1.0]),
+                         states=np.arange(6.0).reshape(2, 3),
+                         monitors={"m": np.array([0.5, 1.5])})
+    for columns in (["a", "b"], ["a", "b", "c", "d"], []):
+        with pytest.raises(ValueError, match="state columns"):
+            traj.to_csv(tmp_path / "bad.csv", columns)
+        assert not (tmp_path / "bad.csv").exists()
+    traj.to_csv(tmp_path / "good.csv", ["a", "b", "c"])
+    assert (tmp_path / "good.csv").read_text().splitlines() == [
+        "t,a,b,c,m", "0,0,1,2,0.5", "1,3,4,5,1.5"]
+
+
 def test_real_matrix_states_write_re_and_im_columns(tmp_path):
     states = np.arange(8.0).reshape(2, 2, 2)
     traj = it.Trajectory(times=np.array([0.0, 1.0]), states=states)

@@ -22,12 +22,6 @@ def _commutant_dim_oracle(rho):
     return scipy.linalg.null_space(m).shape[1]
 
 
-def test_tangent_vector_is_commutator():
-    x = seeded_random_state(110, "general", 4)
-    rho = seeded_random_state(111, "general", 4)
-    assert np.array_equal(orb.tangent_vector(x, rho), op.commutator(x, rho))
-
-
 def test_kks_value_is_trace_of_commutator():
     x = seeded_random_state(112, "general", 4)
     y = seeded_random_state(113, "general", 4)

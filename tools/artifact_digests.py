@@ -70,6 +70,10 @@ TODA2_COMPLEX = {"N": 2, "x": [-3.0], "p": [0.1, -0.1], "alpha": [-1.0],
 # x passes the exp limit in the middle of the canonical flow
 TODA2_BLOW_UP = {"N": 2, "x": [0.0], "p": [0.0, 0.0], "alpha": [-1.0],
                  "lambda": [1.0]}
+# a bond stretched to x_1 = 17: RK4 loses the zero total momentum in finite
+# states, and the canonical flow's momentum check aborts
+TODA3_STRETCHED = {"N": 3, "x": [17.0, 0.0], "p": [0.0, 0.0, 0.0],
+                   "alpha": [1.0, 1.0], "lambda": [1.0, 1.0]}
 # the total momentum vanishes, but a float sum of the momenta overflows
 TODA4_HUGE_P = {"N": 4, "x": [0.0] * 3, "p": [1.7e308, 1.7e308, -1.7e308,
                                               -1.7e308],
@@ -201,6 +205,9 @@ CONFIGS = [
     ("toda-canonical-exp-limit-mid-flow", "toda-run",
      {"params": {"initial": TODA2_BLOW_UP},
       "integrator": {"dt": 1e-3, "steps": 3000, "stride": 100}}),
+    ("toda-canonical-momentum-abort", "toda-run",
+     {"params": {"initial": TODA3_STRETCHED},
+      "integrator": {"dt": 1e-3, "steps": 50, "stride": 1}}),
     ("toda-momentum-sum-overflow", "toda-run",
      {"params": {"initial": TODA4_HUGE_P}, "integrator": {"steps": 5}}),
     # config faults: exit 2, nothing written
