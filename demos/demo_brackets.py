@@ -25,9 +25,9 @@ def main():
     b = unit(seeded_random_state(SEED + 2, "general", N))
     c = unit(seeded_random_state(SEED + 3, "general", N))
 
-    f = br.Observable.linear_form(a, "f")
-    g = br.Observable.linear_form(b, "g")
-    h = br.Observable.linear_form(c, "h")
+    f = br.Observable.linear_form(a)
+    g = br.Observable.linear_form(b)
+    h = br.Observable.linear_form(c)
 
     print("state: seeded density-like matrix, trace",
           f"{np.trace(rho).real:.6f}")
@@ -43,7 +43,7 @@ def main():
     print(f"  Leibniz        {br.leibniz_defect(br.FULL, f, g, h, rho):.3e}")
     print(f"  Jacobi         {br.jacobi_defect(br.FULL, f, g, h, rho):.3e}")
 
-    q = br.Observable.quadratic_form(a, b, "q")
+    q = br.Observable.quadratic_form(a, b)
     print(f"  Jacobi (quadratic, nested fd) "
           f"{br.jacobi_defect(br.FULL, q, g, h, rho):.3e}")
     print()

@@ -106,11 +106,6 @@ class BracketSpec:
     left: Optional["BracketSpec"] = None
     right: Optional["BracketSpec"] = None
 
-    def __repr__(self) -> str:
-        if self.kind == "product":
-            return f"product({self.left!r}, {self.right!r})"
-        return self.kind
-
 
 FULL = BracketSpec("full")
 LOWER_COINDUCED = BracketSpec("lower_coinduced")
@@ -194,37 +189,29 @@ class Observable:
     constructions stay exact.
     """
 
-    def __init__(self, evaluate, gradient, *, linear=False, name=""):
+    def __init__(self, evaluate, gradient, *, linear=False):
         self._eval = evaluate
         self.grad = gradient
         self.linear = bool(linear)
-        self.name = name
 
     def __call__(self, rho):
         return self._eval(rho)
 
-    def __repr__(self) -> str:
-        return f"Observable({self.name or '<anon>'})"
-
     @classmethod
-    def linear_form(cls, a, name="") -> "Observable":
+    def linear_form(cls, a) -> "Observable":
         """f(rho) = tr(a rho) with constant gradient a."""
         a = as_matrix(a)
-        return cls(lambda rho: trace_pairing(a, rho), lambda rho: a,
-                   linear=True, name=name or "tr(a rho)")
+        return cls(lambda rho: trace_pairing(a, rho), lambda rho: a, linear=True)
 
     @classmethod
-    def quadratic_form(cls, a, b, name="") -> "Observable":
+    def quadratic_form(cls, a, b) -> "Observable":
         """f(rho) = tr(a rho b rho) with gradient b rho a + a rho b."""
         a, b = as_matrix(a), as_matrix(b)
-        return cls(
-            lambda rho: complex(np.trace(a @ rho @ b @ rho)),
-            lambda rho: b @ rho @ a + a @ rho @ b,
-            name=name or "tr(a rho b rho)",
-        )
+        return cls(lambda rho: complex(np.trace(a @ rho @ b @ rho)),
+                   lambda rho: b @ rho @ a + a @ rho @ b)
 
     @classmethod
-    def real_linear_form(cls, a, name="") -> "Observable":
+    def real_linear_form(cls, a) -> "Observable":
         """f(rho) = Re tr(a rho) with constant skew-sense gradient.
 
         For skew-Hermitian a the matrix a is already its own representative
@@ -233,18 +220,14 @@ class Observable:
         """
         a = skew_hermitian_part(as_matrix(a))
         return cls(lambda rho: float(trace_pairing(a, rho).real),
-                   lambda rho: a, linear=True,
-                   name=name or "Re tr(a rho)")
+                   lambda rho: a, linear=True)
 
     @classmethod
-    def pair_linear(cls, a1, a2, name="") -> "Observable":
+    def pair_linear(cls, a1, a2) -> "Observable":
         """f(r1, r2) = tr(a1 r1) + tr(a2 r2) on product states."""
         a1, a2 = as_matrix(a1), as_matrix(a2)
-        return cls(
-            lambda rr: trace_pairing(a1, rr[0]) + trace_pairing(a2, rr[1]),
-            lambda rr: (a1, a2),
-            linear=True, name=name or "pair linear",
-        )
+        return cls(lambda rr: trace_pairing(a1, rr[0]) + trace_pairing(a2, rr[1]),
+                   lambda rr: (a1, a2), linear=True)
 
 
 def _state(spec: BracketSpec, state):
@@ -258,7 +241,7 @@ def _state(spec: BracketSpec, state):
             raise ValueError("product bracket expects a pair state")
         return _state(spec.left, state[0]), _state(spec.right, state[1])
     if spec.kind not in ("full", "lower_coinduced", "hermitian_real"):
-        raise ValueError(f"unknown bracket spec {spec!r}")
+        raise ValueError(f"unknown bracket spec kind {spec.kind!r}")
     rho = as_matrix(state)
     if spec.kind == "lower_coinduced":
         if not _holds(ClassTag.LOWER_TRIANGULAR, rho, DEFAULT_TOL):
@@ -360,7 +343,7 @@ def casimir(k: int) -> Observable:
         rho = as_matrix(rho)
         return np.linalg.matrix_power(rho, k - 1)
 
-    return Observable(evaluate, gradient, linear=(k == 1), name=f"tr(rho^{k})/{k}")
+    return Observable(evaluate, gradient, linear=(k == 1))
 
 
 # spec kind -> name of the fd gradient over its state space, looked up at
@@ -379,8 +362,6 @@ def bracket_observable(spec: BracketSpec, f: Observable, g: Observable) -> Obser
     product specs, ``fd_gradient_lower`` and ``fd_gradient_skew`` for the
     lower-coinduced and realified ones.
     """
-    name = f"{{{f.name},{g.name}}}"
-
     def value(rho):
         return lp_bracket(spec, f, g, rho)
 
@@ -388,11 +369,10 @@ def bracket_observable(spec: BracketSpec, f: Observable, g: Observable) -> Obser
         return Observable(value,
                           lambda rho: _grad_commutator(spec, f.grad(rho),
                                                        g.grad(rho)),
-                          linear=True, name=name)
+                          linear=True)
     fd_name = _FD_BY_KIND[spec.kind]
     return Observable(value,
-                      lambda rho: globals()[fd_name](value, rho, FD_STEP_NESTED),
-                      name=name)
+                      lambda rho: globals()[fd_name](value, rho, FD_STEP_NESTED))
 
 
 def jacobi_defect(spec: BracketSpec, f: Observable, g: Observable, h: Observable,
@@ -414,8 +394,7 @@ def product_observable(f: Observable, g: Observable) -> Observable:
             return tuple(fv * b + gv * a for a, b in zip(fg, gg))
         return f(rho) * gg + g(rho) * fg
 
-    return Observable(lambda rho: f(rho) * g(rho), gradient,
-                      name=f"({f.name})*({g.name})")
+    return Observable(lambda rho: f(rho) * g(rho), gradient)
 
 
 def leibniz_defect(spec: BracketSpec, f: Observable, g: Observable, h: Observable,
@@ -435,20 +414,16 @@ class MatrixLinearMap:
     back (the chain rule for f o phi reads D(f o phi)(rho) = phi*(Df(phi rho))).
     """
 
-    def __init__(self, apply: Callable, adjoint: Callable, name: str = ""):
+    def __init__(self, apply: Callable, adjoint: Callable):
         self.apply = apply
         self.adjoint = adjoint
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"MatrixLinearMap({self.name or '<anon>'})"
 
 
 def _pullback(f: Observable, phi: MatrixLinearMap) -> Observable:
     """f o phi, with the chain-rule gradient phi*(Df(phi rho))."""
     return Observable(lambda s: f(phi.apply(s)),
                       lambda s: phi.adjoint(f.grad(phi.apply(s))),
-                      linear=f.linear, name=f"{f.name} o {phi.name}")
+                      linear=f.linear)
 
 
 def lower_projection_map() -> MatrixLinearMap:
@@ -458,7 +433,7 @@ def lower_projection_map() -> MatrixLinearMap:
     representatives.  This map intertwines the full bracket upstairs with the
     coinduced bracket downstairs.
     """
-    return MatrixLinearMap(project_lower, project_upper_plus, "pi_lower")
+    return MatrixLinearMap(project_lower, project_upper_plus)
 
 
 def inclusion_lower_map() -> MatrixLinearMap:
@@ -468,8 +443,7 @@ def inclusion_lower_map() -> MatrixLinearMap:
     gradient content that the coinduced bracket discards.  Used as the
     negative control.
     """
-    return MatrixLinearMap(lambda rho: as_matrix(rho), project_upper_plus,
-                           "lower inclusion")
+    return MatrixLinearMap(lambda rho: as_matrix(rho), project_upper_plus)
 
 
 def pair_inclusion_map(slot: int, zero_dim: int) -> MatrixLinearMap:
@@ -486,8 +460,7 @@ def pair_inclusion_map(slot: int, zero_dim: int) -> MatrixLinearMap:
         b = as_matrix(b)
         return (b, z) if slot == 0 else (z, b)
 
-    return MatrixLinearMap(apply, lambda gg: as_matrix(gg[slot]),
-                           f"pair inclusion slot {slot}")
+    return MatrixLinearMap(apply, lambda gg: as_matrix(gg[slot]))
 
 
 def poisson_map_defect(phi: MatrixLinearMap, src: BracketSpec, dst: BracketSpec,

@@ -71,9 +71,8 @@ REDUCE_KINDS = {"measurement": "measurement", "lower": "lower_triangularize",
 ORBIT_MAX_N = 32
 # each sample costs O(N^3): 1000 take ~0.25 s at N = 4 and ~2.7 s at N = 32
 ORBIT_MAX_SAMPLES = 1000
-# verify takes ~1.1 s at dim 16.  full_bracket_leibniz's absolute 1e-10 does
-# not hold at every seed inside the cap: dim 14 seed 18 gives 1.2e-10, dim 16
-# seeds 2, 9, 10, 19 give 1.0e-10 to 1.8e-10, and verify exits 1 there
+# verify takes ~1.1 s at dim 16.  The cap bounds cost only: full_bracket_leibniz
+# scales its tolerance with its terms, and seed 2024 stays green up to dim 32
 VERIFY_MAX_DIM = 16
 # lvn-run's default 1000 RK4 steps of dense N x N products: ~2.6 s at N = 64
 LVN_MAX_N = 64

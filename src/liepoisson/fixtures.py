@@ -2,8 +2,9 @@
 
 Streams are split by (seed, kind): the kind's index is the spawn key of a
 ``numpy.random.SeedSequence`` built from the seed, so each kind draws from an
-independent PCG64 stream.  The same (seed, kind, n) always returns the same
-object, and adding new kinds later cannot disturb existing streams.
+independent PCG64 stream.  The same (seed, kind, n) always returns equal
+values (each call builds new arrays), and adding new kinds later cannot
+disturb existing streams.
 ``_stream`` builds every seeded stream of the package, the probe draws of
 ``verify`` and the CLI included, and ``_complex_normal`` is the one draw.
 """

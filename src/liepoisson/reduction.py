@@ -75,10 +75,6 @@ class ReductionOp:
     rights: Sequence
     scale: int
 
-    def __repr__(self) -> str:
-        return (f"ReductionOp({self.kind}, {len(self.operators)} x "
-                f"{self.operators[0].shape[0]}d)")
-
 
 def _decomposition(projectors) -> tuple:
     if not isinstance(projectors, DecompositionOfUnity):

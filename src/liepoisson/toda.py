@@ -334,7 +334,7 @@ def toda_hk(k: int, a) -> Observable:
         return _canonical_grad(LOWER_COINDUCED,
                                np.linalg.matrix_power(rho + a, k - 1))
 
-    return Observable(evaluate, gradient, name=f"tr((rho+a)^{k})/{k}")
+    return Observable(evaluate, gradient)
 
 
 def lax_field(pair: LaxPair, k: int = 2) -> np.ndarray:

@@ -82,6 +82,8 @@ def test_state_domain_validation():
         br.lp_bracket(br.HERMITIAN_REAL, f, f, rho)
     with pytest.raises(ValueError):
         br.lp_bracket(br.product(br.FULL, br.FULL), f, f, rho)
+    with pytest.raises(ValueError, match="unknown bracket spec kind 'bogus'"):
+        br.lp_bracket(br.BracketSpec("bogus"), f, f, rho)
 
 
 def test_hermitian_real_bracket_is_real_and_unflipped():

@@ -547,7 +547,7 @@ def test_collective_defect_for_corner_restriction():
         return np.pad(np.asarray(m, dtype=complex),
                       ((0, big - small), (0, big - small)))
 
-    jmap = br.MatrixLinearMap(restrict, embed, name="corner")
+    jmap = br.MatrixLinearMap(restrict, embed)
     a_down = seeded_random_state(167, "hermitian", small)
     h_down = br.Observable.linear_form(a_down)
     rho0 = seeded_random_state(168, "psd", big)
@@ -562,8 +562,7 @@ def _corner_map(small, big):
         full[:small, :small] = m
         return full
 
-    return br.MatrixLinearMap(lambda m: np.array(m[:small, :small]), embed,
-                              name="corner")
+    return br.MatrixLinearMap(lambda m: np.array(m[:small, :small]), embed)
 
 
 @pytest.mark.parametrize("down", ["full", "lower"])
@@ -572,11 +571,11 @@ def test_collective_defect_gives_the_bits_of_the_ham_field_route(down):
     if down == "full":
         jmap, spec = _corner_map(2, 4), br.FULL
         m = seeded_random_state(172, "hermitian", 2)
-        h_down = br.Observable.quadratic_form(m, np.eye(2), "h down")
+        h_down = br.Observable.quadratic_form(m, np.eye(2))
     else:
         jmap, spec = br.lower_projection_map(), br.LOWER_COINDUCED
         h_down = br.Observable.quadratic_form(
-            seeded_random_state(172, "general", 4), np.eye(4), "h down")
+            seeded_random_state(172, "general", 4), np.eye(4))
     rho0 = seeded_random_state(173, "psd", 4)
     cfg = it.IntegratorConfig(dt=0.005, steps=30, stride=7)
 
@@ -591,7 +590,7 @@ def test_collective_defect_gives_the_bits_of_the_ham_field_route(down):
 
 
 def test_collective_defect_validates_both_initial_states():
-    identity = br.MatrixLinearMap(lambda m: np.array(m), lambda g: g, "identity")
+    identity = br.MatrixLinearMap(lambda m: np.array(m), lambda g: g)
     h = br.Observable.linear_form(seeded_random_state(174, "general", 3))
     rho0 = seeded_random_state(175, "general", 3)
     cfg = it.IntegratorConfig(dt=0.01, steps=2)

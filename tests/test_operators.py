@@ -111,6 +111,8 @@ def test_validate_class_tags():
     assert op.validate(op.ClassTag.STRICTLY_UPPER, op.project_strictly_upper(m))
     assert not op.validate(op.ClassTag.HERMITIAN, m + 1j * np.eye(3))
     assert not op.validate(op.ClassTag.LOWER_TRIANGULAR, m + np.triu(np.ones(3), 1))
+    with pytest.raises(ValueError, match="unknown tag 'hermitian'"):
+        op.validate("hermitian", m)
 
 
 def test_standard_basis_decomposition_is_valid():

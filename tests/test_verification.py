@@ -29,6 +29,28 @@ def test_registry_is_green_on_other_seeds_and_dims():
             r.name for r in results if not r.passed]
 
 
+@pytest.mark.parametrize("dim, seed", [(14, 18), (16, 9)])
+def test_leibniz_row_scales_with_its_terms_inside_the_verify_cap(dim, seed):
+    # an absolute 1e-10 failed these configs on roundoff (1.2e-10 and
+    # 1.8e-10); the tolerance now follows the size of the compared terms
+    results = vf.run_all(seed=seed, dim=dim)
+    assert all(r.passed for r in results), [
+        r.name for r in results if not r.passed]
+    row = next(r for r in results if r.name == "full_bracket_leibniz")
+    assert row.defect > 1e-10 and row.tol > row.defect
+
+
+def test_leibniz_tolerance_stays_within_1e_10_at_dim_4(monkeypatch):
+    # the groups after the bracket axioms draw nothing the row reads
+    for group in ("_variant_bracket_checks", "_reduction_checks", "_orbit_checks",
+                  "_dynamics_checks", "_toda_checks"):
+        monkeypatch.setattr(vf, group, lambda fx: [])
+    for seed in range(100):
+        row = next(r for r in vf.run_all(seed=seed, dim=4)
+                   if r.name == "full_bracket_leibniz")
+        assert row.passed and row.tol <= 1e-10, (seed, row)
+
+
 RECORDED = ("operators", "brackets", "reduction", "orbits", "integrators",
             "toda", "fixtures")
 
@@ -140,3 +162,5 @@ def test_run_all_rejects_bad_dimensions():
         vf.run_all(seed=1, dim=3)  # group construction needs an even dim
     with pytest.raises(ValueError):
         vf.run_all(seed=1, dim=2)
+    with pytest.raises(ValueError, match="even dim"):
+        vf.run_all(seed=1, dim=5)
