@@ -48,8 +48,7 @@ from .integrators import (METHODS, IntegratorConfig, NumericalAbort,
                           Trajectory, _paired_drift, evolve)
 from .verification import _check, _reduction_op, _write_report, run_all
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "main", "run",
-           "seeded_random_state"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "main", "run"]
 
 COMMANDS = ("verify", "lvn-run", "toda-run", "reduce-demo", "orbit-kks")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,7 +270,7 @@ class DecompositionOfUnity:
     to sum to I.  The constructor checks only their shapes;
     ``validate_decomposition`` checks the laws."""
 
-    projectors: tuple = field(default=())
+    projectors: tuple
 
     def __init__(self, projectors):
         object.__setattr__(self, "projectors", tuple(as_matrix(p) for p in projectors))
@@ -283,9 +283,6 @@ class DecompositionOfUnity:
     @property
     def dim(self) -> int:
         return self.projectors[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.projectors)
 
 
 def validate_decomposition(d: DecompositionOfUnity, tol: float = DEFAULT_TOL) -> bool:

@@ -146,7 +146,7 @@ def test_lax_toda_run_csv_matches_the_dense_lax_flow(tmp_path, n, steps):
     seed, stride = 5, steps // 10
     code, out_dir = _run(tmp_path, "toda-run", _lax_run(seed, n, steps, stride))
     assert code == 0
-    pair = td.flaschka(cli.seeded_random_state(seed, "toda", n))
+    pair = td.flaschka(seeded_random_state(seed, "toda", n))
     dense = it.evolve(pair.rho, it.IntegratorConfig(1e-3, steps, stride),
                       rhs=td.lax_rhs(pair.a))
     lines = (out_dir / "toda_trajectory.csv").read_text().splitlines()
@@ -245,7 +245,7 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
                "integrator": {"dt": 1e-2, "steps": 40, "stride": 4}}
     code, out_dir = _run(tmp_path, "toda-run", payload)
     assert code == 0
-    state0 = cli.seeded_random_state(seed, "toda", n)
+    state0 = seeded_random_state(seed, "toda", n)
     a = td.flaschka(state0).a
     # 17 significant digits give back each recorded double exactly
     if flow == "canonical":
@@ -353,7 +353,7 @@ def test_toda_run_state_columns_keep_their_bits(tmp_path, flow):
                               "stride": cfg.stride}}
     code, out_dir = _run(tmp_path, "toda-run", payload)
     assert code == 0
-    state0 = cli.seeded_random_state(seed, "toda", n)
+    state0 = seeded_random_state(seed, "toda", n)
     if flow == "canonical":
         table, _ = _csv_table(out_dir / "toda_trajectory.csv")
         got = np.column_stack([table[c] for c in td.toda_columns(n)])
@@ -836,12 +836,6 @@ def test_custom_output_path_and_matching_command_tag(tmp_path):
     assert (out_dir / "self_check.json").exists()
 
 
-def test_seeded_random_state_reexport():
-    a = cli.seeded_random_state(1, "general", 3)
-    b = cli.seeded_random_state(1, "general", 3)
-    assert np.array_equal(a, b)
-
-
 def _python(tmp_path, code):
     """Run code in a fresh interpreter that imports the package under test."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(liepoisson.__file__)))
@@ -912,6 +906,26 @@ def test_importing_the_cli_loads_every_module_the_benchmark_traces(tmp_path):
         """)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_each_public_name_has_one_home(tmp_path):
+    # a public function or class is listed in the __all__ of the module that
+    # defines it and of no other (constants are exempt); the package
+    # namespace holds none, so `import liepoisson` loads no submodule
+    done = _python(tmp_path, """
+        import importlib, inspect, pkgutil, sys
+        import liepoisson
+        print(sorted(m for m in sys.modules if m.startswith("liepoisson.")))
+        mods = [importlib.import_module(f"liepoisson.{m.name}")
+                for m in pkgutil.iter_modules(liepoisson.__path__)]
+        print(len(mods), sorted(
+            f"{mod.__name__}.{attr}" for mod in mods for attr in mod.__all__
+            if (inspect.isfunction(getattr(mod, attr))
+                or inspect.isclass(getattr(mod, attr)))
+            and getattr(mod, attr).__module__ != mod.__name__))
+        """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n9 []\n"
 
 
 # ------------------------------------------------- the config boundary

@@ -117,7 +117,7 @@ def test_validate_class_tags():
 
 def test_standard_basis_decomposition_is_valid():
     d = op.standard_basis_decomposition(4)
-    assert len(d) == 4 and d.dim == 4
+    assert len(d.projectors) == 4 and d.dim == 4
     assert op.validate_decomposition(d)
     total = sum(d.projectors)
     assert np.array_equal(total, np.eye(4))
@@ -286,7 +286,7 @@ def test_spectral_projectors_reconstruct_degenerate_spectrum():
                         + 1j * rng.standard_normal((3, 3)))
     h = q @ np.diag([1.0, 1.0, 3.0]).astype(complex) @ q.conj().T
     d = op.spectral_projectors(h)
-    assert len(d) == 2
+    assert len(d.projectors) == 2
     assert op.validate_decomposition(d)
     recon = sum(float(np.real(np.trace(h @ p) / np.trace(p))) * p
                 for p in d.projectors)

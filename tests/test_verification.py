@@ -7,7 +7,6 @@ import inspect
 
 import pytest
 
-import liepoisson
 from liepoisson import brackets as bk
 from liepoisson import integrators as it
 from liepoisson import operators as op
@@ -116,8 +115,7 @@ def test_fd_gradients_called_through_observables_are_recorded():
 
 
 def _bound_objects():
-    return (op.commutator, bk.lp_bracket, it.rk4_step, orb.commutator,
-            liepoisson.lp_bracket)
+    return op.commutator, bk.lp_bracket, it.rk4_step, orb.commutator
 
 
 def test_recorders_are_removed_after_the_run(monkeypatch):
