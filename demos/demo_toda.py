@@ -33,13 +33,13 @@ def main():
     can = it.evolve(td.pack(state0), cfg, rhs=td.canonical_rhs(state0))
     lax = it.evolve(pair0.rho, cfg, rhs=td.lax_rhs(pair0.a))
 
-    pushed = td.flaschka(td.unpack(can.states[-1], state0)).rho
-    gap = np.max(np.abs(pushed - lax.states[-1]))
+    pushed = td.flaschka(td.unpack(can.states[-1], state0))
+    gap = np.max(np.abs(pushed.rho - lax.states[-1]))
     print(f"Flaschka(canonical end state) vs Lax end state: {gap:.3e}")
     print()
 
-    h_start = hierarchy(pair0.lax)
-    h_can = hierarchy(td.flaschka(td.unpack(can.states[-1], state0)).lax)
+    h_start = hierarchy(pair0.rho + pair0.a)
+    h_can = hierarchy(pushed.rho + pushed.a)
     h_lax = hierarchy(lax.states[-1] + pair0.a)
     print("conserved hierarchy h_k = tr(L^k)/k")
     print("  k   t=0            canonical end   Lax end")
@@ -48,7 +48,7 @@ def main():
               f"{h_lax[k]:+.10f}")
     print()
 
-    ev0 = np.sort(np.linalg.eigvals(pair0.lax).real)
+    ev0 = np.sort(np.linalg.eigvals(pair0.rho + pair0.a).real)
     ev1 = np.sort(np.linalg.eigvals(lax.states[-1] + pair0.a).real)
     print("Lax spectrum (the action variables), t=0 vs end:")
     print("  " + "  ".join(f"{v:+.6f}" for v in ev0))

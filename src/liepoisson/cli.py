@@ -427,9 +427,8 @@ def _run_toda(rc: RunConfig) -> int:
         state0 = seeded_random_state(rc.seed, "toda", p["N"])
     hk_max, tol = p["hk_max"], p["drift_tol"]
     n = state0.n
-    # the validated Flaschka image of the initial state, where its overflow
-    # aborts
-    pair0 = td.flaschka(state0)
+    # (p, b) of the initial state's Flaschka image, where its overflow aborts
+    y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)
     if p["flow"] == "canonical":
         def momentum(y):
             # RK4 keeps the total momentum up to roundoff; a diverging flow
@@ -449,8 +448,7 @@ def _run_toda(rc: RunConfig) -> int:
     else:
         # the flow runs on y = (p, b); the CSV writes the re_ij/im_ij columns
         # of the dense complex rho of each recorded state
-        traj = evolve(td._bidiagonal_coords(pair0.rho), rc.integrator,
-                      rhs=td.bidiagonal_rhs(state0.alpha))
+        traj = evolve(y0, rc.integrator, rhs=td.bidiagonal_rhs(state0.alpha))
         coords, columns = traj.states, None
         states = td._bidiagonal_matrix(coords)
     # every column is evaluated once, on the (R, 2N - 1) recorded
@@ -500,21 +498,22 @@ def _run_reduce(rc: RunConfig) -> int:
     ]
     # the trace-norm bound is a law only for pinching and averaging;
     # triangular truncation can expand, so report its excess as data
-    trace_norm_excess = float(op.trace_norm(image) - op.trace_norm(rho))
+    image_norm, norm = op.trace_norm(image), op.trace_norm(rho)
+    trace_norm_excess = float(image_norm - norm)
     if not math.isfinite(trace_norm_excess):
         # the SVD under trace_norm overflows without a floating point error
         raise NumericalAbort("trace norm overflows")
     if kind != "lower":
-        contracts = red.contraction_check(rop, rho)
+        # contraction_check and positivity_check on the image and the trace
+        # norms in hand
+        contracts = red._contracts(image_norm, norm)
         rows.append(_check("trace_norm_contraction", 0.0 if contracts else 1.0, 0.0))
         rows.append(_check("trace_preserved",
                            abs(np.trace(image) - np.trace(rho)), 1e-12))
-        try:
-            positive = red.positivity_check(rop, rho)
+        if red._psd_fault(rho) is None:  # density-like inputs only
+            positive = red._psd_fault(image) is None
             rows.append(_check("positivity_preserved",
                                0.0 if positive else 1.0, 0.0))
-        except ValueError:
-            pass  # positivity is only meaningful for density-like inputs
 
     path = _artifact_path(rc)
     return _write_report(

@@ -165,7 +165,12 @@ def contraction_check(op: ReductionOp, rho) -> bool:
     trace-norm contraction and can increase the trace norm: it takes
     [[.5, .4], [.4, .5]] (norm 1) to [[.5, 0], [.4, .5]] (norm 1.077).
     """
-    return trace_norm(apply(op, rho)) <= trace_norm(rho) + TOL
+    return _contracts(trace_norm(apply(op, rho)), trace_norm(rho))
+
+
+def _contracts(image_norm: float, norm: float) -> bool:
+    """``contraction_check`` from the trace norms of R(rho) and rho."""
+    return image_norm <= norm + TOL
 
 
 def positivity_check(op: ReductionOp, rho) -> Optional[bool]:
@@ -177,15 +182,20 @@ def positivity_check(op: ReductionOp, rho) -> Optional[bool]:
     """
     if op.kind == "lower_triangularize":
         return None
-    rho = as_matrix(rho)
-    if operator_norm(rho - rho.conj().T) > TOL:
-        raise ValueError("positivity check needs a Hermitian state")
-    if float(np.linalg.eigvalsh(rho).min()) < -TOL:
-        raise ValueError("positivity check needs a PSD state")
-    image = apply(op, rho)
-    if operator_norm(image - image.conj().T) > TOL:
-        return False
-    return float(np.linalg.eigvalsh(image).min()) >= -TOL
+    fault = _psd_fault(as_matrix(rho))
+    if fault:
+        raise ValueError(f"positivity check needs a {fault} state")
+    return _psd_fault(apply(op, rho)) is None
+
+
+def _psd_fault(m) -> Optional[str]:
+    """None if m is Hermitian and PSD to TOL, else which of the two fails:
+    the test of ``positivity_check``'s input and of its image R(rho)."""
+    if operator_norm(m - m.conj().T) > TOL:
+        return "Hermitian"
+    if float(np.linalg.eigvalsh(m).min()) < -TOL:
+        return "PSD"
+    return None
 
 
 def reduction_to_json(op: ReductionOp) -> dict:

@@ -15,37 +15,37 @@ Lax side.  The map
     rho = diag(p) + sum_k lambda_k e^{x_k} E_{k+1,k},    a = sum_k alpha_k E_{k,k+1}
 
 sends states to lower-triangular matrices; H becomes 1/2 tr((rho + a)^2), one
-of the family h_k(rho) = tr((rho + a)^k) / k whose lower-coinduced flows are
-the Lax fields pi_lower([rho, pi+ (rho + a)^{k-1}]): ``lax_field``,
-``lax_rhs`` and ``ham_field(LOWER_COINDUCED, toda_hk(k, a))`` compute them
-with the one kernel ``brackets._coinduced_field``.  The tangent map of the
-canonical flow equals the k = 2 Lax field exactly (an algebraic identity, not
-an approximation; ``intertwining_defect`` is roundoff), and the h_k mutually
-Poisson-commute under the lower-coinduced bracket (``involution_defect``).
+of the family h_k(rho) = tr((rho + a)^k) / k, the Casimirs T_k of
+``brackets.casimir`` at rho + a (``toda_hk``).  Their lower-coinduced flows,
+the Lax fields pi_lower([rho, pi+ (rho + a)^{k-1}]), are
+``ham_field(LOWER_COINDUCED, toda_hk(k, a))``; ``lax_field`` and ``lax_rhs``
+give the h_2 flow with the same kernel ``brackets._coinduced_field``.  The
+tangent map of the canonical flow equals the h_2 Lax field exactly (an
+algebraic identity, not an approximation; ``intertwining_defect`` is
+roundoff), and the h_k Poisson-commute under the lower-coinduced bracket
+(``involution_defect``).
 
 Positions above ~700 overflow exp.  Where a state comes from outside,
 ``toda_hamiltonian``, ``canonical_field``, ``flaschka`` and
 ``flaschka_tangent`` raise NumericalAbort for them rather than return inf.
 
-The k = 2 flow keeps rho lower bidiagonal, rho = diag(p) + sum_i b_i E_{i+1,i},
+The h_2 flow keeps rho lower bidiagonal, rho = diag(p) + sum_i b_i E_{i+1,i},
 so it also runs on the real vector y = (p, b) of length 2N - 1:
 
     pdot_j = alpha_{j-1} b_{j-1} - alpha_j b_j,    bdot_i = b_i (p_i - p_{i+1}),
 
 (out-of-range terms read as zero), the canonical equations again with
 b_i = lam_i e^{x_i}.  ``bidiagonal_rhs(alpha)`` integrates that, O(N) per
-call; ``toda-run``'s Lax flow runs on it and builds dense matrices only for
-the states it records.  The dense field ``lax_field``/``lax_rhs`` serves
-every k and is the reference the (p, b) flow is checked against.
+call, and is checked against the dense ``lax_field``/``lax_rhs``;
+``toda-run``'s Lax flow runs on it from the y of ``_flaschka_coords``.
 
 ``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
 inputs when they are built, and ``canonical_rhs(template)`` takes the
 weights of a validated ``TodaState``; the fields themselves trust them,
-so a dense RK4 stage costs the matrix power, two matrix products and two
-selections with cached triangle masks, a canonical stage one unguarded
-``np.exp``, and a diverging flow, also one whose positions pass the exp
-limit, reaches the integrator's finiteness check instead of failing inside
-a stage.
+so a dense RK4 stage costs two matrix products and two selections with
+cached triangle masks, a canonical stage one unguarded ``np.exp``, and a
+diverging flow, also one whose positions pass the exp limit, reaches the
+integrator's finiteness check instead of failing inside a stage.
 
 The Lax matrix L = rho + a of y = (p, b) is real and tridiagonal: diagonal
 p, subdiagonal b, superdiagonal alpha (``_lax_matrix``).  ``toda-run``
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import (LOWER_COINDUCED, Observable, _canonical_grad,
-                       _coinduced_field, lp_bracket)
+                       _coinduced_field, casimir, lp_bracket)
 from .integrators import NumericalAbort
 from .operators import _json_size, as_matrix
 
@@ -235,11 +235,6 @@ class LaxPair:
         if self.rho.shape != self.a.shape:
             raise ValueError("rho and a must share one dimension")
 
-    @property
-    def lax(self) -> np.ndarray:
-        """The full Lax matrix L = rho + a."""
-        return self.rho + self.a
-
 
 def _tridiagonal(diag, lower, upper, dtype=float) -> np.ndarray:
     """The matrices with diagonal ``diag``, subdiagonal ``lower`` and
@@ -279,11 +274,6 @@ def _jacobi_matrix(y, alpha) -> np.ndarray:
     return _tridiagonal(y[..., :n], off, off)
 
 
-def _bidiagonal_coords(rho) -> np.ndarray:
-    """y = (p, b): the real diagonal and subdiagonal of a bidiagonal rho."""
-    return np.concatenate([rho.diagonal().real, rho.diagonal(-1).real])
-
-
 def _flaschka_coords(x, p, lam) -> np.ndarray:
     """y = (p, b) of the Flaschka image of (x, p): b_i = lam_i e^{x_i}; row
     by row for (R, N - 1) and (R, N) stacks of x and p."""
@@ -312,51 +302,35 @@ def flaschka_tangent(state: TodaState, xdot, pdot) -> np.ndarray:
         np.concatenate([pdot, state.lam * _bond_exponentials(state.x) * xdot]))
 
 
-def _check_index(k: int) -> None:
-    if k < 1:
-        raise ValueError("index must be a positive integer")
-
-
 def toda_hk(k: int, a) -> Observable:
-    """h_k(rho) = tr((rho + a)^k) / k on lower-triangular states.
+    """h_k(rho) = tr((rho + a)^k) / k on lower-triangular states: the
+    Casimir T_k of ``brackets.casimir`` at rho + a.
 
     Gradient representative: pi+ ((rho + a)^(k-1)).  h_2 is the image of the
     canonical Hamiltonian under the Flaschka map.
     """
-    _check_index(k)
-    a = as_matrix(a)
-
-    def evaluate(rho):
-        lax = as_matrix(rho) + a
-        return complex(np.trace(np.linalg.matrix_power(lax, k))) / k
-
-    def gradient(rho):
-        return _canonical_grad(LOWER_COINDUCED,
-                               np.linalg.matrix_power(rho + a, k - 1))
-
-    return Observable(evaluate, gradient)
+    t_k, a = casimir(k), as_matrix(a)
+    return Observable(
+        lambda rho: t_k(as_matrix(rho) + a),
+        lambda rho: _canonical_grad(LOWER_COINDUCED, t_k.grad(rho + a)))
 
 
-def lax_field(pair: LaxPair, k: int = 2) -> np.ndarray:
-    """pi_lower([rho, pi+ (rho + a)^(k-1)]), the h_k flow of the pair:
-    ``lax_rhs(pair.a, k)`` at ``pair.rho``."""
-    return lax_rhs(pair.a, k)(0.0, pair.rho)
+def lax_field(pair: LaxPair) -> np.ndarray:
+    """pi_lower([rho, pi+ (rho + a)]), the h_2 flow of the pair:
+    ``lax_rhs(pair.a)`` at ``pair.rho``."""
+    return lax_rhs(pair.a)(0.0, pair.rho)
 
 
-def lax_rhs(a, k: int = 2):
-    """rhs(t, rho) for integrating the Lax flow at fixed a.
+def lax_rhs(a):
+    """rhs(t, rho) for integrating the h_2 Lax flow at fixed a.
 
     a is validated here, once; the returned closure trusts rho to be a
     finite matrix of a's shape (``evolve`` checks each step's state).
     """
-    _check_index(k)
     a = as_matrix(a)
 
     def rhs(t, rho):
-        lax = rho + a
-        if k != 2:  # (rho + a)^1 is rho + a itself
-            lax = np.linalg.matrix_power(lax, k - 1)
-        return _coinduced_field(lax, rho)
+        return _coinduced_field(rho + a, rho)
 
     return rhs
 
@@ -394,7 +368,7 @@ def intertwining_defect(state: TodaState) -> float:
     xdot, pdot = canonical_field(state)
     pushed = flaschka_tangent(state, xdot, pdot)
     pair = flaschka(state)
-    return float(np.max(np.abs(pushed - lax_field(pair, 2))))
+    return float(np.max(np.abs(pushed - lax_field(pair))))
 
 
 def involution_defect(state: TodaState, j: int, k: int) -> float:

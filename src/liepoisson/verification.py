@@ -531,8 +531,9 @@ def _toda_checks(fx) -> List[CheckResult]:
 
     # the canonical field pushed through flaschka, and the (p, b) field,
     # each against the dense k = 2 Lax field at the same state
-    field = td.bidiagonal_rhs(state.alpha)(0.0, td._bidiagonal_coords(pair.rho))
-    gap = float(np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair, 2))))
+    y = td._flaschka_coords(state.x, state.p, state.lam)
+    field = td.bidiagonal_rhs(state.alpha)(0.0, y)
+    gap = float(np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair))))
     out.append(_check("toda_intertwining",
                       max(td.intertwining_defect(state), gap), 1e-12))
 

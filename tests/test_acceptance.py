@@ -220,7 +220,8 @@ def test_criterion_4_toda_suite():
                              for m in lax_states]) for k in range(1, 5)}
 
     can = it.evolve(td.pack(state0), cfg, rhs=td.canonical_rhs(state0))
-    can_lax = [td.flaschka(td.unpack(y, state0)).lax for y in can.states]
+    can_lax = [td.flaschka(td.unpack(y, state0)).rho + pair0.a
+               for y in can.states]
     lax = it.evolve(pair0.rho, cfg, rhs=td.lax_rhs(pair0.a))
     lax_lax = [s + pair0.a for s in lax.states]
 

@@ -192,8 +192,8 @@ def test_lax_toda_run_never_evaluates_the_dense_field(tmp_path, monkeypatch):
 
 def test_canonical_toda_run_builds_lax_matrices_without_states(tmp_path,
                                                                  monkeypatch):
-    # one flaschka call gives the fixed shift a; recorded states go straight
-    # from (x, p) to their Lax matrix, with no TodaState in between
+    # the shift a and the recorded Lax matrices come straight from (x, p)
+    # and alpha, with no LaxPair or TodaState in between
     calls = {"flaschka": 0, "unpack": 0}
 
     def counting(name):
@@ -210,7 +210,7 @@ def test_canonical_toda_run_builds_lax_matrices_without_states(tmp_path,
                "integrator": {"dt": 1e-3, "steps": 50, "stride": 1}}
     code, _ = _run(tmp_path, "toda-run", payload)
     assert code == 0
-    assert calls["flaschka"] <= 1 and calls["unpack"] == 0
+    assert calls == {"flaschka": 0, "unpack": 0}
 
 
 def _csv_table(path, n_complex=0):
@@ -251,13 +251,14 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     if flow == "canonical":
         table, _ = _csv_table(out_dir / "toda_trajectory.csv")
         ys = np.column_stack([table[c] for c in td.toda_columns(n)])
-        laxes = [td.flaschka(td.unpack(y, state0)).lax.real for y in ys]
+        laxes = [(td.flaschka(td.unpack(y, state0)).rho + a).real for y in ys]
         coords = np.array([td._flaschka_coords(y[:n - 1], y[n - 1:], state0.lam)
                            for y in ys])
     else:
         table, rhos = _csv_table(out_dir / "toda_trajectory.csv", n)
         laxes = [(rho + a).real for rho in rhos]
-        coords = np.array([td._bidiagonal_coords(rho) for rho in rhos])
+        coords = np.array([np.concatenate([rho.diagonal(), rho.diagonal(-1)]).real
+                           for rho in rhos])
     want = {f"h{k}": np.array([_reference_hk(lax, k) for lax in laxes])
             for k in range(1, hk_max + 1)}
     for name, column in want.items():
@@ -619,15 +620,16 @@ def test_reduce_demo_group_needs_even_dimension(tmp_path):
     assert not out_dir.exists()
 
 
-def test_reduce_demo_lower_applies_each_distinct_reduction_once(tmp_path,
-                                                                monkeypatch):
+@pytest.mark.parametrize("kind", sorted(cli.REDUCE_KINDS))
+def test_reduce_demo_applies_each_distinct_reduction_once(tmp_path, monkeypatch,
+                                                          kind):
     # R(rho), R*(x), R(R(rho)), R*(y) and R*(R*(x) R*(y)), each once: the
-    # rows and dual_sample reuse them
+    # rows and dual_sample reuse them, the contraction and positivity rows too
     inputs = []
     sandwich = red._sandwich
     monkeypatch.setattr(red, "_sandwich",
                         lambda *a: inputs.append(a[1].copy()) or sandwich(*a))
-    code, _ = _run(tmp_path, "reduce-demo", {"params": {"N": 8, "kind": "lower"}})
+    code, _ = _run(tmp_path, "reduce-demo", {"params": {"N": 8, "kind": kind}})
     assert code == 0
     assert len(inputs) == 5
     assert len({m.tobytes() for m in inputs}) == 5

@@ -28,11 +28,11 @@ def test_two_site_worked_example():
     pair = td.flaschka(state)
     assert np.array_equal(pair.rho, [[1, 0], [1, -1]])
     assert np.array_equal(pair.a, [[0, 1], [0, 0]])
-    assert np.array_equal(pair.lax, [[1, 1], [1, -1]])
+    assert np.array_equal(pair.rho + pair.a, [[1, 1], [1, -1]])
     h2 = td.toda_hk(2, pair.a)
     assert h2(pair.rho) == 2.0
     assert td.toda_hamiltonian(state) == 2.0
-    assert np.array_equal(td.lax_field(pair, 2), [[-1, 0], [2, 1]])
+    assert np.array_equal(td.lax_field(pair), [[-1, 0], [2, 1]])
     xdot, pdot = td.canonical_field(state)
     assert np.array_equal(xdot, [2.0])
     assert np.array_equal(pdot, [-1.0, 1.0])
@@ -286,9 +286,11 @@ def test_involution_property(seed):
 def test_bidiagonal_coordinates_round_trip():
     state = seeded_random_state(181, "toda", 5)
     rho = td.flaschka(state).rho
-    y = td._bidiagonal_coords(rho)
+    y = td._flaschka_coords(state.x, state.p, state.lam)
     assert np.array_equal(y, np.concatenate([state.p, state.lam * np.exp(state.x)]))
     assert np.array_equal(td._bidiagonal_matrix(y), rho)
+    assert y.tobytes() == np.concatenate([rho.diagonal().real,
+                                          rho.diagonal(-1).real]).tobytes()
 
 
 def test_bidiagonal_field_is_the_dense_lax_field():
@@ -299,19 +301,40 @@ def test_bidiagonal_field_is_the_dense_lax_field():
         for seed in (0, 1, 2):
             state = seeded_random_state(1000 * n + seed, "toda", n)
             pair = td.flaschka(state)
-            field = td.bidiagonal_rhs(state.alpha)(0.0, td._bidiagonal_coords(pair.rho))
-            gap = np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair, 2)))
-            assert gap <= 4 * eps * max(1.0, np.max(np.abs(pair.lax))) ** 2, (n, seed)
+            y = td._flaschka_coords(state.x, state.p, state.lam)
+            field = td.bidiagonal_rhs(state.alpha)(0.0, y)
+            gap = np.max(np.abs(td._bidiagonal_matrix(field) - td.lax_field(pair)))
+            lax = pair.rho + pair.a
+            assert gap <= 4 * eps * max(1.0, np.max(np.abs(lax))) ** 2, (n, seed)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_lax_field_is_the_coinduced_hamiltonian_field_of_hk(n, k):
-    # the h_k flow is ham_field of h_k under the lower-coinduced bracket
+    # the h_k flow is ham_field of h_k under the lower-coinduced bracket, with
+    # the bits of the public-operator formula; lax_field and lax_rhs are h_2's
     pair = td.flaschka(seeded_random_state(1900 + n, "toda", n))
-    want = br.ham_field(br.LOWER_COINDUCED, td.toda_hk(k, pair.a), pair.rho)
-    assert td.lax_field(pair, k).tobytes() == want.tobytes()
-    assert td.lax_rhs(pair.a, k)(0.0, pair.rho).tobytes() == want.tobytes()
+    rho, a = pair.rho, pair.a
+    want = br.ham_field(br.LOWER_COINDUCED, td.toda_hk(k, a), rho)
+    m = op.project_upper_plus(np.linalg.matrix_power(rho + a, k - 1))
+    assert op.project_lower(op.commutator(rho, m)).tobytes() == want.tobytes()
+    if k == 2:
+        assert td.lax_field(pair).tobytes() == want.tobytes()
+        assert td.lax_rhs(a)(0.0, rho).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_toda_hk_is_the_casimir_at_rho_plus_a(k):
+    # h_k is T_k pulled back along rho -> rho + a, its gradient pi+ of T_k's
+    pair = td.flaschka(seeded_random_state(1950 + k, "toda", 6))
+    lax = pair.rho + pair.a
+    hk, t_k = td.toda_hk(k, pair.a), br.casimir(k)
+    assert np.array(hk(pair.rho)).tobytes() == np.array(t_k(lax)).tobytes()
+    want = op.project_upper_plus(t_k.grad(lax))
+    assert hk.grad(pair.rho).tobytes() == want.tobytes()
+    # and, by an independent route, sum_i lambda_i^k / k over the spectrum
+    exact = np.sum(np.linalg.eigvals(lax) ** k) / k
+    assert abs(hk(pair.rho) - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 def test_bidiagonal_rhs_validates_alpha_once():
@@ -352,10 +375,10 @@ def _aks_lax(lax0, t):
 def test_both_lax_flows_match_the_aks_solution(n, t, tol):
     state = seeded_random_state(180 + n, "toda", n)
     pair = td.flaschka(state)
-    exact, cond = _aks_lax(pair.lax, t)
+    exact, cond = _aks_lax(pair.rho + pair.a, t)
     assert cond < 100.0
     cfg = it.IntegratorConfig(dt=1e-3, steps=int(round(t / 1e-3)), stride=10**6)
-    pb = it.evolve(td._bidiagonal_coords(pair.rho), cfg,
+    pb = it.evolve(td._flaschka_coords(state.x, state.p, state.lam), cfg,
                    rhs=td.bidiagonal_rhs(state.alpha))
     dense = it.evolve(pair.rho, cfg, rhs=td.lax_rhs(pair.a))
     assert np.max(np.abs(td._bidiagonal_matrix(pb.states[-1]) + pair.a - exact)) < tol
@@ -365,11 +388,11 @@ def test_both_lax_flows_match_the_aks_solution(n, t, tol):
 def test_bidiagonal_flow_converges_at_fourth_order_to_the_aks_solution():
     state = seeded_random_state(188, "toda", 8)
     pair = td.flaschka(state)
-    exact, _ = _aks_lax(pair.lax, 2.0)
+    exact, _ = _aks_lax(pair.rho + pair.a, 2.0)
     errors = []
     for dt in (4e-3, 2e-3):
         cfg = it.IntegratorConfig(dt=dt, steps=int(round(2.0 / dt)), stride=10**6)
-        end = it.evolve(td._bidiagonal_coords(pair.rho), cfg,
+        end = it.evolve(td._flaschka_coords(state.x, state.p, state.lam), cfg,
                         rhs=td.bidiagonal_rhs(state.alpha)).states[-1]
         errors.append(np.max(np.abs(td._bidiagonal_matrix(end) + pair.a - exact)))
     assert 12.0 < errors[0] / errors[1] < 20.0

@@ -153,6 +153,11 @@ CONFIGS = [
                      "method": "isospectral"}}),
     ("reduce-explicit", "reduce-demo",
      {"params": {"N": 3, "kind": "lower", "state": RHO3}}),
+    # states that are not PSD: no positivity_preserved row
+    ("reduce-measurement-indefinite", "reduce-demo",
+     {"params": {"N": 3, "kind": "measurement", "state": H3}}),
+    ("reduce-group-non-hermitian", "reduce-demo",
+     {"params": {"N": 2, "kind": "group", "state": NON_HERMITIAN}}),
     ("orbit-explicit", "orbit-kks", {"params": {"N": 3, "state": H3}}),
     ("toda-explicit", "toda-run",
      {"params": {"initial": TODA4}, "integrator": {"dt": 1e-3, "steps": 200}}),
