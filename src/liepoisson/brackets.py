@@ -29,12 +29,13 @@ linear in the state); that case is ordinary, not an error.
 
 An ``Observable`` is a function with its gradient, all the bracket sees of
 it.  Finite differences serve one case, the bracket of two non-linear
-observables: ``bracket_observable`` picks ``fd_gradient``,
-``fd_gradient_lower`` or ``fd_gradient_skew`` by the spec's kind.
+observables: ``bracket_observable`` takes ``fd_gradient`` over the spec's
+state space, as every other function here takes the spec's space.
 
-``lp_bracket`` and ``ham_field`` validate the state once, on entry (see
-``_state``); from there the gradients an observable returns are taken as
-they come and every formula runs on the trusted kernels of ``operators``.
+``lp_bracket``, ``ham_field`` and ``fd_gradient`` validate the state once,
+on entry (see ``_state``); from there the gradients an observable returns
+are taken as they come and every formula runs on the trusted kernels of
+``operators``.
 The coinduced field's kernel ``_coinduced_field`` also serves the Toda Lax
 flows, and ``_pullback`` is the one composite f o phi.
 """
@@ -52,10 +53,10 @@ from .operators import (
     ClassTag,
     _commutator,
     _holds,
+    _matrix_pair,
     _skew_hermitian_part,
     _trace_pairing,
     as_matrix,
-    commutator,
     elementary,
     project_lower,
     project_upper_plus,
@@ -73,8 +74,6 @@ __all__ = [
     "bracket_observable",
     "casimir",
     "fd_gradient",
-    "fd_gradient_lower",
-    "fd_gradient_skew",
     "ham_field",
     "inclusion_lower_map",
     "jacobi_defect",
@@ -114,70 +113,6 @@ HERMITIAN_REAL = BracketSpec("hermitian_real")
 
 def product(left: BracketSpec, right: BracketSpec) -> BracketSpec:
     return BracketSpec("product", left, right)
-
-
-def fd_gradient(func: Callable, rho, step: float = FD_STEP):
-    """Central-difference gradient representative under the trace pairing.
-
-    Differentiates entry by entry against the real and imaginary parts of the
-    state and assembles G with G[m, n] = d f / d rho_nm (so that
-    df . delta = tr(G delta) for the polynomial observables used here).
-    Pair states are handled componentwise.
-    """
-    if isinstance(rho, tuple):
-        return tuple(fd_gradient(lambda m, k=k: func(rho[:k] + (m,) + rho[k + 1:]),
-                                 part, step) for k, part in enumerate(rho))
-
-    rho = as_matrix(rho)
-    return _wirtinger_gradient(func, rho, step, np.ndindex(rho.shape))
-
-
-def _wirtinger_gradient(func: Callable, rho: np.ndarray, step: float, entries):
-    """G[j, i] = d f / d rho_ij by central differences, for each (i, j) in
-    ``entries``; the other entries of G stay zero."""
-    n = rho.shape[0]
-    g = np.zeros((n, n), dtype=complex)
-    for i, j in entries:
-        e = np.zeros((n, n), dtype=complex)
-        e[i, j] = step
-        d_re = (func(rho + e) - func(rho - e)) / (2.0 * step)
-        d_im = (func(rho + 1j * e) - func(rho - 1j * e)) / (2.0 * step)
-        # Wirtinger derivative; equals the complex derivative for
-        # holomorphic (polynomial-in-entries) observables.
-        g[j, i] = 0.5 * (d_re - 1j * d_im)
-    return g
-
-
-def fd_gradient_lower(func: Callable, rho, step: float = FD_STEP):
-    """Gradient of a function defined on lower-triangular states.
-
-    Only directions inside the state space (row >= column) are probed, so the
-    result is the canonical upper-plus representative: tr(G delta) = df . delta
-    for every lower-triangular delta.
-    """
-    rho = as_matrix(rho)
-    return _wirtinger_gradient(func, rho, step, zip(*np.tril_indices(rho.shape[0])))
-
-
-def fd_gradient_skew(func: Callable, rho, step: float = FD_STEP):
-    """Real gradient on the skew-Hermitian subspace: df . delta = Re tr(G delta).
-
-    Walks a real orthogonal basis of the skew-Hermitian matrices.  Under the
-    pairing Re tr(XY) that basis has norm -1, hence the sign below.
-    """
-    rho = as_matrix(rho)
-    n = rho.shape[0]
-    basis = [1j * elementary(n, k, k) for k in range(n)]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append((elementary(n, i, j) - elementary(n, j, i)) * inv_sqrt2)
-            basis.append(1j * (elementary(n, i, j) + elementary(n, j, i)) * inv_sqrt2)
-    g = np.zeros((n, n), dtype=complex)
-    for b in basis:
-        slope = (func(rho + step * b) - func(rho - step * b)) / (2.0 * step)
-        g -= float(np.real(slope)) * b
-    return g
 
 
 class Observable:
@@ -326,6 +261,52 @@ def ham_field(spec: BracketSpec, h: Observable, state):
     return _partial_field(spec, h.grad(state), state)
 
 
+def fd_gradient(spec: BracketSpec, func: Callable, state, step: float = FD_STEP):
+    """Central-difference gradient of func over the spec's state space.
+
+    The result is the spec's gradient representative G: df . delta =
+    tr(G delta) (Re tr for hermitian_real) for every delta in that space.
+    ``full`` probes every entry, ``lower_coinduced`` the entries with row >=
+    column (so G is upper-plus), ``hermitian_real`` a real orthogonal basis
+    of the skew-Hermitian matrices, and a product each slot over its own
+    factor's space, the other slot held fixed.
+    """
+    return _fd_gradient(spec, func, _state(spec, state), step)
+
+
+def _fd_gradient(spec: BracketSpec, func: Callable, rho, step: float):
+    """``fd_gradient`` at a validated state."""
+    if spec.kind == "product":
+        left, right = rho
+        return (_fd_gradient(spec.left, lambda m: func((m, right)), left, step),
+                _fd_gradient(spec.right, lambda m: func((left, m)), right, step))
+    n = rho.shape[0]
+    g = np.zeros((n, n), dtype=complex)
+    if spec.kind == "hermitian_real":
+        # a real orthogonal basis of the skew-Hermitian matrices; under the
+        # pairing Re tr(XY) it has norm -1, hence the sign below
+        basis = [1j * elementary(n, k, k) for k in range(n)]
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            basis.append((elementary(n, i, j) - elementary(n, j, i)) * inv_sqrt2)
+            basis.append(1j * (elementary(n, i, j) + elementary(n, j, i)) * inv_sqrt2)
+        for b in basis:
+            slope = (func(rho + step * b) - func(rho - step * b)) / (2.0 * step)
+            g -= float(np.real(slope)) * b
+        return g
+    entries = (zip(*np.tril_indices(n)) if spec.kind == "lower_coinduced"
+               else np.ndindex(n, n))
+    for i, j in entries:
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = step
+        d_re = (func(rho + e) - func(rho - e)) / (2.0 * step)
+        d_im = (func(rho + 1j * e) - func(rho - 1j * e)) / (2.0 * step)
+        # G[j, i] = d f / d rho_ij, the Wirtinger derivative; it equals the
+        # complex derivative for holomorphic (polynomial-in-entries) observables.
+        g[j, i] = 0.5 * (d_re - 1j * d_im)
+    return g
+
+
 def casimir(k: int) -> Observable:
     """T_k(rho) = tr(rho^k) / k, with analytic gradient rho^(k-1).
 
@@ -346,21 +327,14 @@ def casimir(k: int) -> Observable:
     return Observable(evaluate, gradient, linear=(k == 1))
 
 
-# spec kind -> name of the fd gradient over its state space, looked up at
-# call time so that a rebound function (a tracer, the coverage recorder) sees it
-_FD_BY_KIND = {"full": "fd_gradient", "lower_coinduced": "fd_gradient_lower",
-               "hermitian_real": "fd_gradient_skew", "product": "fd_gradient"}
-
-
 def bracket_observable(spec: BracketSpec, f: Observable, g: Observable) -> Observable:
     """The function rho -> {f, g}(rho) as an Observable.
 
     When both arguments are linear the bracket is again linear with the exact
     gradient [df, dg] of projected representatives; otherwise its gradient is
-    taken by central differences with step ``FD_STEP_NESTED``, over the
-    directions of the spec's state space: ``fd_gradient`` for full and
-    product specs, ``fd_gradient_lower`` and ``fd_gradient_skew`` for the
-    lower-coinduced and realified ones.
+    ``fd_gradient`` over the spec's state space with step
+    ``FD_STEP_NESTED``, called by its global name so that a rebound one (a
+    tracer, the coverage recorder) sees the call.
     """
     def value(rho):
         return lp_bracket(spec, f, g, rho)
@@ -370,9 +344,8 @@ def bracket_observable(spec: BracketSpec, f: Observable, g: Observable) -> Obser
                           lambda rho: _grad_commutator(spec, f.grad(rho),
                                                        g.grad(rho)),
                           linear=True)
-    fd_name = _FD_BY_KIND[spec.kind]
     return Observable(value,
-                      lambda rho: globals()[fd_name](value, rho, FD_STEP_NESTED))
+                      lambda rho: fd_gradient(spec, value, rho, FD_STEP_NESTED))
 
 
 def jacobi_defect(spec: BracketSpec, f: Observable, g: Observable, h: Observable,
@@ -488,26 +461,22 @@ def reduction_condition_defect(apply_map: Callable, dual_map: Callable,
     pairing Re tr with skew-Hermitian lifted gradients, the correct reading
     for real-linear projections such as the skew-Hermitian part.
     """
+    # each map output is checked here, square, finite and of rho's shape,
+    # before the trusted kernel runs
     rho = as_matrix(rho)
-    image = apply_map(rho)
-    again = apply_map(image)
-    return _lifted_condition_defect(dual_map(fbar.grad(image)),
-                                    dual_map(gbar.grad(image)), rho, image,
-                                    again, realified)
+    image = _matrix_pair(rho, apply_map(rho))[1]
+    again = _matrix_pair(rho, apply_map(image))[1]
+    a, b = (_matrix_pair(rho, dual_map(obs.grad(image)))[1] for obs in (fbar, gbar))
+    return _lifted_condition_defect(a, b, rho, image, again, realified)
 
 
 def _lifted_condition_defect(a, b, rho, image, again,
                              realified: bool = False) -> float:
     """``reduction_condition_defect`` from the lifted gradients
     a = R*(Dfbar(R rho)) and b = R*(Dgbar(R rho)), the state, its image
-    R(rho) and again = R(R(rho))."""
+    R(rho) and again = R(R(rho)): the spec's bracket of the lifted gradients
+    at rho and at R(rho), the realified one for ``realified``."""
     if float(np.max(np.abs(again - image))) > 1e-10:
         raise ValueError("reduction map is not idempotent")
-    if realified:
-        a, b = skew_hermitian_part(a), skew_hermitian_part(b)
-    c = commutator(a, b)
-    upstairs = trace_pairing(c, rho)
-    downstairs = trace_pairing(c, image)
-    if realified:
-        return abs(upstairs.real - downstairs.real)
-    return abs(upstairs - downstairs)
+    spec = HERMITIAN_REAL if realified else FULL
+    return abs(_partial_bracket(spec, a, b, rho) - _partial_bracket(spec, a, b, image))

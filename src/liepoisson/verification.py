@@ -236,14 +236,16 @@ def _bracket_checks(fx) -> List[CheckResult]:
     out.append(_check("full_casimir_brackets_vanish", worst_b, 1e-10))
     out.append(_check("full_casimir_fields_vanish", worst_f, 1e-12))
 
-    d = float(np.max(np.abs(bk.fd_gradient(g_s, fx["psd"]) - g_s.grad(fx["psd"]))))
+    d = float(np.max(np.abs(bk.fd_gradient(bk.FULL, g_s, fx["psd"])
+                            - g_s.grad(fx["psd"]))))
     pair = td.flaschka(fx["toda"])
     hk = td.toda_hk(2, pair.a)
     d = max(d, float(np.max(np.abs(
-        bk.fd_gradient_lower(hk, pair.rho) - hk.grad(pair.rho)))))
+        bk.fd_gradient(bk.LOWER_COINDUCED, hk, pair.rho) - hk.grad(pair.rho)))))
     rl = bk.Observable.real_linear_form(fx["draw"]())
     skew = op.skew_hermitian_part(fx["general"])
-    d = max(d, float(np.max(np.abs(bk.fd_gradient_skew(rl, skew) - rl.grad(skew)))))
+    d = max(d, float(np.max(np.abs(
+        bk.fd_gradient(bk.HERMITIAN_REAL, rl, skew) - rl.grad(skew)))))
     out.append(_check("fd_gradients_match_analytic", d, 1e-6))
     return out
 

@@ -105,18 +105,18 @@ def test_fd_gradients_match_analytic_gradients():
     a = _unit(seeded_random_state(39, "general", 4))
     b = _unit(seeded_random_state(40, "general", 4))
     quad = br.Observable.quadratic_form(a, b)
-    fd = br.fd_gradient(quad, rho)
+    fd = br.fd_gradient(br.FULL, quad, rho)
     assert np.max(np.abs(fd - quad.grad(rho))) < 1e-8
 
     low = op.project_lower(seeded_random_state(41, "general", 4))
     lin = br.Observable.linear_form(_unit(seeded_random_state(42, "general", 4)))
-    fd_low = br.fd_gradient_lower(lin, low)
+    fd_low = br.fd_gradient(br.LOWER_COINDUCED, lin, low)
     assert np.max(np.abs(fd_low - op.project_upper_plus(lin.grad(low)))) < 1e-8
 
     skew = op.skew_hermitian_part(seeded_random_state(43, "general", 4))
     rlin = br.Observable.real_linear_form(
         op.skew_hermitian_part(seeded_random_state(44, "general", 4)))
-    fd_skew = br.fd_gradient_skew(rlin, skew)
+    fd_skew = br.fd_gradient(br.HERMITIAN_REAL, rlin, skew)
     assert np.max(np.abs(fd_skew - rlin.grad(skew))) < 1e-8
 
 
@@ -183,21 +183,19 @@ def test_bracket_observable_takes_the_fd_gradient_of_its_spec(kind):
                                          seeded_random_state(210 + k, "general", 3))
             for k in (0, 1)]
     general = seeded_random_state(220, "general", 3)
-    spec, f, g, state, fd = {
-        "full": (br.FULL, *quad, general, br.fd_gradient),
+    spec, f, g, state = {
+        "full": (br.FULL, *quad, general),
         "lower_coinduced": (br.LOWER_COINDUCED, *quad,
-                            seeded_random_state(221, "lower", 3),
-                            br.fd_gradient_lower),
+                            seeded_random_state(221, "lower", 3)),
         "hermitian_real": (br.HERMITIAN_REAL, *quad,
-                           op.skew_hermitian_part(general), br.fd_gradient_skew),
+                           op.skew_hermitian_part(general)),
         "product": (br.product(br.FULL, br.FULL), _nonlinear_pair(230, 3, 2),
                     _nonlinear_pair(240, 3, 2),
-                    (general, seeded_random_state(222, "general", 2)),
-                    br.fd_gradient),
+                    (general, seeded_random_state(222, "general", 2))),
     }[kind]
     h = br.bracket_observable(spec, f, g)
     assert not h.linear
-    got, want = h.grad(state), fd(h, state, br.FD_STEP_NESTED)
+    got, want = h.grad(state), br.fd_gradient(spec, h, state, br.FD_STEP_NESTED)
     if kind == "product":
         assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
     else:
@@ -275,11 +273,34 @@ def test_fd_gradient_of_a_product_on_a_pair_state():
     fg = br.product_observable(f, g)
     state = (seeded_random_state(98, "general", 3),
              seeded_random_state(99, "general", 2))
-    numeric, analytic = br.fd_gradient(fg, state), fg.grad(state)
+    numeric = br.fd_gradient(br.product(br.FULL, br.FULL), fg, state)
+    analytic = fg.grad(state)
     assert len(numeric) == len(analytic) == 2
     for got, want in zip(numeric, analytic):
         assert got.shape == want.shape
         assert float(np.max(np.abs(got - want))) < 1e-6
+
+
+def test_fd_gradient_of_a_product_probes_each_factor_space():
+    # slot 0 holds a lower-triangular state of the coinduced bracket, so a
+    # nested bracket must probe only that space there
+    spec = br.product(br.LOWER_COINDUCED, br.FULL)
+    state = (seeded_random_state(100, "lower", 3),
+             seeded_random_state(101, "general", 2))
+    f, g, h = (_nonlinear_pair(seed, 3, 2) for seed in (102, 106, 110))
+    fg = br.bracket_observable(spec, f, g)
+    assert [m.shape for m in fg.grad(state)] == [(3, 3), (2, 2)]
+    assert br.jacobi_defect(spec, f, g, h, state) < 1e-6
+
+    # slot 0's fd gradient is the upper-plus representative
+    numeric, analytic = br.fd_gradient(spec, f, state), f.grad(state)
+    assert not np.any(np.tril(numeric[0], -1))
+    upper = op.project_upper_plus(analytic[0])
+    assert float(np.max(np.abs(numeric[0] - upper))) < 1e-6
+    assert float(np.max(np.abs(numeric[1] - analytic[1]))) < 1e-6
+
+    with pytest.raises(ValueError, match="pair state"):
+        br.fd_gradient(spec, f, state[0])
 
 
 def test_library_inputs_outside_their_domain_raise():
@@ -315,6 +336,15 @@ def test_reduction_condition_defect_rejects_non_idempotent_maps():
     with pytest.raises(ValueError):
         br.reduction_condition_defect(
             lambda m: 2.0 * m, lambda m: 2.0 * m, f, f, rho)
+
+
+def test_reduction_condition_defect_rejects_a_non_finite_image():
+    # the map outputs are checked at the public entry, before the kernel
+    f = br.Observable.linear_form(np.eye(3))
+    rho = seeded_random_state(83, "general", 3)
+    with pytest.raises(ValueError, match="finite"):
+        br.reduction_condition_defect(
+            lambda m: np.full_like(m, np.nan), lambda m: m, f, f, rho)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

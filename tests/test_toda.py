@@ -148,7 +148,7 @@ def test_hk_gradient_matches_fd_on_lower_states():
     state = seeded_random_state(175, "toda", 4)
     pair = td.flaschka(state)
     h3 = td.toda_hk(3, pair.a)
-    fd = br.fd_gradient_lower(h3, pair.rho)
+    fd = br.fd_gradient(br.LOWER_COINDUCED, h3, pair.rho)
     assert np.max(np.abs(fd - op.project_upper_plus(h3.grad(pair.rho)))) < 1e-7
     with pytest.raises(ValueError):
         td.toda_hk(0, pair.a)

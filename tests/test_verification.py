@@ -108,8 +108,8 @@ def test_coverage_fails_without_the_toda_group(monkeypatch):
 
 
 def test_fd_gradients_called_through_observables_are_recorded():
-    # bracket_observable looks its fd gradient up by name, so the recorder
-    # that rebinds bk.fd_gradient sees those calls too
+    # bracket_observable calls fd_gradient by its global name, so the
+    # recorder that rebinds bk.fd_gradient sees those calls too
     rows = {r.name: r for r in vf.run_all(seed=2024, dim=4)}
     assert "brackets.fd_gradient" in rows["full_bracket_jacobi_fd"].ops
 
