@@ -474,9 +474,10 @@ def _lifted_condition_defect(a, b, rho, image, again,
                              realified: bool = False) -> float:
     """``reduction_condition_defect`` from the lifted gradients
     a = R*(Dfbar(R rho)) and b = R*(Dgbar(R rho)), the state, its image
-    R(rho) and again = R(R(rho)): the spec's bracket of the lifted gradients
-    at rho and at R(rho), the realified one for ``realified``."""
+    R(rho) and again = R(R(rho)): one commutator of their representatives,
+    paired against rho and against R(rho), the real part for ``realified``."""
     if float(np.max(np.abs(again - image))) > 1e-10:
         raise ValueError("reduction map is not idempotent")
-    spec = HERMITIAN_REAL if realified else FULL
-    return abs(_partial_bracket(spec, a, b, rho) - _partial_bracket(spec, a, b, image))
+    comm = _grad_commutator(HERMITIAN_REAL if realified else FULL, a, b)
+    gap = _trace_pairing(comm, rho) - _trace_pairing(comm, image)
+    return abs(gap.real if realified else gap)

@@ -108,7 +108,7 @@ def isospectral_step(hgrad: Callable, rho, dt: float):
     return _conjugate(expm(dt * hgrad(rho_mid)), rho)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Recorded flow: times, the (R, ...) stack of states, scalar monitors."""
 

@@ -95,7 +95,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:
     # tr(x rho) = sum_ij x_ij rho_ji without forming the product.
-    return complex(np.sum(x * rho.T))
+    return complex((x * rho.T).sum())
 
 
 def _power_traces(stack: np.ndarray, k: int) -> np.ndarray:
@@ -264,7 +264,7 @@ def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
     raise ValueError(f"unknown tag {tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionOfUnity:
     """Ordered projectors, meant to be self-adjoint, mutually orthogonal and
     to sum to I.  The constructor checks only their shapes;

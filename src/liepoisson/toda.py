@@ -36,8 +36,8 @@ so it also runs on the real vector y = (p, b) of length 2N - 1:
 
 (out-of-range terms read as zero), the canonical equations again with
 b_i = lam_i e^{x_i}.  ``bidiagonal_rhs(alpha)`` integrates that, O(N) per
-call, and is checked against the dense ``lax_field``/``lax_rhs``;
-``toda-run``'s Lax flow runs on it from the y of ``_flaschka_coords``.
+call, and is checked against the dense ``lax_field``/``lax_rhs``; the Lax
+flows of ``toda-run`` and verify run on it from the y of ``_flaschka_coords``.
 
 ``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
 inputs when they are built, and ``canonical_rhs(template)`` takes the
@@ -115,7 +115,7 @@ def _momentum_vanishes(p: np.ndarray, tol: float) -> bool:
     return abs(float(np.sum(np.ldexp(p, -s)))) <= math.ldexp(tol, -s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TodaState:
     """Canonical data (x, p) plus bond weights (alpha, lam) for N sites."""
 
@@ -222,7 +222,7 @@ def toda_columns(n: int):
     return [f"x_{k}" for k in range(1, n)] + [f"p_{k}" for k in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaxPair:
     """Lower-triangular state rho and the fixed strictly upper shift a."""
 

@@ -267,6 +267,21 @@ def test_json_roundtrip_is_exact():
         td.toda_from_json(bad)
 
 
+def test_array_records_compare_and_hash_by_identity():
+    # equal but distinct arrays have no single truth value to compare by
+    def build():
+        state = seeded_random_state(179, "toda", 4)
+        traj = it.Trajectory(np.arange(2.0), np.zeros((2, 7)))
+        return state, td.flaschka(state), op.standard_basis_decomposition(4), traj
+
+    for a, b in zip(build(), build()):
+        assert (a == b) is False
+        assert (a == a) is True
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(seed=SEEDS, n=st.integers(min_value=2, max_value=8))
 def test_intertwining_property(seed, n):

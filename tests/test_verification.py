@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 from liepoisson import brackets as bk
@@ -13,6 +14,7 @@ from liepoisson import operators as op
 from liepoisson import orbits as orb
 from liepoisson import toda as td
 from liepoisson import verification as vf
+from liepoisson.fixtures import seeded_random_state
 
 
 def test_default_registry_is_all_green():
@@ -82,6 +84,24 @@ def test_intertwining_row_checks_the_bidiagonal_field():
     assert {"toda.bidiagonal_rhs", "toda.lax_field",
             "toda.intertwining_defect"} <= set(row.ops)
     assert row.passed
+
+
+def test_trajectory_row_runs_the_lax_flow_on_p_b():
+    # the (p, b) records compared as the dense rho they stand for give the
+    # row's defect bit for bit
+    results = vf.run_all(seed=2024, dim=4)
+    row = next(r for r in results if r.name == "toda_canonical_vs_lax_trajectory")
+    assert {"toda.bidiagonal_rhs", "integrators.evolve"} <= set(row.ops)
+    assert row.passed
+    state = seeded_random_state(2024, "toda", 4)
+    cfg = it.IntegratorConfig(dt=1e-3, steps=1000, stride=100)
+    canonical = it.evolve(td.pack(state), cfg, rhs=td.canonical_rhs(state))
+    lax = it.evolve(td._flaschka_coords(state.x, state.p, state.lam), cfg,
+                    rhs=td.bidiagonal_rhs(state.alpha))
+    dense = max(float(np.max(np.abs(td.flaschka(td.unpack(y, state)).rho
+                                    - td._bidiagonal_matrix(z))))
+                for y, z in zip(canonical.states, lax.states))
+    assert row.defect == dense
 
 
 def test_coverage_reports_an_uncalled_public_function(monkeypatch):

@@ -15,10 +15,13 @@ loading and the import are left out.  BLAS runs with one thread.
 
 For each invocation and for the whole pass it prints the median time of
 each tree, and the median and quartiles of the paired ratio this / base.
-A ratio below 1 means this tree is faster.  Two runs of a pass in the same
-process, one right after the other, see nearly the same host load, so the
-paired ratio is steady on a shared host where the times of separate cold
-runs are not.
+When the workload runs ``verify``, it does the same for each verify check
+group (``verify:<group>``): every ``verification._<group>_checks`` of both
+trees is wrapped in a timer, and ``run_all`` looks the groups up at call
+time, so it runs the wrappers.  A ratio below 1 means this tree is faster.
+Two runs of a pass in the same process, one right after the other, see
+nearly the same host load, so the paired ratio is steady on a shared host
+where the times of separate cold runs are not.
 """
 
 from __future__ import annotations
@@ -68,6 +71,28 @@ def time_run(cli, command: str, path: str, out_dir: str) -> float:
     return elapsed
 
 
+def time_verify_groups(cli) -> dict:
+    """Wrap each ``verification._<group>_checks`` of the tree of ``cli`` in
+    a timer; returns the dict the wrappers add their seconds to, by group,
+    in the order ``run_all`` calls them."""
+    verification = importlib.import_module(f"{cli.__package__}.verification")
+    spent = {}
+
+    def timed(group, fn):
+        def call(fx):
+            start = time.perf_counter()
+            try:
+                return fn(fx)
+            finally:
+                spent[group] = spent.get(group, 0.0) + time.perf_counter() - start
+        return call
+
+    for attr, fn in list(vars(verification).items()):
+        if attr.startswith("_") and attr.endswith("_checks") and callable(fn):
+            setattr(verification, attr, timed(attr[1:-len("_checks")], fn))
+    return spent
+
+
 def quartiles(values) -> tuple:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return median, q1, q3
@@ -98,14 +123,23 @@ def main(argv=None) -> int:
                    in perfbench.make_configs(table[args.workload], args.seed, tmp)]
         out_dir = os.path.join(tmp, "out")
         times = {(tree, label): [] for tree in trees for label, _, _ in configs}
+        spent = ({tree: time_verify_groups(cli) for tree, cli in trees.items()}
+                 if any(command == "verify" for _, command, _ in configs) else {})
+        group_times = {}
 
         for pair in range(args.pairs + 1):  # pair 0 warms both trees up
             order = ("base", "this") if pair % 2 else ("this", "base")
+            for groups in spent.values():
+                groups.clear()
             for label, command, path in configs:
                 for tree in order:
                     elapsed = time_run(trees[tree], command, path, out_dir)
                     if pair:
                         times[tree, label].append(elapsed)
+            if pair:
+                for tree, groups in spent.items():
+                    for group, seconds in groups.items():
+                        group_times.setdefault((tree, group), []).append(seconds)
 
     print(f"{args.workload}: {args.pairs} pairs, this tree against "
           f"{args.revision}, seconds in cli.run")
@@ -116,6 +150,9 @@ def main(argv=None) -> int:
                           for k in range(args.pairs)],
                  [sum(times["this", lb][k] for lb in labels)
                   for k in range(args.pairs)]))
+    rows.extend((f"verify:{group}", group_times["base", group], seconds)
+                for (tree, group), seconds in group_times.items()
+                if tree == "this" and ("base", group) in group_times)
     width = max(len(label) for label, _, _ in rows)
     for label, base, this in rows:
         median, q1, q3 = quartiles([t / b for b, t in zip(base, this)])
