@@ -89,6 +89,11 @@ REDUCE_MAX_N = 96
 # spawn key of the stream of demo probe draws (see fixtures._stream)
 PROBE_STREAM = 1000
 
+# gates no config moves: every lvn-run and toda-run relative drift, and the
+# two-form rows of orbit-kks (reduce-demo's laws hold to reduction.TOL)
+DRIFT_TOL = 1e-8
+KKS_TOL = 1e-10
+
 
 class ConfigError(ValueError):
     """Raised for any malformed or inconsistent run configuration."""
@@ -150,10 +155,10 @@ def _only_keys(mapping: dict, allowed, label: str) -> None:
 
 _PARAM_KEYS = {
     "verify": {"dim"},
-    "lvn-run": {"N", "hamiltonian", "initial_state", "drift_tol"},
-    "toda-run": {"N", "initial", "flow", "hk_max", "drift_tol", "t_end"},
-    "reduce-demo": {"N", "kind", "state", "tol"},
-    "orbit-kks": {"N", "state", "samples", "tol"},
+    "lvn-run": {"N", "hamiltonian", "initial_state"},
+    "toda-run": {"N", "initial", "flow", "hk_max", "t_end"},
+    "reduce-demo": {"N", "kind", "state"},
+    "orbit-kks": {"N", "state", "samples"},
 }
 
 _INTEGRATOR_KEYS = {"dt", "steps", "stride", "method"}
@@ -283,12 +288,10 @@ def _resolve_params(command: str, p: dict, integrator):
         n = dims[0] if dims else 6
         _require(n <= LVN_MAX_N, f"N must be at most {LVN_MAX_N}")
         _require_recorded_size(integrator, n)
-        drift_tol = _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
         _require(isinstance(h, str)
                  or op.validate(op.ClassTag.HERMITIAN, h, tol=1e-10),
                  "hamiltonian must be Hermitian")
-        return {"N": n, "hamiltonian": h,
-                "initial_state": rho, "drift_tol": drift_tol}, integrator
+        return {"N": n, "hamiltonian": h, "initial_state": rho}, integrator
     if command == "toda-run":
         initial = p.get("initial", "random")
         if initial == "random":
@@ -304,7 +307,6 @@ def _resolve_params(command: str, p: dict, integrator):
         flow = _choice(p.get("flow"), "flow", ("canonical", "lax"), "canonical")
         hk_max = _uint(p.get("hk_max"), "hk_max", 4)
         _require(1 <= hk_max <= 8, "hk_max must be in 1..8")
-        drift_tol = _positive_number(p.get("drift_tol"), "drift_tol", 1e-8)
         if "t_end" in p:
             # the span replaces the step count; the stride never exceeds it
             t_end = _positive_number(p["t_end"], "t_end")
@@ -314,8 +316,8 @@ def _resolve_params(command: str, p: dict, integrator):
             integrator = replace(integrator, steps=steps,
                                  stride=min(integrator.stride, steps))
         _require_recorded_size(integrator, n)
-        return {"N": n, "initial": initial, "flow": flow, "hk_max": hk_max,
-                "drift_tol": drift_tol}, integrator
+        return {"N": n, "initial": initial, "flow": flow,
+                "hk_max": hk_max}, integrator
     if command == "reduce-demo":
         n = _uint(p.get("N"), "N", 4)
         _require(2 <= n <= REDUCE_MAX_N, f"N must be in 2..{REDUCE_MAX_N}")
@@ -323,16 +325,14 @@ def _resolve_params(command: str, p: dict, integrator):
         _require(kind != "group" or n % 2 == 0,
                  "the demo sign group needs an even N")
         state = _matrix_or_tag(p, "state", _DENSITY_TAGS, n)
-        tol = _positive_number(p.get("tol"), "tol", 1e-10)
-        return {"N": n, "kind": kind, "state": state, "tol": tol}, integrator
+        return {"N": n, "kind": kind, "state": state}, integrator
     n = _uint(p.get("N"), "N", 4)  # orbit-kks
     _require(2 <= n <= ORBIT_MAX_N, f"N must be in 2..{ORBIT_MAX_N}")
     state = _matrix_or_tag(p, "state", _ORBIT_TAGS, n)
     samples = _uint(p.get("samples"), "samples", 6)
     _require(1 <= samples <= ORBIT_MAX_SAMPLES,
              f"samples must be in 1..{ORBIT_MAX_SAMPLES}")
-    tol = _positive_number(p.get("tol"), "tol", 1e-10)
-    return {"N": n, "state": state, "samples": samples, "tol": tol}, integrator
+    return {"N": n, "state": state, "samples": samples}, integrator
 
 
 # -------------------------------------------------------------- reporting
@@ -390,7 +390,7 @@ def _run_lvn(rc: RunConfig) -> int:
         traj.monitors[f"T{k}"] = op._power_traces(traj.states, k)
     # the rows come before the CSV, so an overflow in them writes nothing
     rows = [_check(f"{key}_relative_drift", _relative_drift(traj.monitors[key]),
-                   rc.params["drift_tol"])
+                   DRIFT_TOL)
             for key in ("T1", "T2", "T3", "T4", "energy")]
     csv_path = _artifact_path(rc)
     traj.to_csv(csv_path)
@@ -425,7 +425,6 @@ def _run_toda(rc: RunConfig) -> int:
     state0 = p["initial"]
     if isinstance(state0, str):
         state0 = seeded_random_state(rc.seed, "toda", p["N"])
-    hk_max, tol = p["hk_max"], p["drift_tol"]
     n = state0.n
     # (p, b) of the initial state's Flaschka image, where its overflow aborts
     y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)
@@ -454,13 +453,13 @@ def _run_toda(rc: RunConfig) -> int:
     # every column is evaluated once, on the (R, 2N - 1) recorded
     # coordinates (p, b) and the real (R, N, N) stack of L = rho + a they
     # give; the stacked calls give the per-matrix bits
-    hk, spectrum = _lax_invariants(coords, state0.alpha, hk_max)
+    hk, spectrum = _lax_invariants(coords, state0.alpha, p["hk_max"])
     # the rows come before the CSV, so an overflow in them writes nothing
-    rows = [_check(f"{name}_relative_drift", _relative_drift(column), tol)
+    rows = [_check(f"{name}_relative_drift", _relative_drift(column), DRIFT_TOL)
             for name, column in hk.items()]
     spread = max(float(np.max(np.abs(spectrum[0]))), 1e-30)
     rows.append(_check("lax_spectrum_relative_drift",
-                       _paired_drift(spectrum) / spread, tol))
+                       _paired_drift(spectrum) / spread, DRIFT_TOL))
 
     csv_path = _artifact_path(rc)
     Trajectory(traj.times, states, hk).to_csv(csv_path, columns)
@@ -469,7 +468,7 @@ def _run_toda(rc: RunConfig) -> int:
 
 
 def _run_reduce(rc: RunConfig) -> int:
-    n, kind, tol = rc.params["N"], rc.params["kind"], rc.params["tol"]
+    n, kind = rc.params["N"], rc.params["kind"]
     rho = _drawn(rc, "state", _DENSITY_TAGS)
     rop = _reduction_op(REDUCE_KINDS[kind], n)
 
@@ -491,10 +490,10 @@ def _run_reduce(rc: RunConfig) -> int:
                1e-12),
         _check("adjointness",
                abs(op.trace_pairing(dual_x, rho)
-                   - op.trace_pairing(x, image)), tol),
+                   - op.trace_pairing(x, image)), red.TOL),
         _check("reduction_condition",
                bk._lifted_condition_defect(dual_x, dual_y, rho, image, again),
-               tol),
+               red.TOL),
     ]
     # the trace-norm bound is a law only for pinching and averaging;
     # triangular truncation can expand, so report its excess as data
@@ -524,7 +523,7 @@ def _run_reduce(rc: RunConfig) -> int:
 
 
 def _run_orbit(rc: RunConfig) -> int:
-    n, tol = rc.params["N"], rc.params["tol"]
+    n = rc.params["N"]
     rng = _stream(rc.seed, PROBE_STREAM)
     if isinstance(rc.params["state"], str) and rc.params["state"] == "rank-one":
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -548,8 +547,8 @@ def _run_orbit(rc: RunConfig) -> int:
     char_rank = orb.characteristic_rank(rho)
     form_rank = orb.kks_form_rank(rho)
     rows = [
-        _check("kks_antisymmetry", antisym, tol),
-        _check("kks_pairing_identity", pairing, tol),
+        _check("kks_antisymmetry", antisym, KKS_TOL),
+        _check("kks_pairing_identity", pairing, KKS_TOL),
         _check("rank_consistency", float(abs(form_rank - char_rank)), 0.0),
     ]
     path = _artifact_path(rc)

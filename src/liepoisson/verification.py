@@ -320,7 +320,8 @@ def _variant_bracket_checks(fx) -> List[CheckResult]:
 def _reduction_op(kind: str, n: int) -> red.ReductionOp:
     """The demo reduction of each kind on n x n states: pinching onto two
     diagonal blocks, standard-basis triangular truncation, or averaging over
-    a four-element group of diagonal signs (that one needs an even n)."""
+    the signs (I, d1, d2, d1 d2) of an even n: a four-element group from n = 4,
+    and at n = 2, where d1 = d2 = d, (I, d, d, I) lists {I, d} twice."""
     half = n // 2
     if kind == "measurement":
         p1 = np.diag(np.array([1.0] * half + [0.0] * (n - half), dtype=complex))

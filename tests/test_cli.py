@@ -653,6 +653,20 @@ def test_reduce_demo_rows_give_the_bits_of_the_public_defects(tmp_path, kind):
         br.Observable.linear_form(x), br.Observable.linear_form(y), rho)
 
 
+def test_reduce_demo_aborts_when_the_trace_norm_overflows(tmp_path, capsys):
+    # R(rho) and every row stay finite, but the singular values of rho
+    # (sqrt(2) * 1.5e308) leave the floats inside the SVD, which raises no
+    # floating point error (seed 8's probes keep the rows finite; other
+    # seeds abort on them first)
+    state = {"dim": 2, "re": [1.5e308, 1.5e308, 1.5e308, -1.5e308],
+             "im": [0.0] * 4}
+    code, out_dir = _run(tmp_path, "reduce-demo", {
+        "seed": 8, "params": {"N": 2, "kind": "lower", "state": state}})
+    assert code == 3
+    assert capsys.readouterr().err == "numerical abort: trace norm overflows\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1.7e308])
 def test_states_near_the_float_limit_keep_the_exit_code_contract(tmp_path,
                                                                  scale):
@@ -796,6 +810,19 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
         assert not out_dir.is_dir()
     assert (tmp_path / "afile").read_text() == "kept"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("lvn-run", "drift_tol"), ("toda-run", "drift_tol"),
+    ("reduce-demo", "tol"), ("orbit-kks", "tol")])
+def test_no_config_key_moves_a_gate(tmp_path, capsys, command, key):
+    # the summary rows gate at DRIFT_TOL, reduction.TOL and KKS_TOL; a config
+    # that names a tolerance, even one that would pass every row, is refused
+    code, out_dir = _run(tmp_path, command, {"params": {key: 1e300}})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown {command} params keys: {key}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("command, payload, name", [
@@ -948,8 +975,7 @@ def test_load_config_resolves_every_param(tmp_path):
         rc = _load(tmp_path, command, {})
         assert set(rc.params) == cli._PARAM_KEYS[command] - {"t_end"}, command
     assert _load(tmp_path, "lvn-run", {}).params == {
-        "N": 6, "hamiltonian": "random", "initial_state": "random-psd",
-        "drift_tol": 1e-8}
+        "N": 6, "hamiltonian": "random", "initial_state": "random-psd"}
     rc = _load(tmp_path, "lvn-run", {"params": {"hamiltonian": H2,
                                                 "initial_state": RHO2}})
     assert rc.params["N"] == 2

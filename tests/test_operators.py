@@ -65,6 +65,15 @@ def test_trace_norm_against_eigenvalue_route():
     assert op.trace_norm(np.zeros((3, 3))) == 0.0
 
 
+def test_trace_norm_reports_a_failed_svd(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(op.np.linalg, "svd", fail)
+    with pytest.raises(ValueError, match="SVD did not converge on a 3x3 matrix"):
+        op.trace_norm(np.eye(3))
+
+
 def test_operator_norm_is_largest_singular_value():
     a = seeded_random_state(6, "general", 4)
     assert abs(op.operator_norm(a) - np.linalg.svd(a, compute_uv=False)[0]) < 1e-12

@@ -51,6 +51,7 @@ NON_HERMITIAN = _matrix([[0.0, 1.0], [0.0, 0.0]])
 INF_DIM = {"dim": INF, "re": [1.0], "im": [0.0]}
 # finite, but past the float limit once multiplied or summed
 HUGE4 = _matrix([[1.7e308] * 4] * 4)
+HUGE2 = _matrix([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
 TODA4 = {"N": 4, "x": [0.1, -0.2, 0.3], "p": [0.5, -0.25, 0.0, -0.25],
          "alpha": [1.0, 0.5, 0.25], "lambda": [1.0, 0.5, 0.25]}
 TODA_INF = dict(TODA4, N=INF)
@@ -165,9 +166,13 @@ CONFIGS = [
        {"params": {"initial": TODA2_COMPLEX, "flow": flow},
         "integrator": {"dt": 0.05, "steps": 40}})
       for flow in ("canonical", "lax")],
-    # the same state at a coarse dt: the spectrum row fails, exit 1
+    # the same state at a coarse dt: the h2 and spectrum rows fail, exit 1
     ("toda-complex-lax-dt0.2", "toda-run",
      {"params": {"initial": TODA2_COMPLEX, "flow": "lax"},
+      "integrator": {"dt": 0.2, "steps": 10}}),
+    # a config names no tolerance: this one exits 2 and writes nothing
+    ("toda-complex-lax-dt0.2-drift-tol", "toda-run",
+     {"params": {"initial": TODA2_COMPLEX, "flow": "lax", "drift_tol": 1e300},
       "integrator": {"dt": 0.2, "steps": 10}}),
     ("toda-t-end", "toda-run",
      {"params": {"N": 4, "t_end": 0.25}, "integrator": {"dt": 1e-3, "stride": 40}}),
@@ -187,6 +192,9 @@ CONFIGS = [
        {"params": {"N": 4, "kind": k, "state": HUGE4}})
       for k in ("measurement", "lower", "group")],
     ("orbit-overflow", "orbit-kks", {"params": {"N": 4, "state": HUGE4}}),
+    # every row finite, and only the singular values, inside the SVD, overflow
+    ("reduce-lower-trace-norm-overflow", "reduce-demo",
+     {"seed": 8, "params": {"N": 2, "kind": "lower", "state": HUGE2}}),
     # exp(dt K) past the float limit, on the isospectral lvn-run's one
     # propagator: 4^s, the 1-norm of dt K, and a singular propagator
     *[(f"lvn-isospectral-overflow-{name}", "lvn-run",
