@@ -462,22 +462,22 @@ def reduction_condition_defect(apply_map: Callable, dual_map: Callable,
     for real-linear projections such as the skew-Hermitian part.
     """
     # each map output is checked here, square, finite and of rho's shape,
-    # before the trusted kernel runs
+    # and R for idempotence, before the trusted kernel runs
     rho = as_matrix(rho)
     image = _matrix_pair(rho, apply_map(rho))[1]
     again = _matrix_pair(rho, apply_map(image))[1]
-    a, b = (_matrix_pair(rho, dual_map(obs.grad(image)))[1] for obs in (fbar, gbar))
-    return _lifted_condition_defect(a, b, rho, image, again, realified)
-
-
-def _lifted_condition_defect(a, b, rho, image, again,
-                             realified: bool = False) -> float:
-    """``reduction_condition_defect`` from the lifted gradients
-    a = R*(Dfbar(R rho)) and b = R*(Dgbar(R rho)), the state, its image
-    R(rho) and again = R(R(rho)): one commutator of their representatives,
-    paired against rho and against R(rho), the real part for ``realified``."""
     if float(np.max(np.abs(again - image))) > 1e-10:
         raise ValueError("reduction map is not idempotent")
+    a, b = (_matrix_pair(rho, dual_map(obs.grad(image)))[1] for obs in (fbar, gbar))
+    return _lifted_condition_defect(a, b, rho, image, realified)
+
+
+def _lifted_condition_defect(a, b, rho, image, realified: bool = False) -> float:
+    """``reduction_condition_defect`` from the lifted gradients
+    a = R*(Dfbar(R rho)) and b = R*(Dgbar(R rho)), the state and its image
+    R(rho): one commutator of their representatives, paired against rho and
+    against R(rho), the real part for ``realified``.  Whether R is idempotent
+    is the caller's to check."""
     comm = _grad_commutator(HERMITIAN_REAL if realified else FULL, a, b)
     gap = _trace_pairing(comm, rho) - _trace_pairing(comm, image)
     return abs(gap.real if realified else gap)

@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import brackets as bk
 from . import operators as op
 from . import orbits as orb
 from . import reduction as red
@@ -46,7 +45,9 @@ from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
 from .integrators import (METHODS, IntegratorConfig, NumericalAbort,
                           Trajectory, _paired_drift, evolve)
-from .verification import _check, _reduction_op, _write_report, run_all
+from .verification import (_check, _kks_checks, _kks_rank_check,
+                           _reduction_law_checks, _reduction_op,
+                           _write_report, run_all)
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run"]
 
@@ -89,10 +90,10 @@ REDUCE_MAX_N = 96
 # spawn key of the stream of demo probe draws (see fixtures._stream)
 PROBE_STREAM = 1000
 
-# gates no config moves: every lvn-run and toda-run relative drift, and the
-# two-form rows of orbit-kks (reduce-demo's laws hold to reduction.TOL)
+# the gate of every lvn-run and toda-run relative drift; no config moves it,
+# and the reduction-law and two-form rows of reduce-demo and orbit-kks are
+# verify's, with verify's gates
 DRIFT_TOL = 1e-8
-KKS_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -471,30 +472,12 @@ def _run_reduce(rc: RunConfig) -> int:
     n, kind = rc.params["N"], rc.params["kind"]
     rho = _drawn(rc, "state", _DENSITY_TAGS)
     rop = _reduction_op(REDUCE_KINDS[kind], n)
-
-    image = red.apply(rop, rho)
     rng = _stream(rc.seed, PROBE_STREAM)
     x = _complex_normal(rng, n)
     y = _complex_normal(rng, n)
-    # each distinct application once: R(rho), R*(x), R*(y), R(R(rho)) and
-    # the closure's R*(R*(x) R*(y)).  The linear probes tr(x .), tr(y .)
-    # have the gradients x and y everywhere, so the reduction condition's
-    # lifted gradients are R*(x) and R*(y)
-    dual_x = red.apply_dual(rop, x)
-    dual_y = red.apply_dual(rop, y)
-    again = red.apply(rop, image)
-
-    rows = [
-        _check("idempotence", float(np.max(np.abs(again - image))), 1e-12),
-        _check("closure_defect", red._closure_defect(rop, dual_x, dual_y),
-               1e-12),
-        _check("adjointness",
-               abs(op.trace_pairing(dual_x, rho)
-                   - op.trace_pairing(x, image)), red.TOL),
-        _check("reduction_condition",
-               bk._lifted_condition_defect(dual_x, dual_y, rho, image, again),
-               red.TOL),
-    ]
+    # verify's four law rows, each distinct application of R or R* once;
+    # the rows below and the artifact reuse R(rho) and R*(x)
+    rows, image, dual_x = _reduction_law_checks(rop, rho, x, y)
     # the trace-norm bound is a law only for pinching and averaging;
     # triangular truncation can expand, so report its excess as data
     image_norm, norm = op.trace_norm(image), op.trace_norm(rho)
@@ -531,31 +514,17 @@ def _run_orbit(rc: RunConfig) -> int:
     else:
         rho = _drawn(rc, "state", _ORBIT_TAGS)
 
-    samples = []
-    antisym = 0.0
-    pairing = 0.0
-    for idx in range(rc.params["samples"]):
-        x = _complex_normal(rng, n)
-        y = _complex_normal(rng, n)
-        val = orb.kks_eval(rho, x, y)
-        antisym = max(antisym, abs(val + orb.kks_eval(rho, y, x)))
-        pairing = max(pairing, abs(
-            val + op.trace_pairing(y, op.commutator(x, rho))))
-        samples.append({"sample": idx, "re": float(val.real),
-                        "im": float(val.imag)})
-
-    char_rank = orb.characteristic_rank(rho)
-    form_rank = orb.kks_form_rank(rho)
-    rows = [
-        _check("kks_antisymmetry", antisym, KKS_TOL),
-        _check("kks_pairing_identity", pairing, KKS_TOL),
-        _check("rank_consistency", float(abs(form_rank - char_rank)), 0.0),
-    ]
+    probes = [(_complex_normal(rng, n), _complex_normal(rng, n))
+              for _ in range(rc.params["samples"])]
+    rows, values = _kks_checks(rho, probes)
+    rank_row, char_rank, form_rank = _kks_rank_check(rho)
+    samples = [{"sample": idx, "re": float(val.real), "im": float(val.imag)}
+               for idx, val in enumerate(values)]
     path = _artifact_path(rc)
     return _write_report(
-        path, rows, f"report: {path}", dim=n, state=op.matrix_to_json(rho),
-        characteristic_rank=int(char_rank), kks_form_rank=int(form_rank),
-        samples=samples)
+        path, [*rows, rank_row], f"report: {path}", dim=n,
+        state=op.matrix_to_json(rho), characteristic_rank=int(char_rank),
+        kks_form_rank=int(form_rank), samples=samples)
 
 
 _RUNNERS = {

@@ -18,8 +18,9 @@ factors each constructor builds once; R* swaps the lefts and the rights.
 
 All three satisfy the multiplicative closure law
 R*(R*(x) R*(y)) = R*(x) R*(y), which is the condition for the image bracket
-tr([R* dx, R* dy] mu) to satisfy the Jacobi identity; ``closure_defect``
-measures it directly.  Every law and check here holds to one ``TOL``.
+tr([R* dx, R* dy] mu) to satisfy the Jacobi identity; ``_closure_defect``
+measures it from R*(x) and R*(y).  Every law and check here holds to one
+``TOL``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "ReductionOp",
     "apply",
     "apply_dual",
-    "closure_defect",
     "contraction_check",
     "group_average",
     "lower_triangularize",
@@ -140,19 +140,13 @@ def apply_dual(op: ReductionOp, x) -> np.ndarray:
     return _sandwich(op.rights, as_matrix(x), op.operators, op.scale)
 
 
-def closure_defect(op: ReductionOp, x, y) -> float:
-    """||R*(R*(x) R*(y)) - R*(x) R*(y)|| in operator norm.
+def _closure_defect(op: ReductionOp, dual_x, dual_y) -> float:
+    """||R*(R*(x) R*(y)) - R*(x) R*(y)|| in operator norm, from
+    dual_x = R*(x) and dual_y = R*(y).
 
     Zero means the image of R* is closed under products, the hypothesis that
     makes the induced bracket on im R a Poisson bracket.
     """
-    return _closure_defect(
-        op, _sandwich(op.rights, as_matrix(x), op.operators, op.scale),
-        _sandwich(op.rights, as_matrix(y), op.operators, op.scale))
-
-
-def _closure_defect(op: ReductionOp, dual_x, dual_y) -> float:
-    """``closure_defect`` from dual_x = R*(x) and dual_y = R*(y)."""
     a = dual_x @ dual_y
     return operator_norm(_sandwich(op.rights, a, op.operators, op.scale) - a)
 

@@ -10,6 +10,12 @@ and ``_write_report`` writes that payload (plus any command-specific fields),
 prints one line per row and returns the exit code.  Every row, in ``verify``
 and in the CLI summaries, is built by ``_check``.
 
+The identities that ``verify`` and a summary both check, the reduction laws
+(``_reduction_law_checks``) and the orbit two-form and its rank
+(``_kks_checks``, ``_kks_rank_check``), have one function each that takes
+the caller's state and probes: ``reduce-demo`` and ``orbit-kks`` report them
+with verify's names, defect formulas and gates.
+
 A check normally passes when defect <= tol.  Checks whose name contains
 ``not_`` are negative controls: they pass when the defect *exceeds* tol,
 certifying that the machinery can tell a true identity from a false one.
@@ -78,6 +84,52 @@ def _check(name: str, defect: float, tol: float) -> CheckResult:
     ops = tuple(sorted(_called))
     _called.clear()
     return CheckResult(name, defect, tol, passed, ops)
+
+
+def _reduction_law_checks(rop: red.ReductionOp, rho, x, y):
+    """The rows ``reduction_{closure,adjointness,idempotent,condition}_<kind>``
+    of ``rop`` at the state rho and the probes x, y, with R(rho) and R*(x).
+
+    Each of R(rho), R*(x), R*(y), R(R(rho)) and R*(R*(x) R*(y)) is applied
+    once.  The linear probes tr(x .), tr(y .) have the gradients x and y
+    everywhere, so the condition's lifted gradients are R*(x) and R*(y).
+    """
+    image = red.apply(rop, rho)
+    dual_x, dual_y = red.apply_dual(rop, x), red.apply_dual(rop, y)
+    again = red.apply(rop, image)
+    adjoint = abs(op.trace_pairing(dual_x, rho) - op.trace_pairing(x, image))
+    rows = [
+        _check(f"reduction_closure_{rop.kind}",
+               red._closure_defect(rop, dual_x, dual_y), 1e-12),
+        _check(f"reduction_adjointness_{rop.kind}", adjoint, 1e-10),
+        _check(f"reduction_idempotent_{rop.kind}",
+               float(np.max(np.abs(again - image))), 1e-12),
+        _check(f"reduction_condition_{rop.kind}",
+               bk._lifted_condition_defect(dual_x, dual_y, rho, image), 1e-10),
+    ]
+    return rows, image, dual_x
+
+
+def _kks_checks(rho, probes):
+    """The rows ``kks_antisymmetry`` and ``kks_pairing_identity`` of the orbit
+    two-form at rho, each the worst over the probe pairs (x, y); returns
+    them with the form's value at each pair."""
+    values = [orb.kks_eval(rho, x, y) for x, y in probes]
+    antisym = np.max([abs(v + orb.kks_eval(rho, y, x))
+                      for v, (x, y) in zip(values, probes)])
+    pairing = np.max([abs(v + op.trace_pairing(y, op.commutator(x, rho)))
+                      for v, (x, y) in zip(values, probes)])
+    return [_check("kks_antisymmetry", antisym, 1e-10),
+            _check("kks_pairing_identity", pairing, 1e-12)], values
+
+
+def _kks_rank_check(rho):
+    """The row ``kks_rank_matches_tangent_rank`` at rho, with the
+    characteristic rank and the form rank it compares."""
+    rank = orb.characteristic_rank(rho)
+    form_rank = orb.kks_form_rank(rho)
+    return (_check("kks_rank_matches_tangent_rank",
+                   float(abs(form_rank - rank)), 0.0), rank, form_rank)
 
 
 def report_payload(results: List[CheckResult]) -> dict:
@@ -340,20 +392,8 @@ def _reduction_checks(fx) -> List[CheckResult]:
     rho, x, y = fx["general"], fx["draw"](), fx["draw"]()
 
     for tag, rop in rops.items():
-        out.append(_check(f"reduction_closure_{tag}",
-                          red.closure_defect(rop, x, y), 1e-12))
-        d = abs(op.trace_pairing(red.apply_dual(rop, x), rho)
-                - op.trace_pairing(x, red.apply(rop, rho)))
-        out.append(_check(f"reduction_adjointness_{tag}", d, 1e-10))
-        im = red.apply(rop, rho)
-        out.append(_check(f"reduction_idempotent_{tag}",
-                          float(np.max(np.abs(red.apply(rop, im) - im))), 1e-12))
-        fbar = bk.Observable.linear_form(fx["draw"]())
-        gbar = bk.Observable.linear_form(fx["draw"]())
-        d = bk.reduction_condition_defect(
-            lambda m, rop=rop: red.apply(rop, m),
-            lambda m, rop=rop: red.apply_dual(rop, m), fbar, gbar, rho)
-        out.append(_check(f"reduction_condition_{tag}", d, 1e-10))
+        out.extend(_reduction_law_checks(rop, rho, fx["draw"](),
+                                         fx["draw"]())[0])
         if tag == "lower_triangularize":
             # no contraction theorem for triangular truncation: correlated
             # states expand in trace norm, shown here on the all-ones density
@@ -382,8 +422,8 @@ def _reduction_checks(fx) -> List[CheckResult]:
               and red.positivity_check(low, fx["psd"]) is None)
     out.append(_check("reduction_positivity", 0.0 if pos_ok else 1.0, 0.0))
 
-    projected = red.apply_dual(grp, x)
-    d = max(float(np.max(np.abs(op.commutator(projected, u))))
+    d = max(float(np.max(np.abs(op.commutator(dual, u))))
+            for dual in (red.apply_dual(grp, x), red.apply_dual(grp, y))
             for u in grp.operators)
     out.append(_check("group_average_dual_lands_in_commutant", d, 1e-12))
 
@@ -404,20 +444,14 @@ def _orbit_checks(fx) -> List[CheckResult]:
     n = fx["dim"]
     x, y = fx["draw"](), fx["draw"]()
 
-    d = abs(orb.kks_eval(rho, x, y) + orb.kks_eval(rho, y, x))
-    out.append(_check("kks_antisymmetry", d, 1e-10))
-
-    d = abs(orb.kks_eval(rho, x, y)
-            + op.trace_pairing(y, op.commutator(x, rho)))
-    out.append(_check("kks_pairing_identity", d, 1e-12))
+    rows, (form_xy,) = _kks_checks(rho, [(x, y)])
+    out.extend(rows)
 
     commuting = rho @ rho + 2.0 * rho + np.eye(n)
     d = orb.kks_welldefined_defect(rho, x, x + commuting, y)
     out.append(_check("kks_well_defined", d, 1e-10))
 
-    rank = orb.characteristic_rank(rho)
-    out.append(_check("kks_rank_matches_tangent_rank",
-                      float(abs(orb.kks_form_rank(rho) - rank)), 0.0))
+    out.append(_kks_rank_check(rho)[0])
 
     v = np.arange(1, n + 1, dtype=complex)
     v[0] += 0.5j
@@ -433,7 +467,7 @@ def _orbit_checks(fx) -> List[CheckResult]:
                       1e-9))
 
     d = abs(orb.kks_eval(moved, orb.coadjoint_act(g, x), orb.coadjoint_act(g, y))
-            - orb.kks_eval(rho, x, y))
+            - form_xy)
     out.append(_check("kks_coadjoint_invariance", d, 1e-9))
     return out
 

@@ -154,8 +154,8 @@ def test_criterion_3_reduction_laws():
             worst["idempotence"] = max(
                 worst["idempotence"],
                 float(np.max(np.abs(red.apply(rop, image) - image))))
-            worst["closure"] = max(worst["closure"],
-                                   red.closure_defect(rop, x, y))
+            worst["closure"] = max(worst["closure"], red._closure_defect(
+                rop, red.apply_dual(rop, x), red.apply_dual(rop, y)))
             worst["condition"] = max(
                 worst["condition"],
                 br.reduction_condition_defect(

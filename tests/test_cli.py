@@ -589,7 +589,7 @@ def test_reduce_demo_all_kinds(tmp_path):
         assert report["kind"] == full_kind[kind]
         assert report["pass"] is True
         names = {c["name"] for c in report["checks"]}
-        assert "idempotence" in names
+        assert f"reduction_idempotent_{full_kind[kind]}" in names
         if kind == "lower":
             # truncation has no trace-norm law; the excess is reported as data
             assert "trace_norm_contraction" not in names
@@ -635,22 +635,55 @@ def test_reduce_demo_applies_each_distinct_reduction_once(tmp_path, monkeypatch,
     assert len({m.tobytes() for m in inputs}) == 5
 
 
-@pytest.mark.parametrize("kind", sorted(cli.REDUCE_KINDS))
-def test_reduce_demo_rows_give_the_bits_of_the_public_defects(tmp_path, kind):
-    # the closure and condition rows reuse R*(x), R*(y), R(rho), R(R(rho))
-    code, out_dir = _run(tmp_path, "reduce-demo",
-                         {"seed": 5, "params": {"N": 6, "kind": kind}})
-    assert code == 0
-    report = json.loads((out_dir / "reduction_report.json").read_text())
-    rows = {row["name"]: row["defect"] for row in report["checks"]}
-    rop = vf._reduction_op(cli.REDUCE_KINDS[kind], 6)
-    rho = seeded_random_state(5, "psd", 6)
-    rng = _stream(5, cli.PROBE_STREAM)
-    x, y = _complex_normal(rng, 6), _complex_normal(rng, 6)
-    assert rows["closure_defect"] == red.closure_defect(rop, x, y)
-    assert rows["reduction_condition"] == br.reduction_condition_defect(
-        lambda m: red.apply(rop, m), lambda m: red.apply_dual(rop, m),
-        br.Observable.linear_form(x), br.Observable.linear_form(y), rho)
+@pytest.fixture(scope="module")
+def verify_gates():
+    return {r.name: r.tol for r in vf.run_all()}
+
+
+@pytest.mark.parametrize("command, kind", [
+    *[("reduce-demo", kind) for kind in sorted(cli.REDUCE_KINDS)],
+    ("orbit-kks", None)], ids=[*sorted(cli.REDUCE_KINDS), "orbit-kks"])
+def test_summary_rows_of_verify_identities_are_verify_rows(
+        tmp_path, verify_gates, command, kind):
+    # every summary row with a verify name has verify's gate and the bits of
+    # the shared check on the command's state and probes; the reduction rows
+    # also give the bits of the public closure and condition routes
+    for seed in (0, 5):
+        if command == "reduce-demo":
+            n = 6
+            code, out_dir = _run(tmp_path, command, {
+                "seed": seed, "params": {"N": n, "kind": kind}}, out=f"{seed}")
+            report = json.loads((out_dir / "reduction_report.json").read_text())
+            rop = vf._reduction_op(cli.REDUCE_KINDS[kind], n)
+            rho = seeded_random_state(seed, "psd", n)
+            rng = _stream(seed, cli.PROBE_STREAM)
+            x, y = _complex_normal(rng, n), _complex_normal(rng, n)
+            shared = vf._reduction_law_checks(rop, rho, x, y)[0]
+            closure, _, _, condition = shared
+            assert closure.defect == red._closure_defect(
+                rop, red.apply_dual(rop, x), red.apply_dual(rop, y))
+            assert condition.defect == br.reduction_condition_defect(
+                lambda m: red.apply(rop, m), lambda m: red.apply_dual(rop, m),
+                br.Observable.linear_form(x), br.Observable.linear_form(y),
+                rho)
+        else:
+            n = 4
+            code, out_dir = _run(tmp_path, command, {
+                "seed": seed, "params": {"N": n}}, out=f"{seed}")
+            report = json.loads((out_dir / "orbit_report.json").read_text())
+            rho = seeded_random_state(seed, "hermitian", n)
+            rng = _stream(seed, cli.PROBE_STREAM)
+            probes = [(_complex_normal(rng, n), _complex_normal(rng, n))
+                      for _ in report["samples"]]
+            shared = [*vf._kks_checks(rho, probes)[0],
+                      vf._kks_rank_check(rho)[0]]
+        assert code == 0
+        rows = {row["name"]: row for row in report["checks"]}
+        assert {name for name in rows if name in verify_gates} == {
+            r.name for r in shared}
+        for r in shared:
+            assert rows[r.name]["tol"] == verify_gates[r.name] == r.tol
+            assert rows[r.name]["defect"] == r.defect
 
 
 def test_reduce_demo_aborts_when_the_trace_norm_overflows(tmp_path, capsys):
@@ -816,7 +849,7 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     ("lvn-run", "drift_tol"), ("toda-run", "drift_tol"),
     ("reduce-demo", "tol"), ("orbit-kks", "tol")])
 def test_no_config_key_moves_a_gate(tmp_path, capsys, command, key):
-    # the summary rows gate at DRIFT_TOL, reduction.TOL and KKS_TOL; a config
+    # the summary rows gate at DRIFT_TOL and at verify's gates; a config
     # that names a tolerance, even one that would pass every row, is refused
     code, out_dir = _run(tmp_path, command, {"params": {key: 1e300}})
     assert code == 2

@@ -69,7 +69,8 @@ def test_dual_images_are_closed_under_commutator():
     x = seeded_random_state(95, "general", n)
     y = seeded_random_state(96, "general", n)
     for rop in _standard_ops(n):
-        assert red.closure_defect(rop, x, y) < 1e-12
+        assert red._closure_defect(rop, red.apply_dual(rop, x),
+                                   red.apply_dual(rop, y)) < 1e-12
 
 
 def test_measurement_output_commutes_with_projectors():
@@ -189,7 +190,7 @@ def test_lower_kind_sums_its_running_sums_once(monkeypatch):
     rho = seeded_random_state(103, "general", 4)
     red.apply(rop, rho)
     red.apply_dual(rop, rho)
-    red.closure_defect(rop, rho, rho)
+    red._closure_defect(rop, rho, rho)
     assert len(calls) == 1
 
 

@@ -127,6 +127,14 @@ def test_coverage_fails_without_the_toda_group(monkeypatch):
     assert "toda_intertwining" not in [r.name for r in results]
 
 
+def test_overflow_abort_row_fails_when_the_hamiltonian_does_not_abort(
+        monkeypatch):
+    monkeypatch.setattr(td, "toda_hamiltonian", lambda state: 0.0)
+    rows = {r.name: r for r in vf._toda_checks(vf._fixtures(2024, 4))}
+    row = rows["toda_overflow_abort"]
+    assert not row.passed and row.defect == 1.0
+
+
 def test_fd_gradients_called_through_observables_are_recorded():
     # bracket_observable calls fd_gradient by its global name, so the
     # recorder that rebinds bk.fd_gradient sees those calls too

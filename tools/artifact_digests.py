@@ -128,6 +128,8 @@ CONFIGS = [
     ("lvn-stride-over-steps", "lvn-run",
      {"params": {"N": 3}, "integrator": {"dt": 1e-2, "steps": 5, "stride": 9}}),
     ("orbit-rank-one", "orbit-kks", {"params": {"N": 5, "state": "rank-one"}}),
+    # the two-form rows at the size and sample caps, against verify's gates
+    ("orbit-n32", "orbit-kks", {"params": {"N": 32, "samples": 1000}}),
     # the benchmark's configs at seed 2024 (perfbench/run.py WORKLOADS)
     ("bench-toda-lax", "toda-run",
      {"seed": BENCH_SEED, "params": {"N": 32, "flow": "lax"},

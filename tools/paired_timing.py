@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io
 import os
 import statistics
@@ -72,9 +73,11 @@ def time_run(cli, command: str, path: str, out_dir: str) -> float:
 
 
 def time_verify_groups(cli) -> dict:
-    """Wrap each ``verification._<group>_checks`` of the tree of ``cli`` in
-    a timer; returns the dict the wrappers add their seconds to, by group,
-    in the order ``run_all`` calls them."""
+    """Wrap each ``verification._<group>_checks(fx)`` of the tree of ``cli``
+    in a timer; returns the dict the wrappers add their seconds to, by
+    group, in the order ``run_all`` calls them.  The shared identity checks
+    (``_reduction_law_checks``, ``_kks_checks``) take a state and probes,
+    not the fixtures, and are timed inside the groups that call them."""
     verification = importlib.import_module(f"{cli.__package__}.verification")
     spent = {}
 
@@ -88,7 +91,8 @@ def time_verify_groups(cli) -> dict:
         return call
 
     for attr, fn in list(vars(verification).items()):
-        if attr.startswith("_") and attr.endswith("_checks") and callable(fn):
+        if (attr.startswith("_") and attr.endswith("_checks") and callable(fn)
+                and list(inspect.signature(fn).parameters) == ["fx"]):
             setattr(verification, attr, timed(attr[1:-len("_checks")], fn))
     return spent
 
