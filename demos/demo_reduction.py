@@ -2,9 +2,11 @@
 
 Shows the image of each map, the laws they share (closure of the dual image
 under products, adjointness, idempotence, the bracket-compatibility
-condition) as the rows ``verify`` gates them, and the one law they do not:
-pinching and group averaging contract the trace norm, while triangular
-truncation can expand it -- visibly, below, on a plain density matrix.
+condition) as the rows ``verify`` gates them, and the two they do not, by
+the same checks: pinching and group averaging contract the trace norm and
+keep the state PSD, while triangular truncation can expand the trace norm
+-- visibly, below, on a plain density matrix -- and leaves the Hermitian
+cone, so positivity is not asked of it.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ import numpy as np
 from liepoisson import operators as op
 from liepoisson import reduction as red
 from liepoisson.fixtures import seeded_random_state
-from liepoisson.verification import _reduction_law_checks
+from liepoisson.verification import (_contraction_check, _positivity_check,
+                                     _reduction_law_checks)
 
 N = 4
 SEED = 2024
@@ -41,20 +44,21 @@ def main():
     x = seeded_random_state(SEED + 1, "general", N)
     y = seeded_random_state(SEED + 2, "general", N)
     for label, rop in ops.items():
-        laws, image, _ = _reduction_law_checks(rop, rho, x, y)
+        rows, image, _ = _reduction_law_checks(rop, rho, x, y)
+        before, after = op.trace_norm(rho), op.trace_norm(image)
+        rows.append(_contraction_check(rop.kind, N, [(after, before)]))
+        if rop.kind != "lower_triangularize":
+            rows.append(_positivity_check([image]))
         print(f"== {label}")
         show("R(rho):", image)
-        for row in laws:
+        for row in rows:
             print(f"   {row.name:<42} defect {row.defect:.3e}  "
-                  f"(gate {row.tol:.0e})")
-        before, after = op.trace_norm(rho), op.trace_norm(image)
-        verdict = "contracts" if after <= before + 1e-12 else "EXPANDS"
-        print(f"   {'trace norm':<42} {before:.6f} -> {after:.6f}  "
-              f"({verdict})")
+                  f"(gate {row.tol:.0e})  {'ok' if row.passed else 'FAILS'}")
+        print(f"   {'trace norm':<42} {before:.6f} -> {after:.6f}")
         print()
 
-    print("the expansion above is not a bug: triangular truncation is")
-    print("unbounded in trace norm, and on density-like states it expands")
+    print("the failed contraction above is not a bug: triangular truncation")
+    print("is unbounded in trace norm, and on density-like states it expands")
     print("essentially always; the other two maps are norm-one projections")
 
 

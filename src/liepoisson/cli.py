@@ -40,12 +40,12 @@ import numpy as np
 
 from . import operators as op
 from . import orbits as orb
-from . import reduction as red
 from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
 from .integrators import (METHODS, IntegratorConfig, NumericalAbort,
-                          Trajectory, _paired_drift, evolve)
-from .verification import (_check, _kks_checks, _kks_rank_check,
+                          Trajectory, _drift, _paired_drift, evolve)
+from .verification import (_check, _contraction_check, _kks_checks,
+                           _kks_rank_check, _positivity_check, _psd_fault,
                            _reduction_law_checks, _reduction_op,
                            _write_report, run_all)
 
@@ -352,8 +352,7 @@ def _relative_drift(series: np.ndarray) -> float:
     # mixed measure: relative for O(1)-or-larger invariants, absolute below.
     # A pure ratio would blow up on invariants that start at zero, e.g. the
     # total Toda momentum tr(L) with centered initial momenta.
-    ref = float(series[0])
-    return float(np.max(np.abs(series - ref))) / max(abs(ref), 1.0)
+    return _drift(series) / max(abs(float(series[0])), 1.0)
 
 
 # ---------------------------------------------------------------- commands
@@ -486,16 +485,11 @@ def _run_reduce(rc: RunConfig) -> int:
         # the SVD under trace_norm overflows without a floating point error
         raise NumericalAbort("trace norm overflows")
     if kind != "lower":
-        # contraction_check and positivity_check on the image and the trace
-        # norms in hand
-        contracts = red._contracts(image_norm, norm)
-        rows.append(_check("trace_norm_contraction", 0.0 if contracts else 1.0, 0.0))
+        rows.append(_contraction_check(rop.kind, n, [(image_norm, norm)]))
         rows.append(_check("trace_preserved",
                            abs(np.trace(image) - np.trace(rho)), 1e-12))
-        if red._psd_fault(rho) is None:  # density-like inputs only
-            positive = red._psd_fault(image) is None
-            rows.append(_check("positivity_preserved",
-                               0.0 if positive else 1.0, 0.0))
+        if _psd_fault(rho) is None:  # density-like inputs only
+            rows.append(_positivity_check([image]))
 
     path = _artifact_path(rc)
     return _write_report(

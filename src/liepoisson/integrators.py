@@ -240,10 +240,14 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
     return Trajectory(times=times, states=states, monitors=values)
 
 
+def _drift(series: np.ndarray) -> float:
+    """max_t |m(t) - m(0)| of a recorded series m."""
+    return float(np.max(np.abs(series - series[0])))
+
+
 def noether_drift(obs: Observable, traj: Trajectory) -> float:
     """max_t |obs(state_t) - obs(state_0)| over the recorded states."""
-    vals = np.array([complex(obs(s)) for s in traj.states])
-    return float(np.max(np.abs(vals - vals[0])))
+    return _drift(np.array([complex(obs(s)) for s in traj.states]))
 
 
 def _paired_drift(ev: np.ndarray) -> float:

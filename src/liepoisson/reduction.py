@@ -19,14 +19,19 @@ factors each constructor builds once; R* swaps the lefts and the rights.
 All three satisfy the multiplicative closure law
 R*(R*(x) R*(y)) = R*(x) R*(y), which is the condition for the image bracket
 tr([R* dx, R* dy] mu) to satisfy the Jacobi identity; ``_closure_defect``
-measures it from R*(x) and R*(y).  Every law and check here holds to one
-``TOL``.
+measures it from R*(x) and R*(y).
+
+Pinching and averaging are positive, trace-preserving norm-one projections,
+so they also contract the trace norm and keep states PSD.  Triangular
+truncation can expand the trace norm and leaves the Hermitian cone.  Those
+two laws are decided once, in ``verification._contraction_check`` and
+``_positivity_check``.  The constructors validate to one ``TOL``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +41,6 @@ from .operators import (
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    trace_norm,
     validate_decomposition,
 )
 
@@ -44,11 +48,9 @@ __all__ = [
     "ReductionOp",
     "apply",
     "apply_dual",
-    "contraction_check",
     "group_average",
     "lower_triangularize",
     "measurement",
-    "positivity_check",
     "reduction_from_json",
     "reduction_to_json",
 ]
@@ -149,47 +151,6 @@ def _closure_defect(op: ReductionOp, dual_x, dual_y) -> float:
     """
     a = dual_x @ dual_y
     return operator_norm(_sandwich(op.rights, a, op.operators, op.scale) - a)
-
-
-def contraction_check(op: ReductionOp, rho) -> bool:
-    """Whether ||R(rho)||_1 <= ||rho||_1 (+ TOL) at this rho.
-
-    The bound is a law for ``measurement`` and ``group_average``, which are
-    averages of unitary conjugations.  ``lower_triangularize`` is not a
-    trace-norm contraction and can increase the trace norm: it takes
-    [[.5, .4], [.4, .5]] (norm 1) to [[.5, 0], [.4, .5]] (norm 1.077).
-    """
-    return _contracts(trace_norm(apply(op, rho)), trace_norm(rho))
-
-
-def _contracts(image_norm: float, norm: float) -> bool:
-    """``contraction_check`` from the trace norms of R(rho) and rho."""
-    return image_norm <= norm + TOL
-
-
-def positivity_check(op: ReductionOp, rho) -> Optional[bool]:
-    """Whether R preserves positive semidefiniteness at this rho, to TOL.
-
-    Returns None for lower_triangularize (its image leaves the Hermitian
-    cone, so the question does not apply); otherwise rho must be PSD and the
-    result says whether R(rho) is.
-    """
-    if op.kind == "lower_triangularize":
-        return None
-    fault = _psd_fault(as_matrix(rho))
-    if fault:
-        raise ValueError(f"positivity check needs a {fault} state")
-    return _psd_fault(apply(op, rho)) is None
-
-
-def _psd_fault(m) -> Optional[str]:
-    """None if m is Hermitian and PSD to TOL, else which of the two fails:
-    the test of ``positivity_check``'s input and of its image R(rho)."""
-    if operator_norm(m - m.conj().T) > TOL:
-        return "Hermitian"
-    if float(np.linalg.eigvalsh(m).min()) < -TOL:
-        return "PSD"
-    return None
 
 
 def reduction_to_json(op: ReductionOp) -> dict:

@@ -28,6 +28,7 @@ from liepoisson import operators as op
 from liepoisson import orbits as orb
 from liepoisson import reduction as red
 from liepoisson import toda as td
+from liepoisson import verification as vf
 from liepoisson.fixtures import seeded_random_state
 
 
@@ -163,11 +164,15 @@ def test_criterion_3_reduction_laws():
                     lambda m: red.apply_dual(rop, m),
                     br.Observable.linear_form(x),
                     br.Observable.linear_form(y), rho))
-            if not red.contraction_check(rop, rho):
+            if vf._contraction_check(name, n, [(op.trace_norm(image),
+                                                op.trace_norm(rho))]).defect:
                 contraction_violations[name] = (
                     contraction_violations.get(name, 0) + 1)
             if kind == "psd" and name != "lower_triangularize":
-                if red.positivity_check(rop, rho) is not True:
+                fault = vf._psd_fault(rho)  # the check reads PSD states only
+                if fault:
+                    raise ValueError(f"positivity check needs a {fault} state")
+                if vf._positivity_check([image]).defect:
                     positivity_ok = False
                 worst["trace"] = max(worst["trace"],
                                      abs(np.trace(image) - np.trace(rho)))

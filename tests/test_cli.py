@@ -590,12 +590,13 @@ def test_reduce_demo_all_kinds(tmp_path):
         assert report["pass"] is True
         names = {c["name"] for c in report["checks"]}
         assert f"reduction_idempotent_{full_kind[kind]}" in names
+        contraction = f"reduction_contraction_{full_kind[kind]}"
         if kind == "lower":
             # truncation has no trace-norm law; the excess is reported as data
-            assert "trace_norm_contraction" not in names
+            assert contraction not in names
             assert report["trace_norm_excess"] > 0.0
         else:
-            assert "trace_norm_contraction" in names
+            assert contraction in names
             assert report["trace_norm_excess"] <= 1e-12
 
 
@@ -609,8 +610,28 @@ def test_reduce_demo_skips_positivity_on_a_general_state(tmp_path):
             assert code == 0
             report = json.loads((out_dir / "reduction_report.json").read_text())
             names = {c["name"] for c in report["checks"]}
-            assert "trace_norm_contraction" in names
-            assert ("positivity_preserved" in names) == has_row
+            assert f"reduction_contraction_{cli.REDUCE_KINDS[kind]}" in names
+            assert ("reduction_positivity" in names) == has_row
+
+
+@pytest.mark.parametrize("kind, n, scale", [
+    ("measurement", 16, 1e6), ("group", 4, 1e9),
+    ("measurement", 8, 1e9), ("group", 10, 1e8)])
+def test_reduce_demo_keeps_correct_reductions_green_at_large_scale(
+        tmp_path, kind, n, scale):
+    # s ones(N) / N is a PSD rank-one density times s.  Pinching and
+    # averaging contract it and keep it PSD, and the roundoff of both
+    # verdicts grows with s: absolute 1e-10 gates turned the contraction
+    # row red in the first two and the positivity row in the last two
+    ones = np.full((n, n), scale / n, dtype=complex)
+    code, out_dir = _run(tmp_path, "reduce-demo", {"params": {
+        "N": n, "kind": kind, "state": op.matrix_to_json(ones)}})
+    assert code == 0
+    report = json.loads((out_dir / "reduction_report.json").read_text())
+    names = [c["name"] for c in report["checks"] if c["pass"]]
+    assert names[-3:] == [f"reduction_contraction_{cli.REDUCE_KINDS[kind]}",
+                          "trace_preserved", "reduction_positivity"]
+    assert report["pass"] is True
 
 
 def test_reduce_demo_group_needs_even_dimension(tmp_path):
@@ -646,8 +667,9 @@ def verify_gates():
 def test_summary_rows_of_verify_identities_are_verify_rows(
         tmp_path, verify_gates, command, kind):
     # every summary row with a verify name has verify's gate and the bits of
-    # the shared check on the command's state and probes; the reduction rows
-    # also give the bits of the public closure and condition routes
+    # the shared check on the command's state, probes and image; the
+    # reduction rows also give the bits of the public closure and condition
+    # routes
     for seed in (0, 5):
         if command == "reduce-demo":
             n = 6
@@ -658,7 +680,7 @@ def test_summary_rows_of_verify_identities_are_verify_rows(
             rho = seeded_random_state(seed, "psd", n)
             rng = _stream(seed, cli.PROBE_STREAM)
             x, y = _complex_normal(rng, n), _complex_normal(rng, n)
-            shared = vf._reduction_law_checks(rop, rho, x, y)[0]
+            shared, image, _ = vf._reduction_law_checks(rop, rho, x, y)
             closure, _, _, condition = shared
             assert closure.defect == red._closure_defect(
                 rop, red.apply_dual(rop, x), red.apply_dual(rop, y))
@@ -666,6 +688,10 @@ def test_summary_rows_of_verify_identities_are_verify_rows(
                 lambda m: red.apply(rop, m), lambda m: red.apply_dual(rop, m),
                 br.Observable.linear_form(x), br.Observable.linear_form(y),
                 rho)
+            if kind != "lower":
+                norms = [(op.trace_norm(image), op.trace_norm(rho))]
+                shared = [*shared, vf._contraction_check(rop.kind, n, norms),
+                          vf._positivity_check([image])]
         else:
             n = 4
             code, out_dir = _run(tmp_path, command, {

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from liepoisson import operators as op
 from liepoisson import reduction as red
+from liepoisson import verification as vf
 from liepoisson.fixtures import seeded_random_state
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
@@ -90,12 +91,18 @@ def test_group_average_output_lands_in_commutant():
         assert np.max(np.abs(u @ out @ u.conj().T - out)) < 1e-13
 
 
+def _contracts(rop, rho):
+    """The verdict of the shared contraction row at one state."""
+    norms = [(op.trace_norm(red.apply(rop, rho)), op.trace_norm(rho))]
+    return vf._contraction_check(rop.kind, rho.shape[0], norms).defect == 0.0
+
+
 def test_pinching_and_averaging_contract_trace_norm():
     meas, _, group = _standard_ops(4)
     for seed in range(40):
         rho = seeded_random_state(200 + seed, "general", 4)
-        assert red.contraction_check(meas, rho)
-        assert red.contraction_check(group, rho)
+        assert _contracts(meas, rho)
+        assert _contracts(group, rho)
 
 
 def test_triangular_truncation_expands_trace_norm_on_psd_states():
@@ -107,11 +114,11 @@ def test_triangular_truncation_expands_trace_norm_on_psd_states():
     assert abs(op.trace_norm(rho) - 1.0) < 1e-14
     truncated = red.apply(lower, rho)
     assert abs(op.trace_norm(truncated) - 1.0770329614269007) < 1e-12
-    assert not red.contraction_check(lower, rho)
+    assert not _contracts(lower, rho)
 
     _, lower4, _ = _standard_ops(4)
     violations = sum(
-        not red.contraction_check(lower4, seeded_random_state(s, "psd", 4))
+        not _contracts(lower4, seeded_random_state(s, "psd", 4))
         for s in range(50))
     assert violations == 50
 
@@ -120,28 +127,47 @@ def test_all_ones_state_violates_contraction_at_every_size():
     for n in (2, 3, 5, 8):
         _, lower, _ = _standard_ops(n)
         ones = np.ones((n, n), dtype=complex) / n
-        assert not red.contraction_check(lower, ones)
+        assert not _contracts(lower, ones)
+
+
+def test_contraction_gate_scales_with_the_trace_norm():
+    # pinching or averaging s ones(N) / N shows a roundoff excess that grows
+    # with s (3.7e-4 at N = 4, s = 1e12) and the gate grows with it, while
+    # the expansion of triangular truncation stays an excess at any s
+    for n in (4, 16):
+        lower = vf._reduction_op("lower_triangularize", n)
+        for scale in (1.0, 1e6, 1e9, 1e12):
+            ones = np.full((n, n), scale / n, dtype=complex)
+            for kind in ("measurement", "group_average"):
+                assert _contracts(vf._reduction_op(kind, n), ones)
+            excess = vf._trace_norm_excess(
+                op.trace_norm(red.apply(lower, ones)), op.trace_norm(ones), n)
+            assert excess > 0.2 * scale
 
 
 def test_positivity_and_trace_preservation():
     meas, lower, group = _standard_ops(4)
     rho = seeded_random_state(99, "psd", 4)
-    assert red.positivity_check(meas, rho) is True
-    assert red.positivity_check(group, rho) is True
-    assert red.positivity_check(lower, rho) is None
-    for rop in (meas, group):
-        out = red.apply(rop, rho)
+    assert vf._psd_fault(rho) is None
+    images = [red.apply(rop, rho) for rop in (meas, group)]
+    assert vf._positivity_check(images).defect == 0.0
+    # truncation leaves the Hermitian cone, so the law is not its law
+    truncated = red.apply(lower, rho)
+    assert vf._psd_fault(truncated) == "Hermitian"
+    assert vf._positivity_check([*images, truncated]).defect == 1.0
+    for out in images:
         assert abs(np.trace(out) - np.trace(rho)) < 1e-13
 
 
-def test_positivity_check_rejects_bad_states():
-    meas, _, _ = _standard_ops(3)
-    with pytest.raises(ValueError):
-        red.positivity_check(meas, seeded_random_state(100, "general", 3))
+def test_psd_fault_names_the_failing_test():
+    assert vf._psd_fault(seeded_random_state(100, "general", 3)) == "Hermitian"
     herm = seeded_random_state(101, "hermitian", 3)
     herm = herm - 2.0 * np.max(np.linalg.eigvalsh(herm)) * np.eye(3)
-    with pytest.raises(ValueError):
-        red.positivity_check(meas, herm)
+    assert vf._psd_fault(herm) == "PSD"
+    # the gate scales with the spectral radius: the roundoff eigenvalues of
+    # a rank-one density stay inside it at any scale
+    for scale in (1.0, 1e6, 1e12):
+        assert vf._psd_fault(np.full((8, 8), scale / 8, dtype=complex)) is None
 
 
 def test_factory_validation():

@@ -12,6 +12,7 @@ from liepoisson import brackets as bk
 from liepoisson import integrators as it
 from liepoisson import operators as op
 from liepoisson import orbits as orb
+from liepoisson import reduction as red
 from liepoisson import toda as td
 from liepoisson import verification as vf
 from liepoisson.fixtures import seeded_random_state
@@ -169,6 +170,39 @@ def test_negative_controls_record_large_defects():
     assert inclusion.passed and inclusion.defect > 1e-3
     contraction = results["lower_contraction_not_universal"]
     assert contraction.passed and contraction.defect > 1e-6
+
+
+def test_reduction_group_applies_each_distinct_reduction_once(monkeypatch):
+    # per kind R(rho), R*(x), R*(y), R(R(rho)) and R*(R*(x) R*(y)); R of the
+    # all-ones density for the triangular witness; R of the PSD fixture for
+    # pinching and averaging, read by both their contraction row and the
+    # positivity row; and the two duals of the commutant row
+    inputs = []
+    sandwich = red._sandwich
+    monkeypatch.setattr(red, "_sandwich", lambda *a: inputs.append(
+        (id(a[0]), id(a[2]), a[1].tobytes())) or sandwich(*a))
+    rows = vf._reduction_checks(vf._fixtures(2024, 4))
+    assert all(r.passed for r in rows)
+    assert len(inputs) == 20
+    assert len(set(inputs)) == 20
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2024])
+def test_contraction_and_positivity_gates_stay_within_1e_10_at_dim_4(seed):
+    # both verdicts gate at c eps N scale; on verify's dim-4 fixtures that is
+    # no looser than the absolute 1e-10 it replaced
+    fx = vf._fixtures(seed, 4)
+    for rho in (fx["general"], fx["psd"]):
+        norm = op.trace_norm(rho)
+        assert vf._trace_norm_excess(norm + 1e-10, norm, 4) > 0.0
+    upper = np.zeros((4, 4), dtype=complex)
+    upper[0, 1] = 1e-10  # eigvalsh reads the lower triangle only
+    for kind in ("measurement", "group_average"):
+        image = red.apply(vf._reduction_op(kind, 4), fx["psd"])
+        assert vf._psd_fault(image) is None
+        assert vf._psd_fault(image + upper) == "Hermitian"
+        shift = np.linalg.eigvalsh(image)[0] + 1e-10
+        assert vf._psd_fault(image - shift * np.eye(4)) == "PSD"
 
 
 def test_report_payload_schema():

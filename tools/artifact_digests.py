@@ -156,11 +156,17 @@ CONFIGS = [
                      "method": "isospectral"}}),
     ("reduce-explicit", "reduce-demo",
      {"params": {"N": 3, "kind": "lower", "state": RHO3}}),
-    # states that are not PSD: no positivity_preserved row
+    # states that are not PSD: no reduction_positivity row
     ("reduce-measurement-indefinite", "reduce-demo",
      {"params": {"N": 3, "kind": "measurement", "state": H3}}),
     ("reduce-group-non-hermitian", "reduce-demo",
      {"params": {"N": 2, "kind": "group", "state": NON_HERMITIAN}}),
+    # s ones(N) / N, a PSD rank-one density scaled by s: pinching and
+    # averaging keep every row green at any scale
+    *[(f"reduce-{k}-n{n}-ones-s{s:.0e}", "reduce-demo",
+       {"params": {"N": n, "kind": k, "state": _matrix([[s / n] * n] * n)}})
+      for k, n, s in (("measurement", 16, 1e6), ("group", 4, 1e9),
+                      ("measurement", 8, 1e9), ("group", 10, 1e8))],
     ("orbit-explicit", "orbit-kks", {"params": {"N": 3, "state": H3}}),
     ("toda-explicit", "toda-run",
      {"params": {"initial": TODA4}, "integrator": {"dt": 1e-3, "steps": 200}}),
