@@ -294,8 +294,11 @@ def collective_defect(jmap: MatrixLinearMap, h_down: Observable,
     rho0 via the chain-rule gradient J*(Dh(J rho)).  Downstairs, h_down
     generates its own flow from J(rho0) under ``down_spec``.  The defect is
     the worst max-abs difference between J(upstairs state) and the downstairs
-    state over the recorded times.  When J intertwines the two field
-    conventions this is pure integration error, shrinking as O(dt^4).
+    state over the recorded times.  An RK4 step is a fixed linear
+    combination of field values, so a linear J with J F_up = F_down J
+    commutes with every step: the defect is then roundoff at any dt, not
+    integration error.  A J that breaks intertwining gives a defect set by
+    the horizon, nearly the same at any fine enough dt.
 
     Both initial states are validated here, rho0 for the full bracket and
     J(rho0) for ``down_spec``; the flows then step on the trusted fields,

@@ -553,7 +553,7 @@ def test_collective_defect_for_corner_restriction():
     rho0 = seeded_random_state(168, "psd", big)
     cfg = it.IntegratorConfig(dt=0.005, steps=100, stride=20)
     defect = it.collective_defect(jmap, h_down, br.FULL, rho0, cfg)
-    assert defect < 1e-6
+    assert defect <= 1e-14  # roundoff: J commutes with every RK4 step
 
 
 def _corner_map(small, big):
@@ -601,3 +601,33 @@ def test_collective_defect_validates_both_initial_states():
     with pytest.raises(ValueError, match="pairs"):
         it.collective_defect(br.pair_inclusion_map(0, 3), h,
                              br.product(br.FULL, br.FULL), rho0, cfg)
+
+
+# (dt, steps, stride) over the horizon t = 1, each recording at t = 0, 0.1, ...
+_COLLECTIVE_GRIDS = ((0.005, 200, 20), (0.05, 20, 2), (0.1, 10, 1))
+
+
+def _collective_defects(jmap, h_down, rho0):
+    return [it.collective_defect(jmap, h_down, br.FULL, rho0,
+                                 it.IntegratorConfig(dt=dt, steps=steps,
+                                                     stride=stride))
+            for dt, steps, stride in _COLLECTIVE_GRIDS]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_collective_defect_is_roundoff_at_any_dt_and_a_fault_is_not(seed):
+    # J commutes with every RK4 step when it intertwines the two fields, so
+    # the defect of verify's corner map is roundoff at any of the grids; a J
+    # that breaks intertwining gives a defect that the horizon sets, not dt
+    jmap = _corner_map(2, 4)
+    m = seeded_random_state(seed, "general", 2)
+    h_down = br.Observable.quadratic_form(op.hermitian_part(m), np.eye(2))
+    rho0 = seeded_random_state(seed, "psd", 4)
+    assert max(_collective_defects(jmap, h_down, rho0)) <= 1e-14
+
+    for adjoint in (lambda g: jmap.adjoint(g).T,
+                    lambda g: (1.0 + 1e-6) * jmap.adjoint(g)):
+        faulty = br.MatrixLinearMap(jmap.apply, adjoint)
+        defects = _collective_defects(faulty, h_down, rho0)
+        assert min(defects) > 1e-9
+        np.testing.assert_allclose(defects, defects[0], rtol=1e-3)

@@ -205,6 +205,44 @@ def test_contraction_and_positivity_gates_stay_within_1e_10_at_dim_4(seed):
         assert vf._psd_fault(image - shift * np.eye(4)) == "PSD"
 
 
+def test_dynamics_group_takes_the_steps_its_rows_can_see(monkeypatch):
+    # RK4: the mean-field energy flow 1000, the order reference 128, the
+    # order runs 8 + 16, the collective pair 2 x 20; isospectral: the order
+    # runs 16 + 32 (the LvN flow conjugates by one propagator); evolve looks
+    # both up in the module at every step
+    steps = dict.fromkeys(("rk4_step", "isospectral_step"), 0)
+
+    def counting(name, step):
+        def call(*args):
+            steps[name] += 1
+            return step(*args)
+        return call
+
+    for name in steps:
+        monkeypatch.setattr(it, name, counting(name, getattr(it, name)))
+    vf._dynamics_checks(vf._fixtures(2024, 4))
+    assert steps == {"rk4_step": 1192, "isospectral_step": 48}
+
+
+def _scaled_adjoint_pullback(f, phi):
+    # J*(g) scaled by 1 + 1e-6: J no longer intertwines the two fields
+    return bk._pullback(f, bk.MatrixLinearMap(
+        phi.apply, lambda g: (1.0 + 1e-6) * phi.adjoint(g)))
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2024])
+def test_collective_row_turns_red_when_j_stops_intertwining(monkeypatch, seed):
+    def row():
+        rows = vf._dynamics_checks(vf._fixtures(seed, 4))
+        return next(r for r in rows if r.name == "collective_flow_matches_reduced")
+
+    real = row()
+    assert real.passed and real.tol == 1e-12
+    monkeypatch.setattr(it, "_pullback", _scaled_adjoint_pullback)
+    mutant = row()
+    assert not mutant.passed and mutant.defect > 1e-9
+
+
 def test_report_payload_schema():
     results = vf.run_all(seed=2024, dim=4)
     payload = vf.report_payload(results)

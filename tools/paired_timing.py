@@ -18,7 +18,11 @@ each tree, and the median and quartiles of the paired ratio this / base.
 When the workload runs ``verify``, it does the same for each verify check
 group (``verify:<group>``): every ``verification._<group>_checks`` of both
 trees is wrapped in a timer, and ``run_all`` looks the groups up at call
-time, so it runs the wrappers.  A ratio below 1 means this tree is faster.
+time, so it runs the wrappers.  Beside each group's ratio it prints the
+group's RK4 and isospectral step counts on each tree (``rk4 base -> this``,
+``iso base -> this``), taken in one counted pass of each tree before the
+pairs, so a change of step budget shows as a count next to its time; the
+timed passes run uncounted.  A ratio below 1 means this tree is faster.
 Two runs of a pass in the same process, one right after the other, see
 nearly the same host load, so the paired ratio is steady on a shared host
 where the times of separate cold runs are not.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import inspect
 import io
@@ -72,29 +77,67 @@ def time_run(cli, command: str, path: str, out_dir: str) -> float:
     return elapsed
 
 
-def time_verify_groups(cli) -> dict:
+# the integrators' step functions, as the label they are counted under
+STEPPERS = {"rk4_step": "rk4", "isospectral_step": "iso"}
+
+
+def time_verify_groups(cli) -> tuple:
     """Wrap each ``verification._<group>_checks(fx)`` of the tree of ``cli``
     in a timer; returns the dict the wrappers add their seconds to, by
-    group, in the order ``run_all`` calls them.  The shared identity checks
-    (``_reduction_law_checks``, ``_kks_checks``) take a state and probes,
-    not the fixtures, and are timed inside the groups that call them."""
+    group, in the order ``run_all`` calls them, and the list of groups
+    running, innermost last, that ``count_steps`` reads.  The shared
+    identity checks (``_reduction_law_checks``, ``_kks_checks``) take a
+    state and probes, not the fixtures, and are timed inside the groups
+    that call them."""
     verification = importlib.import_module(f"{cli.__package__}.verification")
-    spent = {}
+    spent, running = {}, []
 
     def timed(group, fn):
         def call(fx):
+            running.append(group)
             start = time.perf_counter()
             try:
                 return fn(fx)
             finally:
                 spent[group] = spent.get(group, 0.0) + time.perf_counter() - start
+                running.pop()
         return call
 
     for attr, fn in list(vars(verification).items()):
         if (attr.startswith("_") and attr.endswith("_checks") and callable(fn)
                 and list(inspect.signature(fn).parameters) == ["fx"]):
             setattr(verification, attr, timed(attr[1:-len("_checks")], fn))
-    return spent
+    return spent, running
+
+
+@contextlib.contextmanager
+def count_steps(cli, running: list):
+    """Count the module-level ``rk4_step`` and ``isospectral_step`` calls of
+    the tree of ``cli`` by the verify group running (``running[-1]``);
+    yields the dict of counts by group and ``STEPPERS`` label.  ``evolve``
+    looks both up at every step, so it calls the counters; they keep the
+    originals' names, which verify's coverage recorder reads."""
+    integrators = importlib.import_module(f"{cli.__package__}.integrators")
+    counts = {}
+
+    def counted(label, fn):
+        @functools.wraps(fn)
+        def call(*args):
+            if running:
+                group = counts.setdefault(running[-1], dict.fromkeys(
+                    STEPPERS.values(), 0))
+                group[label] += 1
+            return fn(*args)
+        return call
+
+    originals = {name: getattr(integrators, name) for name in STEPPERS}
+    for name, label in STEPPERS.items():
+        setattr(integrators, name, counted(label, originals[name]))
+    try:
+        yield counts
+    finally:
+        for name, fn in originals.items():
+            setattr(integrators, name, fn)
 
 
 def quartiles(values) -> tuple:
@@ -127,9 +170,14 @@ def main(argv=None) -> int:
                    in perfbench.make_configs(table[args.workload], args.seed, tmp)]
         out_dir = os.path.join(tmp, "out")
         times = {(tree, label): [] for tree in trees for label, _, _ in configs}
-        spent = ({tree: time_verify_groups(cli) for tree, cli in trees.items()}
-                 if any(command == "verify" for _, command, _ in configs) else {})
-        group_times = {}
+        watched = ({tree: time_verify_groups(cli) for tree, cli in trees.items()}
+                   if any(command == "verify" for _, command, _ in configs) else {})
+        spent = {tree: groups for tree, (groups, _) in watched.items()}
+        group_times, steps = {}, {}
+        for tree, (_, running) in watched.items():  # one counted pass a tree
+            with count_steps(trees[tree], running) as steps[tree]:
+                for _, command, path in configs:
+                    time_run(trees[tree], command, path, out_dir)
 
         for pair in range(args.pairs + 1):  # pair 0 warms both trees up
             order = ("base", "this") if pair % 2 else ("this", "base")
@@ -160,9 +208,16 @@ def main(argv=None) -> int:
     width = max(len(label) for label, _, _ in rows)
     for label, base, this in rows:
         median, q1, q3 = quartiles([t / b for b, t in zip(base, this)])
+        counts = ""
+        if label.startswith("verify:"):
+            group = label[len("verify:"):]
+            counts = "".join(
+                f"  {kind} {steps['base'].get(group, {}).get(kind, 0)} -> "
+                f"{steps['this'].get(group, {}).get(kind, 0)}"
+                for kind in STEPPERS.values())
         print(f"  {label:<{width}}  base {statistics.median(base):.5f}  "
               f"this {statistics.median(this):.5f}  ratio {median:.3f} "
-              f"[{q1:.3f}, {q3:.3f}]")
+              f"[{q1:.3f}, {q3:.3f}]{counts}")
     return 0
 
 
