@@ -42,7 +42,6 @@ flows, and ``_pullback`` is the one composite f o phi.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -187,29 +186,17 @@ def _state(spec: BracketSpec, state):
     return rho
 
 
-@functools.lru_cache(maxsize=None)
-def _triangle_masks(n: int):
-    """Read-only masks of the lower and upper-plus parts, built once per n:
-    ``np.where(mask, m, 0)`` gives the bits of ``np.tril(m)``/``np.triu(m)``,
-    which build such a mask on every call."""
-    lower = np.tri(n, dtype=bool)
-    upper = np.ascontiguousarray(lower.T)
-    lower.flags.writeable = upper.flags.writeable = False
-    return lower, upper
-
-
 def _coinduced_field(dh: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """pi_lower([rho, pi+ dh]), the lower-coinduced Hamiltonian field of a
     function with gradient dh at rho (see the module docstring)."""
-    lower, upper = _triangle_masks(rho.shape[0])
-    return np.where(lower, _commutator(rho, np.where(upper, dh, 0)), 0)
+    return np.tril(_commutator(rho, np.triu(dh)))
 
 
 def _canonical_grad(spec: BracketSpec, g):
     """Project a gradient onto the representative subspace of the spec."""
     g = np.asarray(g, dtype=complex)
     if spec.kind == "lower_coinduced":
-        return np.where(_triangle_masks(g.shape[0])[1], g, 0)
+        return np.triu(g)
     if spec.kind == "hermitian_real":
         return _skew_hermitian_part(g)
     return g

@@ -19,9 +19,10 @@ step for non-finite entries (raising ``NumericalAbort``), and evaluates any
 requested scalar monitors along the way.  Each record goes into its row of
 arrays sized ``IntegratorConfig.records`` before the first step, so a run
 holds its recorded values and nothing per record beside them.  It validates
-the initial state (and a constant generator) once; from there that
-per-step check is the only guard, on every route, and the right-hand sides
-and generators it drives may run on trusted kernels.
+the initial state (and a constant generator) once.  From there the RK4 and
+constant-generator routes have no guard but that per-step check, so their
+right-hand sides may run on trusted kernels; a callable ``hgrad`` steps by
+the public ``isospectral_step``, which runs ``as_matrix`` on each state.
 ``Trajectory.to_csv`` alone flattens the recorded states into columns and
 writes 17 significant digits, enough to round-trip a double exactly, one
 block of rows at a time.  ``spectral_drift`` pairs the eigenvalues of each

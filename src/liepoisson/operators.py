@@ -13,24 +13,21 @@ Validation happens once, where a matrix enters.  Every public function
 coerces its matrix arguments with ``as_matrix`` (square, at least 1 x 1,
 finite entries) and raises ``ValueError`` otherwise.  The underscored
 kernels (``_commutator``, ``_conjugate``, ``_trace_pairing``,
-``_power_traces``, ``_skew_hermitian_part``, ``_holds``) hold the formulas
-and trust their input to be such a matrix already; the step loops and the
-brackets call only kernels, and ``integrators.evolve`` owns the one
-per-step finiteness check.
+``_power_traces``, ``_skew_hermitian_part``, ``_holds``,
+``_decomposition_holds``) hold the formulas and trust their input to be
+such a matrix already; the step loops and the brackets call only kernels.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
     "ClassTag",
-    "DecompositionOfUnity",
     "as_matrix",
     "commutator",
     "elementary",
@@ -264,30 +261,20 @@ def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
     raise ValueError(f"unknown tag {tag!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionOfUnity:
-    """Ordered projectors, meant to be self-adjoint, mutually orthogonal and
-    to sum to I.  The constructor checks only their shapes;
-    ``validate_decomposition`` checks the laws."""
-
-    projectors: tuple
-
-    def __init__(self, projectors):
-        object.__setattr__(self, "projectors", tuple(as_matrix(p) for p in projectors))
-        if not self.projectors:
-            raise ValueError("decomposition needs at least one projector")
-        n = self.projectors[0].shape[0]
-        if any(p.shape[0] != n for p in self.projectors):
-            raise ValueError("all projectors must share one dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
+def _projector_family(projectors) -> tuple:
+    """The projectors, each coerced once: at least one, of one dimension."""
+    ps = tuple(as_matrix(p) for p in projectors)
+    if not ps:
+        raise ValueError("decomposition needs at least one projector")
+    if any(p.shape != ps[0].shape for p in ps):
+        raise ValueError("all projectors must share one dimension")
+    return ps
 
 
-def validate_decomposition(d: DecompositionOfUnity, tol: float = DEFAULT_TOL) -> bool:
+def validate_decomposition(projectors, tol: float = DEFAULT_TOL) -> bool:
     """Check sum P_n = I, and P_n* = P_n and P_n^2 = P_n for each n, each
     to tol in the largest entry of its defect: k products for k projectors.
+    Raises ValueError for an empty or mixed-dimension family.
 
     Mutual orthogonality follows: in P_i = P_i (sum_j P_j) P_i, the terms
     j != i of sum_j P_i P_j P_i add up to zero, and each is the positive
@@ -304,19 +291,23 @@ def validate_decomposition(d: DecompositionOfUnity, tol: float = DEFAULT_TOL) ->
     Hermitian family has e, d <= N tol, so for N tol <= 1/4 its pairwise
     products are at most (2k + 7) N tol.
     """
-    ps = d.projectors
-    if float(np.max(np.abs(sum(ps) - np.eye(d.dim)))) > tol:
+    return _decomposition_holds(_projector_family(projectors), tol)
+
+
+def _decomposition_holds(ps: tuple, tol: float) -> bool:
+    """The laws of ``validate_decomposition`` on a ``_projector_family``."""
+    if float(np.max(np.abs(sum(ps) - np.eye(len(ps[0]))))) > tol:
         return False
     return all(_holds(ClassTag.HERMITIAN, p, tol)
                and float(np.max(np.abs(p @ p - p))) <= tol for p in ps)
 
 
-def standard_basis_decomposition(n: int) -> DecompositionOfUnity:
-    """The rank-one decomposition {E_00, ..., E_(n-1)(n-1)}."""
-    return DecompositionOfUnity([elementary(n, k, k) for k in range(n)])
+def standard_basis_decomposition(n: int) -> tuple:
+    """The rank-one decomposition (E_00, ..., E_(n-1)(n-1))."""
+    return tuple(elementary(n, k, k) for k in range(n))
 
 
-def spectral_projectors(h: np.ndarray) -> DecompositionOfUnity:
+def spectral_projectors(h: np.ndarray) -> tuple:
     """Decomposition of unity from the eigenspaces of a Hermitian matrix.
 
     Eigenvalues closer than 1e-8 are grouped into one block, so degenerate
@@ -334,7 +325,7 @@ def spectral_projectors(h: np.ndarray) -> DecompositionOfUnity:
             vec = v[:, start:k]
             blocks.append(vec @ vec.conj().T)
             start = k
-    return DecompositionOfUnity(blocks)
+    return tuple(blocks)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -70,8 +70,6 @@ def kks_welldefined_defect(point, x1, x2, y) -> float:
 
 def _svd_rank(m: np.ndarray) -> int:
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.sum(s > _RANK_RTOL * s[0]))
 
 

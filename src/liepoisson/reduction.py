@@ -36,12 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .operators import (
-    DecompositionOfUnity,
+    _decomposition_holds,
+    _projector_family,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    validate_decomposition,
 )
 
 __all__ = [
@@ -79,11 +79,10 @@ class ReductionOp:
 
 
 def _decomposition(projectors) -> tuple:
-    if not isinstance(projectors, DecompositionOfUnity):
-        projectors = DecompositionOfUnity(projectors)
-    if not validate_decomposition(projectors, TOL):
+    ps = _projector_family(projectors)
+    if not _decomposition_holds(ps, TOL):
         raise ValueError("projectors do not form a decomposition of unity")
-    return projectors.projectors
+    return ps
 
 
 def measurement(projectors) -> ReductionOp:

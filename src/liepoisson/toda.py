@@ -42,10 +42,10 @@ flows of ``toda-run`` and verify run on it from the y of ``_flaschka_coords``.
 ``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
 inputs when they are built, and ``canonical_rhs(template)`` takes the
 weights of a validated ``TodaState``; the fields themselves trust them,
-so a dense RK4 stage costs two matrix products and two selections with
-cached triangle masks, a canonical stage one unguarded ``np.exp``, and a
-diverging flow, also one whose positions pass the exp limit, reaches the
-integrator's finiteness check instead of failing inside a stage.
+so a stage does no validation (a canonical stage is one unguarded
+``np.exp``), and a diverging flow, also one whose positions pass the exp
+limit, reaches the integrator's finiteness check instead of failing inside
+a stage.
 
 The Lax matrix L = rho + a of y = (p, b) is real and tridiagonal: diagonal
 p, subdiagonal b, superdiagonal alpha (``_lax_matrix``).  ``toda-run``

@@ -708,8 +708,12 @@ def test_summary_rows_of_verify_identities_are_verify_rows(
         assert {name for name in rows if name in verify_gates} == {
             r.name for r in shared}
         for r in shared:
-            assert rows[r.name]["tol"] == verify_gates[r.name] == r.tol
+            assert rows[r.name]["tol"] == r.tol
             assert rows[r.name]["defect"] == r.defect
+            # the one gate that scales with the probes: verify's rule, at
+            # the command's state and probes
+            if r.name != "kks_pairing_identity":
+                assert r.tol == verify_gates[r.name]
 
 
 def test_reduce_demo_aborts_when_the_trace_norm_overflows(tmp_path, capsys):

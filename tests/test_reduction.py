@@ -79,7 +79,7 @@ def test_measurement_output_commutes_with_projectors():
     rop = red.measurement(d)
     rho = seeded_random_state(97, "general", 3)
     out = red.apply(rop, rho)
-    for p in d.projectors:
+    for p in d:
         assert np.max(np.abs(op.commutator(out, p))) < 1e-13
 
 
@@ -197,13 +197,14 @@ def test_decomposition_kinds_coerce_each_projector_once(monkeypatch):
     coerce = op.as_matrix
     monkeypatch.setattr(op, "as_matrix", lambda m: calls.append(1) or coerce(m))
     p = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    rop = red.measurement([p, np.eye(3) - p])
-    assert len(calls) == 2
-    # a DecompositionOfUnity is taken as it is, its arrays shared
-    d = op.standard_basis_decomposition(3)
-    calls.clear()
-    assert red.lower_triangularize(d).operators is d.projectors
-    assert calls == [] and rop.kind == "measurement"
+    basis = op.standard_basis_decomposition(3)
+    # any sequence, or an iterator, is one input format
+    for build in (red.measurement, red.lower_triangularize):
+        for family in ([p, np.eye(3) - p], basis, iter(basis)):
+            calls.clear()
+            rop = build(family)
+            assert isinstance(rop.operators, tuple)
+            assert len(calls) == len(rop.operators), (build, family)
 
 
 def test_lower_kind_sums_its_running_sums_once(monkeypatch):

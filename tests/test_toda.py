@@ -272,7 +272,7 @@ def test_array_records_compare_and_hash_by_identity():
     def build():
         state = seeded_random_state(179, "toda", 4)
         traj = it.Trajectory(np.arange(2.0), np.zeros((2, 7)))
-        return state, td.flaschka(state), op.standard_basis_decomposition(4), traj
+        return state, td.flaschka(state), traj
 
     for a, b in zip(build(), build()):
         assert (a == b) is False

@@ -15,7 +15,8 @@ from liepoisson import orbits as orb
 from liepoisson import reduction as red
 from liepoisson import toda as td
 from liepoisson import verification as vf
-from liepoisson.fixtures import seeded_random_state
+from liepoisson.cli import PROBE_STREAM
+from liepoisson.fixtures import _complex_normal, _stream, seeded_random_state
 
 
 def test_default_registry_is_all_green():
@@ -203,6 +204,40 @@ def test_contraction_and_positivity_gates_stay_within_1e_10_at_dim_4(seed):
         assert vf._psd_fault(image + upper) == "Hermitian"
         shift = np.linalg.eigvalsh(image)[0] + 1e-10
         assert vf._psd_fault(image - shift * np.eye(4)) == "PSD"
+
+
+def _kks_pairing_row(fx):
+    rows = vf._orbit_checks(fx)
+    return next(r for r in rows if r.name == "kks_pairing_identity")
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2024])
+def test_kks_pairing_gate_stays_within_1e_12_at_dim_4(monkeypatch, seed):
+    # the gate scales with the probe's forward-error scale; on verify's
+    # dim-4 fixtures it is no looser than the absolute 1e-12 it replaced,
+    # and a second route off by a relative 1e-12 turns the row red
+    real = _kks_pairing_row(vf._fixtures(seed, 4))
+    assert real.passed and real.tol <= 1e-12
+    commutator = op.commutator
+    monkeypatch.setattr(op, "commutator",
+                        lambda x, rho: (1.0 + 1e-12) * commutator(x, rho))
+    assert not _kks_pairing_row(vf._fixtures(seed, 4)).passed
+
+
+@pytest.mark.parametrize("seed", [8, 9, 23])
+def test_kks_pairing_row_is_green_at_the_orbit_kks_cap(seed):
+    # orbit-kks's state and probe stream at N = 32 with 1000 samples; seed 8
+    # has the largest defect over seeds 0-39 (6.9e-13, against the absolute
+    # 1e-12 gate this replaced), 9 and 23 the next
+    n = 32
+    rho = seeded_random_state(seed, "hermitian", n)
+    rng = _stream(seed, PROBE_STREAM)
+    probes = [(_complex_normal(rng, n), _complex_normal(rng, n))
+              for _ in range(1000)]
+    (_, row), _ = vf._kks_checks(rho, probes)
+    # the row reports the probe of the largest defect / scale: a slack of
+    # 100 or more at the cap, where the absolute gate had 1.45
+    assert row.passed and row.defect <= 0.01 * row.tol
 
 
 def test_dynamics_group_takes_the_steps_its_rows_can_see(monkeypatch):

@@ -130,6 +130,9 @@ CONFIGS = [
     ("orbit-rank-one", "orbit-kks", {"params": {"N": 5, "state": "rank-one"}}),
     # the two-form rows at the size and sample caps, against verify's gates
     ("orbit-n32", "orbit-kks", {"params": {"N": 32, "samples": 1000}}),
+    # the largest kks_pairing_identity defect over seeds 0-39 at the caps
+    ("orbit-n32-seed8", "orbit-kks",
+     {"seed": 8, "params": {"N": 32, "samples": 1000}}),
     # the benchmark's configs at seed 2024 (perfbench/run.py WORKLOADS)
     ("bench-toda-lax", "toda-run",
      {"seed": BENCH_SEED, "params": {"N": 32, "flow": "lax"},
