@@ -37,7 +37,12 @@ so it also runs on the real vector y = (p, b) of length 2N - 1:
 (out-of-range terms read as zero), the canonical equations again with
 b_i = lam_i e^{x_i}.  ``bidiagonal_rhs(alpha)`` integrates that, O(N) per
 call, and is checked against the dense ``lax_field``/``lax_rhs``; the Lax
-flows of ``toda-run`` and verify run on it from the y of ``_flaschka_coords``.
+flow of ``toda-run`` runs on it from the y of ``_flaschka_coords``.
+
+The same flow also has a closed form, the QR form of the Adler-Kostant-Symes
+solution (Symes, Physica D 4, 1982): J(t) = Q^T J0 Q with exp(-t J0 / 2) = QR,
+J0 the Jacobi matrix of y (``_aks_coords``).  verify compares the canonical
+flow with it.
 
 ``LaxPair``, ``lax_rhs(a)`` and ``bidiagonal_rhs(alpha)`` validate their
 inputs when they are built, and ``canonical_rhs(template)`` takes the
@@ -278,6 +283,23 @@ def _flaschka_coords(x, p, lam) -> np.ndarray:
     """y = (p, b) of the Flaschka image of (x, p): b_i = lam_i e^{x_i}; row
     by row for (R, N - 1) and (R, N) stacks of x and p."""
     return np.concatenate([p, lam * _bond_exponentials(x)], axis=-1)
+
+
+def _aks_coords(y, alpha, times) -> np.ndarray:
+    """The exact (p, b) of the k = 2 flow from y at each of ``times``, as an
+    (R, 2N - 1) stack: J(t) = Q^T J0 Q with exp(-t J0 / 2) = QR.
+
+    Squaring J(t)'s subdiagonal drops the column signs QR leaves free.
+    exp(-t J0 / 2) has condition number e^(t (lmax - lmin) / 2), which
+    bounds how much of the roundoff reaches J(t)."""
+    j0 = _jacobi_matrix(y, alpha)
+    w, v = np.linalg.eigh(j0)
+    t = np.asarray(times, dtype=float)[:, None, None]
+    q, _ = np.linalg.qr((v * np.exp(-0.5 * t * w)) @ v.T)
+    jt = np.swapaxes(q, -1, -2) @ j0 @ q
+    k = np.arange(j0.shape[-1])
+    return np.concatenate([jt[:, k, k], jt[:, k[1:], k[:-1]] ** 2 / alpha],
+                          axis=-1)
 
 
 def flaschka(state: TodaState) -> LaxPair:

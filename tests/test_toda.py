@@ -383,6 +383,20 @@ def _aks_lax(lax0, t):
     return np.linalg.solve(lower, lax0 @ lower), np.linalg.cond(lower)
 
 
+@pytest.mark.parametrize("n, t", [(8, 2.0), (32, 0.2)])
+def test_qr_and_lu_forms_of_the_aks_solution_agree(n, t):
+    # two exact routes: Q^T J0 Q with exp(-t J0 / 2) = QR on the Jacobi
+    # matrix, and N^-1 L0 N with exp(-t L0) = N B on the Lax matrix
+    state = seeded_random_state(180 + n, "toda", n)
+    pair = td.flaschka(state)
+    exact, cond = _aks_lax(pair.rho + pair.a, t)
+    assert cond < 100.0
+    qr = td._aks_coords(td._flaschka_coords(state.x, state.p, state.lam),
+                        state.alpha, [t])
+    assert qr.shape == (1, 2 * n - 1)
+    assert np.max(np.abs(td._lax_matrix(qr[0], state.alpha) - exact)) <= 1e-12
+
+
 # RK4 at dt = 1e-3 is off by 4.8e-14, 1.6e-14 and 1.4e-11 on these states
 # (the next test shows that gap is the O(dt^4) step error)
 @pytest.mark.parametrize("n, t, tol", [(8, 2.0, 1e-12), (32, 0.2, 1e-12),

@@ -88,22 +88,51 @@ def test_intertwining_row_checks_the_bidiagonal_field():
     assert row.passed
 
 
-def test_trajectory_row_runs_the_lax_flow_on_p_b():
-    # the (p, b) records compared as the dense rho they stand for give the
-    # row's defect bit for bit
+def test_trajectory_row_compares_the_canonical_run_with_the_aks_solution():
+    # the Flaschka push of the canonical records against the exact (p, b)
+    # of the Lax flow gives the row's defect bit for bit
     results = vf.run_all(seed=2024, dim=4)
     row = next(r for r in results if r.name == "toda_canonical_vs_lax_trajectory")
-    assert {"toda.bidiagonal_rhs", "integrators.evolve"} <= set(row.ops)
-    assert row.passed
+    assert row.passed and row.tol == 1e-9
     state = seeded_random_state(2024, "toda", 4)
     cfg = it.IntegratorConfig(dt=1e-3, steps=1000, stride=100)
     canonical = it.evolve(td.pack(state), cfg, rhs=td.canonical_rhs(state))
-    lax = it.evolve(td._flaschka_coords(state.x, state.p, state.lam), cfg,
-                    rhs=td.bidiagonal_rhs(state.alpha))
-    dense = max(float(np.max(np.abs(td.flaschka(td.unpack(y, state)).rho
-                                    - td._bidiagonal_matrix(z))))
-                for y, z in zip(canonical.states, lax.states))
-    assert row.defect == dense
+    m = state.n - 1
+    pushed = td._flaschka_coords(canonical.states[:, :m], canonical.states[:, m:],
+                                 state.lam)
+    exact = td._aks_coords(td._flaschka_coords(state.x, state.p, state.lam),
+                           state.alpha, canonical.times)
+    assert row.defect == np.max(np.abs(pushed - exact))
+
+
+def test_trajectory_row_turns_red_on_a_wrong_time_scale(monkeypatch):
+    # every RK4 step advances dt (1 + 1e-6) while the records are stamped
+    # k dt: the flow conserves its energy, and only the exact solution sees
+    # it (2.1e-7 or more over seeds 0-99 and 2024, even dims 4-16, where the
+    # honest rows reach 7.3e-12)
+    step = it.rk4_step
+    monkeypatch.setattr(it, "rk4_step",
+                        lambda rhs, t, y, dt: step(rhs, t, y, dt * (1.0 + 1e-6)))
+    rows = {r.name: r for r in vf._toda_checks(vf._fixtures(2024, 4))}
+    row = rows["toda_canonical_vs_lax_trajectory"]
+    assert not row.passed and row.defect > 100 * row.tol
+    assert rows["toda_energy_drift"].passed
+
+
+def test_toda_group_takes_one_rk4_run(monkeypatch):
+    # the canonical run of 1000 steps; the Lax flow it is compared with is
+    # the closed-form AKS solution
+    steps = 0
+    step = it.rk4_step
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(it, "rk4_step", counting)
+    vf._toda_checks(vf._fixtures(2024, 4))
+    assert steps == 1000
 
 
 def test_coverage_reports_an_uncalled_public_function(monkeypatch):
