@@ -270,7 +270,7 @@ def test_kks_pairing_row_is_green_at_the_orbit_kks_cap(seed):
 
 
 def test_dynamics_group_takes_the_steps_its_rows_can_see(monkeypatch):
-    # RK4: the mean-field energy flow 1000, the order reference 128, the
+    # RK4: the mean-field energy flow 500, the order reference 128, the
     # order runs 8 + 16, the collective pair 2 x 20; isospectral: the order
     # runs 16 + 32 (the LvN flow conjugates by one propagator); evolve looks
     # both up in the module at every step
@@ -285,7 +285,36 @@ def test_dynamics_group_takes_the_steps_its_rows_can_see(monkeypatch):
     for name in steps:
         monkeypatch.setattr(it, name, counting(name, getattr(it, name)))
     vf._dynamics_checks(vf._fixtures(2024, 4))
-    assert steps == {"rk4_step": 1192, "isospectral_step": 48}
+    assert steps == {"rk4_step": 692, "isospectral_step": 48}
+
+
+def _low_order_rk4_step(rhs, t, y, dt):
+    # the stages of rk4_step with weights (1, 3, 1, 1) / 6: second order,
+    # since sum b_i a_ij c_j = 1/8, not 1/6
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 3.0 * k2 + k3 + k4)
+
+
+def test_energy_row_turns_red_on_a_low_order_step(monkeypatch):
+    # the honest drift is O(t dt^4), the mutant's O(t dt^2): 2.7e-8 at
+    # dt 0.01, where 6.6e-9 at dt 0.005 passed the gate
+    monkeypatch.setattr(it, "rk4_step", _low_order_rk4_step)
+    rows = {r.name: r for r in vf._dynamics_checks(vf._fixtures(2024, 4))}
+    row = rows["lvn_rk4_energy_drift"]
+    assert not row.passed and row.defect >= 2 * row.tol
+    assert rows["lvn_noether_drift"].passed
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2024])
+def test_energy_row_grid_keeps_a_slack_of_30(seed):
+    # the grid is the coarsest whose honest drift stays well under the gate:
+    # worst over seeds 0-99 and 2024 at even dims 4-16 is gate / 94
+    rows = vf._dynamics_checks(vf._fixtures(seed, 4))
+    row = next(r for r in rows if r.name == "lvn_rk4_energy_drift")
+    assert row.tol == 1e-8 and row.defect <= row.tol / 30
 
 
 def _scaled_adjoint_pullback(f, phi):
