@@ -30,11 +30,7 @@ def main():
     cfg = it.IntegratorConfig(dt=DT, steps=STEPS, stride=100)
     rk4 = it.evolve(rho0, cfg, rhs=lambda t, y: op.commutator(-1j * h0, y),
                     monitors=monitors)
-
-    iso_cfg = it.IntegratorConfig(dt=DT, steps=STEPS, stride=100,
-                                  method="isospectral")
-    iso = it.evolve(rho0, iso_cfg, hgrad=lambda r: -1j * h0,
-                    monitors=monitors)
+    iso = it.evolve(rho0, cfg, hgrad=lambda r: -1j * h0, monitors=monitors)
 
     print(f"LvN flow, N={N}, dt={DT}, t={DT * STEPS}")
     print()

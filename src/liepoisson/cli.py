@@ -42,8 +42,8 @@ from . import operators as op
 from . import orbits as orb
 from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
-from .integrators import (METHODS, IntegratorConfig, NumericalAbort,
-                          Trajectory, _drift, _paired_drift, evolve)
+from .integrators import (IntegratorConfig, NumericalAbort, Trajectory,
+                          _drift, _paired_drift, evolve)
 from .verification import (_check, _contraction_check, _kks_checks,
                            _kks_rank_check, _positivity_check, _psd_fault,
                            _reduction_law_checks, _reduction_op,
@@ -104,7 +104,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """A validated run with resolved ``params``: every key set (defaults
     applied), explicit matrices as arrays, an explicit Toda ``initial`` as a
-    ``TodaState``, tags left for ``run`` to draw, and ``t_end`` in ``integrator``."""
+    ``TodaState``, tags left for ``run`` to draw, ``t_end`` in the
+    ``integrator`` grid, and lvn-run's ``integrator.method``, the one choice
+    of step a command has, as ``params["method"]``."""
 
     command: str
     seed: int
@@ -163,9 +165,11 @@ _PARAM_KEYS = {
 }
 
 _INTEGRATOR_KEYS = {"dt", "steps", "stride", "method"}
+METHODS = ("rk4", "isospectral")  # integrator.method: evolve's rhs or hgrad
 
 
-def _build_integrator(raw: Optional[dict], command: str) -> IntegratorConfig:
+def _build_integrator(raw: Optional[dict], command: str) -> tuple:
+    """The grid of the integrator block and the method it names."""
     raw = {} if raw is None else raw
     _only_keys(raw, _INTEGRATOR_KEYS, "integrator")
     dt = _positive_number(raw.get("dt"), "integrator.dt", 1e-3)
@@ -176,7 +180,7 @@ def _build_integrator(raw: Optional[dict], command: str) -> IntegratorConfig:
     method = _choice(raw.get("method"), "integrator.method", METHODS, "rk4")
     _require(command != "toda-run" or method == "rk4",
              "toda-run integrates with method rk4 only")
-    return IntegratorConfig(dt=dt, steps=steps, stride=stride, method=method)
+    return IntegratorConfig(dt=dt, steps=steps, stride=stride), method
 
 
 def load_config(path: str, command: str, out_dir: str) -> RunConfig:
@@ -218,13 +222,15 @@ def load_config(path: str, command: str, out_dir: str) -> RunConfig:
     for name in names:
         _require(not os.path.isdir(os.path.join(out_dir, name)),
                  f"--out {out_dir!r} holds a directory named {name!r}")
-    integrator = None
+    integrator = method = None
     if trajectory:
-        integrator = _build_integrator(raw.get("integrator"), command)
+        integrator, method = _build_integrator(raw.get("integrator"), command)
     else:
         _require("integrator" not in raw,
                  f"{command} takes no integrator block")
     params, integrator = _resolve_params(command, params, integrator)
+    if command == "lvn-run":
+        params["method"] = method
     return RunConfig(command=command, seed=seed, params=params,
                      integrator=integrator, output_path=output_path,
                      out_dir=out_dir)
@@ -376,7 +382,7 @@ def _run_lvn(rc: RunConfig) -> int:
     rho0 = _drawn(rc, "initial_state", _DENSITY_TAGS)
     gen = -1j * h
 
-    if rc.integrator.method == "isospectral":
+    if rc.params["method"] == "isospectral":
         # the constant generator: every step conjugates by exp(-i h dt)
         traj = evolve(rho0, rc.integrator, hgrad=gen)
     else:

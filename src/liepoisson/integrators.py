@@ -14,15 +14,18 @@ rho -> e^(tK) rho e^(-tK), and every step is the conjugation by the one
 propagator Q = exp(dt K); ``evolve`` takes such a K as a matrix and builds
 Q once per run.
 
-``evolve`` records every ``stride``-th state plus the final one, checks each
-step for non-finite entries (raising ``NumericalAbort``), and evaluates any
-requested scalar monitors along the way.  Each record goes into its row of
-arrays sized ``IntegratorConfig.records`` before the first step, so a run
-holds its recorded values and nothing per record beside them.  It validates
-the initial state (and a constant generator) once.  From there the RK4 and
-constant-generator routes have no guard but that per-step check, so their
-right-hand sides may run on trusted kernels; a callable ``hgrad`` steps by
-the public ``isospectral_step``, which runs ``as_matrix`` on each state.
+``IntegratorConfig`` is the grid alone (``dt``, ``steps``, ``stride``); the
+field ``evolve`` is given names the step, ``rhs`` RK4 and ``hgrad`` the
+conjugation.  ``evolve`` records every ``stride``-th state plus the final
+one, checks each step for non-finite entries (raising ``NumericalAbort``),
+and evaluates any requested scalar monitors along the way.  Each record goes
+into its row of arrays sized ``IntegratorConfig.records`` before the first
+step, so a run holds its recorded values and nothing per record beside
+them.  It validates the initial state (and a constant generator) once.
+From there the RK4 and constant-generator routes have no guard but that
+per-step check, so their right-hand sides may run on trusted kernels; a
+callable ``hgrad`` steps by the public ``isospectral_step``, which runs
+``as_matrix`` on each state.
 ``Trajectory.to_csv`` alone flattens the recorded states into columns and
 writes 17 significant digits, enough to round-trip a double exactly, one
 block of rows at a time.  ``spectral_drift`` pairs the eigenvalues of each
@@ -54,8 +57,6 @@ __all__ = [
     "spectral_drift",
 ]
 
-METHODS = ("rk4", "isospectral")
-
 # values of the CSV table that ``Trajectory.to_csv`` builds at a time (128 KB)
 CSV_BLOCK_VALUES = 1 << 14
 
@@ -69,7 +70,6 @@ class IntegratorConfig:
     dt: float
     steps: int
     stride: int = 1
-    method: str = "rk4"
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -78,8 +78,6 @@ class IntegratorConfig:
             raise ValueError("steps must be at least 1")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
 
     @property
     def records(self) -> int:
@@ -168,22 +166,21 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
            monitors: Optional[Dict[str, Callable]] = None) -> Trajectory:
     """Integrate from y0 and record every cfg.stride-th state plus the last.
 
-    method "rk4" needs ``rhs(t, y)``; "isospectral" needs the commutator
-    generator and a matrix state: either ``hgrad(rho)``, or one matrix K
-    for a generator that does not depend on the state.  A constant K makes
-    every step the same conjugation by Q = exp(dt K), the coadjoint action
-    of one propagator, so Q is built once; the states are those of
-    ``isospectral_step`` with ``lambda rho: K``, bit for bit.  ``monitors``
-    maps names to scalar functions of the state, evaluated at recorded
-    times.  A non-finite y0 raises ValueError; non-finite values later in
-    the run abort it with ``NumericalAbort``, after every step on either
-    route, and so do a non-finite or singular propagator Q.
+    The field given names the step, and exactly one must be given:
+    ``rhs(t, y)`` steps by RK4; the commutator generator of a matrix state
+    steps by conjugation, either ``hgrad(rho)`` by ``isospectral_step`` or
+    one matrix K for a generator that does not depend on the state.  A
+    constant K makes every step the same conjugation by Q = exp(dt K), the
+    coadjoint action of one propagator, so Q is built once; the states are
+    those of ``isospectral_step`` with ``lambda rho: K``, bit for bit.
+    ``monitors`` maps names to scalar functions of the state, evaluated at
+    recorded times.  Both fields or neither, or a non-finite y0, raise
+    ValueError; non-finite values later in the run abort it with
+    ``NumericalAbort``, after every step on either route, and so do a
+    non-finite or singular propagator Q.
     """
-    if cfg.method == "rk4":
-        if rhs is None:
-            raise ValueError("rk4 integration needs rhs(t, y)")
-    elif hgrad is None:
-        raise ValueError("isospectral integration needs hgrad(rho)")
+    if (rhs is None) == (hgrad is None):
+        raise ValueError("evolve takes exactly one of rhs(t, y) and hgrad")
 
     y = np.array(y0)
     if not np.isfinite(y).all():
@@ -191,7 +188,7 @@ def evolve(y0, cfg: IntegratorConfig, rhs: Optional[Callable] = None,
     monitors = monitors or {}
 
     dt = cfg.dt
-    if cfg.method == "rk4":
+    if rhs is not None:
         def step(k, y):
             # the module's rk4_step, looked up at every step
             return rk4_step(rhs, (k - 1) * dt, y, dt)

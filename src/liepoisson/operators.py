@@ -261,20 +261,20 @@ def _holds(tag: ClassTag, m: np.ndarray, tol: float) -> bool:
     raise ValueError(f"unknown tag {tag!r}")
 
 
-def _projector_family(projectors) -> tuple:
-    """The projectors, each coerced once: at least one, of one dimension."""
-    ps = tuple(as_matrix(p) for p in projectors)
-    if not ps:
-        raise ValueError("decomposition needs at least one projector")
-    if any(p.shape != ps[0].shape for p in ps):
-        raise ValueError("all projectors must share one dimension")
-    return ps
+def _matrix_family(matrices) -> tuple:
+    """The matrices, each coerced once: at least one, of one dimension."""
+    ms = tuple(as_matrix(m) for m in matrices)
+    if not ms:
+        raise ValueError("a family needs at least one matrix")
+    if any(m.shape != ms[0].shape for m in ms):
+        raise ValueError("a family's matrices must share one dimension")
+    return ms
 
 
-def validate_decomposition(projectors, tol: float = DEFAULT_TOL) -> bool:
+def validate_decomposition(projectors) -> bool:
     """Check sum P_n = I, and P_n* = P_n and P_n^2 = P_n for each n, each
-    to tol in the largest entry of its defect: k products for k projectors.
-    Raises ValueError for an empty or mixed-dimension family.
+    to ``DEFAULT_TOL`` in the largest entry of its defect: k products for k
+    projectors.  Raises ValueError for an empty or mixed-dimension family.
 
     Mutual orthogonality follows: in P_i = P_i (sum_j P_j) P_i, the terms
     j != i of sum_j P_i P_j P_i add up to zero, and each is the positive
@@ -287,15 +287,16 @@ def validate_decomposition(projectors, tol: float = DEFAULT_TOL) -> bool:
         ||P_i P_j||_2 <= e + (k + 3) d'.
 
     The factor k is needed: the other k - 2 projectors can each move by d to
-    hide an overlap of (k - 2) d between two, with e = 0.  An accepted
-    Hermitian family has e, d <= N tol, so for N tol <= 1/4 its pairwise
-    products are at most (2k + 7) N tol.
+    hide an overlap of (k - 2) d between two, with e = 0.  A Hermitian
+    family that ``_decomposition_holds`` accepts at tol (``DEFAULT_TOL``
+    here, ``reduction.TOL`` for the reductions) has e, d <= N tol, so for
+    N tol <= 1/4 its pairwise products are at most (2k + 7) N tol.
     """
-    return _decomposition_holds(_projector_family(projectors), tol)
+    return _decomposition_holds(_matrix_family(projectors), DEFAULT_TOL)
 
 
 def _decomposition_holds(ps: tuple, tol: float) -> bool:
-    """The laws of ``validate_decomposition`` on a ``_projector_family``."""
+    """The laws of ``validate_decomposition`` on a ``_matrix_family``, to tol."""
     if float(np.max(np.abs(sum(ps) - np.eye(len(ps[0]))))) > tol:
         return False
     return all(_holds(ClassTag.HERMITIAN, p, tol)

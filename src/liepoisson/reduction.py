@@ -37,7 +37,7 @@ import numpy as np
 
 from .operators import (
     _decomposition_holds,
-    _projector_family,
+    _matrix_family,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -79,7 +79,7 @@ class ReductionOp:
 
 
 def _decomposition(projectors) -> tuple:
-    ps = _projector_family(projectors)
+    ps = _matrix_family(projectors)
     if not _decomposition_holds(ps, TOL):
         raise ValueError("projectors do not form a decomposition of unity")
     return ps
@@ -104,14 +104,9 @@ def group_average(unitaries: Sequence) -> ReductionOp:
     under multiplication (each product must match a listed element to TOL);
     inverses then come for free in a finite set.
     """
-    us = tuple(as_matrix(u) for u in unitaries)
-    if not us:
-        raise ValueError("group_average needs at least one unitary")
-    n = us[0].shape[0]
-    eye = np.eye(n, dtype=complex)
+    us = _matrix_family(unitaries)
+    eye = np.eye(len(us[0]), dtype=complex)
     for u in us:
-        if u.shape[0] != n:
-            raise ValueError("group elements must share one dimension")
         if operator_norm(u @ u.conj().T - eye) > TOL:
             raise ValueError("group element is not unitary")
     if not any(operator_norm(u - eye) <= TOL for u in us):

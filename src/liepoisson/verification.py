@@ -1,8 +1,10 @@
 """Named verification checks over the whole public surface, and the one
 check core that ``verify`` and every CLI summary report through.
 
-``run_all`` executes every check against seeded fixtures and returns a list
-of ``CheckResult``; ``report_payload`` renders them as the report JSON
+``run_all`` executes every check and returns a list of ``CheckResult``;
+each group gets fresh seeded fixtures, so its rows depend on (seed, dim)
+alone, not on what the groups before it drew.  ``report_payload`` renders
+them as the report JSON
 
     {"checks": [{"name", "defect", "tol", "pass"}, ...], "pass": bool}
 
@@ -545,7 +547,7 @@ def _dynamics_checks(fx) -> List[CheckResult]:
     h0 = fx["hermitian"]
     rho0 = fx["psd"]
 
-    cfg = it.IntegratorConfig(dt=0.05, steps=200, stride=10, method="isospectral")
+    cfg = it.IntegratorConfig(dt=0.05, steps=200, stride=10)
     t2 = bk.casimir(2)
     traj = it.evolve(rho0, cfg, hgrad=-1j * h0,
                      monitors={"T2": lambda r: t2(r).real})
@@ -589,24 +591,21 @@ def _dynamics_checks(fx) -> List[CheckResult]:
     # convergence order against a much finer rk4 reference of the same flow
     horizon = 0.32
 
-    def end_state(method, steps):
-        cfg_o = it.IntegratorConfig(dt=horizon / steps, steps=steps, stride=steps,
-                                    method=method)
-        if method == "rk4":
-            return it.evolve(rho0, cfg_o, rhs=mean_field_rhs).states[-1]
-        return it.evolve(rho0, cfg_o, hgrad=mean_field_gen).states[-1]
+    def end_state(steps, **field):
+        grid = it.IntegratorConfig(dt=horizon / steps, steps=steps, stride=steps)
+        return it.evolve(rho0, grid, **field).states[-1]
 
     # the reference's error is (16/128)^4 = 1/4096 of the 16-step run's, so
     # it moves the rk4 ratio by about 2.6e-4 at most, against a 0.2 gate;
     # over seeds 0-99 at even dims 4-16 it moved it by at most 2.4e-4 and
     # the isospectral ratio by 1.8e-5 from a 512-step reference
-    ref = end_state("rk4", 128)
-    e1 = float(np.max(np.abs(end_state("rk4", 8) - ref)))
-    e2 = float(np.max(np.abs(end_state("rk4", 16) - ref)))
+    ref = end_state(128, rhs=mean_field_rhs)
+    e1 = float(np.max(np.abs(end_state(8, rhs=mean_field_rhs) - ref)))
+    e2 = float(np.max(np.abs(end_state(16, rhs=mean_field_rhs) - ref)))
     out.append(_check("rk4_order_ratio", abs(e1 / e2 / 16.0 - 1.0), 0.2))
 
-    i1 = float(np.max(np.abs(end_state("isospectral", 16) - ref)))
-    i2 = float(np.max(np.abs(end_state("isospectral", 32) - ref)))
+    i1 = float(np.max(np.abs(end_state(16, hgrad=mean_field_gen) - ref)))
+    i2 = float(np.max(np.abs(end_state(32, hgrad=mean_field_gen) - ref)))
     out.append(_check("isospectral_order_ratio", abs(i1 / i2 / 4.0 - 1.0), 0.2))
 
     half = n // 2
@@ -767,13 +766,12 @@ def run_all(seed: int = 2024, dim: int = 4) -> List[CheckResult]:
         raise ValueError("checks need an even dim")
     public, saved = _record_public_calls()
     try:
-        fx = _fixtures(seed, dim)
         results: List[CheckResult] = []
         # looked up at call time, so a rebound group runs in its place
         for group in (_operator_checks, _bracket_checks, _variant_bracket_checks,
                       _reduction_checks, _orbit_checks, _dynamics_checks,
                       _toda_checks):
-            results.extend(group(fx))
+            results.extend(group(_fixtures(seed, dim)))
     finally:
         for mod, attr, original in saved:
             setattr(mod, attr, original)

@@ -109,9 +109,7 @@ def test_criterion_2_conservation_under_lvn_flow():
               / abs(traj.monitors[k][0]))
         for k in monitors)
 
-    iso_cfg = it.IntegratorConfig(dt=dt, steps=steps, stride=100,
-                                  method="isospectral")
-    iso = it.evolve(rho0, iso_cfg, hgrad=lambda r: -1j * h0)
+    iso = it.evolve(rho0, cfg, hgrad=lambda r: -1j * h0)
     eig_drift = it.spectral_drift(iso)
     elapsed = time.monotonic() - t0
 
@@ -387,20 +385,18 @@ def test_criterion_8_integrator_orders():
     def rhs(t, y):
         return op.commutator(gen(y), y)
 
-    def end_state(method, steps):
+    def end_state(steps, **field):
         cfg = it.IntegratorConfig(dt=horizon / steps, steps=steps,
-                                  stride=steps, method=method)
-        if method == "rk4":
-            return it.evolve(rho0, cfg, rhs=rhs).states[-1]
-        return it.evolve(rho0, cfg, hgrad=gen).states[-1]
+                                  stride=steps)
+        return it.evolve(rho0, cfg, **field).states[-1]
 
-    ref = end_state("rk4", 512)
-    e8 = float(np.max(np.abs(end_state("rk4", 8) - ref)))
-    e16 = float(np.max(np.abs(end_state("rk4", 16) - ref)))
+    ref = end_state(512, rhs=rhs)
+    e8 = float(np.max(np.abs(end_state(8, rhs=rhs) - ref)))
+    e16 = float(np.max(np.abs(end_state(16, rhs=rhs) - ref)))
     rk4_ratio = e8 / e16
 
-    i16 = float(np.max(np.abs(end_state("isospectral", 16) - ref)))
-    i32 = float(np.max(np.abs(end_state("isospectral", 32) - ref)))
+    i16 = float(np.max(np.abs(end_state(16, hgrad=gen) - ref)))
+    i32 = float(np.max(np.abs(end_state(32, hgrad=gen) - ref)))
     iso_ratio = i16 / i32
 
     rk4_ok = 16.0 * 0.8 <= rk4_ratio <= 16.0 * 1.2

@@ -1036,9 +1036,15 @@ TODA3 = {"N": 3, "x": [0.1, -0.2], "p": [0.5, -0.25, -0.25],
 def test_load_config_resolves_every_param(tmp_path):
     for command in cli.COMMANDS:
         rc = _load(tmp_path, command, {})
-        assert set(rc.params) == cli._PARAM_KEYS[command] - {"t_end"}, command
+        # lvn-run, the one command with a choice of step, carries the method
+        method = {"method"} if command == "lvn-run" else set()
+        want = (cli._PARAM_KEYS[command] | method) - {"t_end"}
+        assert set(rc.params) == want, command
     assert _load(tmp_path, "lvn-run", {}).params == {
-        "N": 6, "hamiltonian": "random", "initial_state": "random-psd"}
+        "N": 6, "hamiltonian": "random", "initial_state": "random-psd",
+        "method": "rk4"}
+    iso = {"integrator": {"method": "isospectral"}}
+    assert _load(tmp_path, "lvn-run", iso).params["method"] == "isospectral"
     rc = _load(tmp_path, "lvn-run", {"params": {"hamiltonian": H2,
                                                 "initial_state": RHO2}})
     assert rc.params["N"] == 2

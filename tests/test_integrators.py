@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -130,7 +131,7 @@ def test_constant_generator_evolve_gives_the_bits_of_the_callable(monkeypatch,
     k = -1j * seeded_random_state(164, "hermitian", 5)
     rho = (seeded_random_state(165, "psd", 5) if kind == "psd"
            else np.diag([1.0, 2.0, 4.0, -1.0, 0.5]))
-    cfg = it.IntegratorConfig(dt=0.01, steps=60, stride=7, method="isospectral")
+    cfg = it.IntegratorConfig(dt=0.01, steps=60, stride=7)
     monitors = {"T2": lambda r: np.trace(r @ r).real}
     want = it.evolve(rho, cfg, hgrad=lambda r: k, monitors=monitors)
 
@@ -147,7 +148,7 @@ def test_constant_generator_evolve_gives_the_bits_of_the_callable(monkeypatch,
 
 
 def test_constant_generator_evolve_validates_and_aborts():
-    cfg = it.IntegratorConfig(dt=0.5, steps=3, method="isospectral")
+    cfg = it.IntegratorConfig(dt=0.5, steps=3)
     rho = seeded_random_state(166, "psd", 3)
     with pytest.raises(ValueError, match="one shape"):
         it.evolve(rho, cfg, hgrad=np.eye(4, dtype=complex))
@@ -164,8 +165,7 @@ def test_constant_generator_evolve_validates_and_aborts():
     # singular matrix that no solve can conjugate by
     ones = np.ones((2, 2), dtype=complex)
     with pytest.raises(it.NumericalAbort, match="singular"):
-        it.evolve(1e150 * ones, it.IntegratorConfig(dt=1e-3, steps=3,
-                                                    method="isospectral"),
+        it.evolve(1e150 * ones, it.IntegratorConfig(dt=1e-3, steps=3),
                   hgrad=np.diag([-1e150j, 1e150j]))
 
 
@@ -206,17 +206,20 @@ def test_config_validation():
         it.IntegratorConfig(dt=0.1, steps=0)
     with pytest.raises(ValueError):
         it.IntegratorConfig(dt=0.1, steps=10, stride=0)
-    with pytest.raises(ValueError):
-        it.IntegratorConfig(dt=0.1, steps=10, method="euler")
+    # the grid is all a config holds: the field evolve is given names the step
+    assert [f.name for f in dataclasses.fields(it.IntegratorConfig)] == [
+        "dt", "steps", "stride"]
 
 
-def test_evolve_requires_matching_callable():
+def test_evolve_takes_exactly_one_field():
     cfg = it.IntegratorConfig(dt=0.1, steps=2)
-    with pytest.raises(ValueError):
-        it.evolve(np.zeros(2), cfg)
-    iso = it.IntegratorConfig(dt=0.1, steps=2, method="isospectral")
-    with pytest.raises(ValueError):
-        it.evolve(np.eye(2, dtype=complex), iso)
+    rho = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="exactly one"):
+        it.evolve(rho, cfg)
+    # a second field is refused, not dropped
+    for hgrad in (lambda r: -1j * r, np.zeros((2, 2), dtype=complex)):
+        with pytest.raises(ValueError, match="exactly one"):
+            it.evolve(rho, cfg, rhs=lambda t, y: 0.0 * y, hgrad=hgrad)
 
 
 def test_evolve_recording_semantics(tmp_path):
@@ -239,7 +242,7 @@ def _list_route(y0, cfg, rhs=None, hgrad=None, monitors=None):
     times, states = [0.0], [y]
     values = {name: [float(np.real(fn(y)))] for name, fn in monitors.items()}
     for k in range(1, cfg.steps + 1):
-        if cfg.method == "rk4":
+        if rhs is not None:
             y = it.rk4_step(rhs, (k - 1) * cfg.dt, y, cfg.dt)
         else:
             y = it.isospectral_step(hgrad, y, cfg.dt)
@@ -297,7 +300,7 @@ def test_evolve_records_a_real_state_turned_complex_as_complex():
 def test_isospectral_evolve_of_a_real_matrix_records_complex_states():
     h0 = seeded_random_state(167, "hermitian", 3)
     rho = np.diag([1.0, 2.0, 4.0])  # real dtype; every step returns complex
-    cfg = it.IntegratorConfig(dt=0.05, steps=9, stride=4, method="isospectral")
+    cfg = it.IntegratorConfig(dt=0.05, steps=9, stride=4)
 
     def hgrad(r):
         return -1j * h0
@@ -411,8 +414,7 @@ def test_noether_drift_on_conserved_quantity():
     h0 = seeded_random_state(165, "hermitian", 4)
     rho = seeded_random_state(166, "psd", 4)
     energy = br.Observable.linear_form(h0)
-    cfg = it.IntegratorConfig(dt=0.01, steps=100, stride=10,
-                              method="isospectral")
+    cfg = it.IntegratorConfig(dt=0.01, steps=100, stride=10)
     traj = it.evolve(rho, cfg, hgrad=lambda r: -1j * h0)
     assert it.noether_drift(energy, traj) < 1e-12
 

@@ -99,6 +99,10 @@ CONFIGS = [
     ("lvn-isospectral", "lvn-run",
      {"params": {"N": 4}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 50,
                                          "method": "isospectral"}}),
+    # the default step, rk4, named in the config
+    ("lvn-rk4-explicit-method", "lvn-run",
+     {"params": {"N": 4}, "integrator": {"dt": 1e-3, "steps": 200, "stride": 50,
+                                         "method": "rk4"}}),
     ("toda-lax", "toda-run", {"params": {"N": 6, "flow": "lax"}, "integrator": LAX}),
     ("toda-lax-hk6", "toda-run",
      {"params": {"N": 6, "flow": "lax", "hk_max": 6}, "integrator": LAX}),
@@ -243,6 +247,9 @@ CONFIGS = [
     ("orbit-state-dim", "orbit-kks", {"params": {"N": 4, "state": H3}}),
     ("toda-initial-N", "toda-run",
      {"params": {"N": 5, "initial": TODA4}, "integrator": {"steps": 5}}),
+    # toda-run steps by RK4 only
+    ("toda-isospectral-refused", "toda-run",
+     {"integrator": {"steps": 5, "method": "isospectral"}}),
     ("output-path-subdir", "reduce-demo", {"output_path": "sub/x.json"}),
     # --out holds a directory named like an artifact (see PREMADE_DIRS)
     ("reduce-report-is-directory", "reduce-demo", {}),
