@@ -428,9 +428,7 @@ def _lax_invariants(coords: np.ndarray, alpha, hk_max: int):
 
 def _run_toda(rc: RunConfig) -> int:
     p = rc.params
-    state0 = p["initial"]
-    if isinstance(state0, str):
-        state0 = seeded_random_state(rc.seed, "toda", p["N"])
+    state0 = _drawn(rc, "initial", {"random": "toda"})
     n = state0.n
     # (p, b) of the initial state's Flaschka image, where its overflow aborts
     y0 = td._flaschka_coords(state0.x, state0.p, state0.lam)

@@ -151,63 +151,49 @@ def project_strictly_lower(x: np.ndarray) -> np.ndarray:
 
 
 # Higham (2005), "The scaling and squaring method for the matrix exponential
-# revisited", SIAM J. Matrix Anal. Appl. 26(4): for each Pade degree m, the
-# largest 1-norm theta_m at which the [m/m] approximant to exp keeps its
-# backward error below the double unit roundoff (Table 2.3), and the
-# approximant's coefficients b_0..b_m.
-_PADE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
-                               25200.0, 1512.0, 56.0, 1.0)),
-    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
-                              302702400.0, 30270240.0, 2162160.0, 110880.0,
-                              3960.0, 90.0, 1.0)),
-)
-_THETA_13 = 5.371920351148152e0
-_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-        16380.0, 182.0, 1.0)
+# revisited", SIAM J. Matrix Anal. Appl. 26(4): for each Pade degree m in
+# {3, 5, 7, 9, 13}, the largest 1-norm theta_m at which the [m/m] approximant
+# to exp keeps its backward error below the double unit roundoff (Table 2.3),
+# and its coefficients b_j = (2m - j)! / (j! (m - j)!), j = 0..m, exact
+# integers rounded once to floats.  expm evaluates every degree in one loop.
+_PADE = tuple(
+    (m, theta, tuple(float(math.perm(2 * m - j, m) // math.factorial(j))
+                     for j in range(m + 1)))
+    for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                     (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+                     (13, 5.371920351148152e0)))
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by Higham's scaling and squaring with a diagonal Pade approximant.
 
-    The degree m in {3, 5, 7, 9} is the lowest whose theta_m bounds the
-    1-norm of a; above theta_9, a is scaled by 2^-s into the degree-13 range
-    and the result squared s times.  The approximant r = q^-1 p is formed as
-    p = V + U, q = V - U from its even part V and odd part U.  Trusts its
-    input to be a square complex matrix with finite entries (see as_matrix).
-    Past the float limit it returns a non-finite matrix, never raises.
+    The degree m in {3, 5, 7, 9, 13} is the lowest whose theta_m bounds the
+    1-norm of a; above theta_13, a is scaled by 2^-s into the degree-13 range
+    and the result squared s times.  One loop over the powers of a^2 forms
+    every degree's even part V and odd part U, and r = (V - U)^-1 (V + U).
+    Trusts its input to be a square complex matrix with finite entries (see
+    as_matrix).  Past the float limit it returns a non-finite matrix, never
+    raises.
     """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan, dtype=complex)
+    m, theta, b = next((row for row in _PADE if norm <= row[1]), _PADE[-1])
     eye = np.eye(a.shape[0], dtype=complex)
     a2 = a @ a
-    for m, theta, b in _PADE:
-        if norm <= theta:
-            u, v = b[3] * a2 + b[1] * eye, b[2] * a2 + b[0] * eye
-            power = a2
-            for k in range(4, m, 2):
-                power = power @ a2
-                u += b[k + 1] * power
-                v += b[k] * power
-            u = a @ u
-            return np.linalg.solve(v - u, v + u)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    scale = math.ldexp(1.0, -s)  # 2^-s: the bits of / 2^s, as 4^s can overflow
-    a = a * scale
-    a2 = a2 * scale * scale
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    b = _B13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    if s:
+        scale = math.ldexp(1.0, -s)  # 2^-s: the bits of / 2^s, as 4^s can overflow
+        a = a * scale
+        a2 = a2 * scale * scale
+    u, v = b[3] * a2 + b[1] * eye, b[2] * a2 + b[0] * eye
+    power = a2
+    for k in range(4, m, 2):
+        power = power @ a2
+        u += b[k + 1] * power
+        v += b[k] * power
+    u = a @ u
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r

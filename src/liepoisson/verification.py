@@ -3,14 +3,14 @@ check core that ``verify`` and every CLI summary report through.
 
 ``run_all`` executes every check and returns a list of ``CheckResult``;
 each group gets fresh seeded fixtures, so its rows depend on (seed, dim)
-alone, not on what the groups before it drew.  ``report_payload`` renders
-them as the report JSON
+alone, not on what the groups before it drew.  ``_write_report``, the one
+writer of the report schema, writes them as the JSON
 
     {"checks": [{"name", "defect", "tol", "pass"}, ...], "pass": bool}
 
-and ``_write_report`` writes that payload (plus any command-specific fields),
-prints one line per row and returns the exit code.  Every row, in ``verify``
-and in the CLI summaries, is built by ``_check``.
+(plus any command-specific fields), prints one line per row and returns the
+exit code.  Every row, in ``verify`` and in the CLI summaries, is built by
+``_check``.
 
 The identities that ``verify`` and a summary both check, the reduction laws
 (``_reduction_law_checks``), the contraction and positivity of pinching and
@@ -67,7 +67,7 @@ from . import reduction as red
 from . import toda as td
 from .fixtures import _complex_normal, _stream, seeded_random_state
 
-__all__ = ["CheckResult", "report_payload", "run_all"]
+__all__ = ["CheckResult", "run_all"]
 
 # the library modules whose public functions the coverage row accounts for
 RECORDED = ("operators", "brackets", "reduction", "orbits", "integrators",
@@ -202,22 +202,14 @@ def _kks_rank_check(rho):
                    float(abs(form_rank - rank)), 0.0), rank, form_rank)
 
 
-def report_payload(results: List[CheckResult]) -> dict:
-    """The exact report schema: {"checks": [...], "pass": bool}."""
-    return {
-        "checks": [
-            {"name": r.name, "defect": r.defect, "tol": r.tol, "pass": r.passed}
-            for r in results
-        ],
-        "pass": all(r.passed for r in results),
-    }
-
-
 def _write_report(path: str, results: List[CheckResult], footer: str,
                   **fields) -> int:
-    """Write {**fields, "checks", "pass"} to path as sorted JSON, print one
-    line per row and then ``footer``; return 0 if every row passes, else 1."""
-    payload = {**fields, **report_payload(results)}
+    """Write {**fields, "checks": [{"name", "defect", "tol", "pass"}, ...],
+    "pass": bool} to path as sorted JSON, print one line per row and then
+    ``footer``; return 0 if every row passes, else 1."""
+    payload = {**fields, "checks": [
+        {"name": r.name, "defect": r.defect, "tol": r.tol, "pass": r.passed}
+        for r in results], "pass": all(r.passed for r in results)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

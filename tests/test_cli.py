@@ -47,8 +47,9 @@ def test_verify_writes_passing_report(tmp_path, capsys):
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["pass"] is True
-    want = vf.report_payload(vf.run_all(seed=11, dim=4))
-    assert report == json.loads(json.dumps(want))
+    rows = [{"name": r.name, "defect": r.defect, "tol": r.tol, "pass": r.passed}
+            for r in vf.run_all(seed=11, dim=4)]
+    assert report == json.loads(json.dumps({"checks": rows, "pass": True}))
     shown = capsys.readouterr().out
     assert "PASS" in shown and "FAIL" not in shown
 

@@ -373,6 +373,43 @@ def test_expm_past_the_float_limit_is_non_finite_and_never_raises():
     assert np.isnan(results[2]).all()
 
 
+def test_expm_of_zero_is_exactly_the_identity():
+    # the lowest degree takes a zero 1-norm, with no log2(0) on the way
+    for n in (1, 2, 5):
+        with np.errstate(all="raise"):
+            e = op.expm(np.zeros((n, n), dtype=complex))
+        assert np.array_equal(e, np.eye(n))
+
+
+def _skew_with_norm(seed, n, norm):
+    """A skew-Hermitian matrix whose 1-norm is exactly ``norm``: column 0
+    holds i norm/2 and norm/2, and each other column sums to at most 3/4 of
+    it."""
+    g = seeded_random_state(seed, "general", n)
+    a = g - g.conj().T
+    a *= norm / (4.0 * np.abs(a).sum(axis=0).max())
+    a[:, 0] = a[0, :] = 0.0
+    a[0, 0], a[1, 0], a[0, 1] = 0.5j * norm, 0.5 * norm, -0.5 * norm
+    return a
+
+
+def test_expm_at_the_degree_13_threshold_times_powers_of_two():
+    # 1-norms at theta_13 2^k and one ulp either side: the boundaries where
+    # the scaling exponent s steps, for s = 0..9
+    theta = op._PADE[-1][1]
+    for k in range(9):
+        edge = theta * 2.0 ** k
+        for i, norm in enumerate((np.nextafter(edge, 0.0), edge,
+                                  np.nextafter(edge, np.inf))):
+            a = _skew_with_norm(10 * k + i, 6, norm)
+            assert np.abs(a).sum(axis=0).max() == norm
+            with np.errstate(all="raise"):
+                got = op.expm(a)
+            want = scipy.linalg.expm(a)
+            gap = np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+            assert gap <= 1e-12, (k, norm, gap)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(seed=SEEDS, n=DIMS)
 def test_projection_pairs_are_complementary(seed, n):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -352,9 +353,11 @@ def test_collective_row_turns_red_when_j_stops_intertwining(monkeypatch, seed):
     assert not mutant.passed and mutant.defect > 1e-9
 
 
-def test_report_payload_schema():
+def test_report_payload_schema(tmp_path):
     results = vf.run_all(seed=2024, dim=4)
-    payload = vf.report_payload(results)
+    path = tmp_path / "report.json"
+    assert vf._write_report(str(path), results, "footer") == 0
+    payload = json.loads(path.read_text())
     assert set(payload) == {"checks", "pass"}
     assert payload["pass"] is True
     assert len(payload["checks"]) == len(results)

@@ -221,6 +221,10 @@ CONFIGS = [
           ("huge4-dt1", {"hamiltonian": HUGE4}, 1.0),
           ("singular", {"hamiltonian": DIAG2_1E150,
                         "initial_state": ONES2_1E150}, 1e-3))],
+    # exp(dt K) of K = 0: expm's lowest degree at a zero 1-norm
+    ("lvn-isospectral-zero-hamiltonian", "lvn-run",
+     {"params": {"N": 2, "hamiltonian": _matrix([[0.0, 0.0], [0.0, 0.0]])},
+      "integrator": {"steps": 20, "method": "isospectral"}}),
     # the flow stays finite, and only the monitors tr(rho^3), tr(rho^4)
     # overflow
     ("lvn-monitor-overflow", "lvn-run",
