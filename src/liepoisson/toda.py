@@ -99,6 +99,13 @@ MOMENTUM_TOL = 1e-12
 # toda-run's check of each recorded state tolerate that much drift
 MOMENTUM_TOL_LOOSE = 1e-9
 
+# the largest t (lmax - lmin) that _aks_coords takes.  Its roundoff grows
+# like e^(spread / 2) eps, 3.3e-14 here, against the 1e-9 gate of verify's
+# toda_canonical_vs_lax_trajectory; measured at the bound, one solve to t
+# and two of t / 2 differ by 1.5e-12 at most (seeds 0-99 and 2024, even
+# N 4-16), 4.7e-10 at a bound of 20.  verify's own runs reach 3.35 (t = 0.5)
+AKS_MAX_SPREAD = 10.0
+
 
 def _as_float_vector(v, length: int, label: str) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -291,10 +298,17 @@ def _aks_coords(y, alpha, times) -> np.ndarray:
 
     Squaring J(t)'s subdiagonal drops the column signs QR leaves free.
     exp(-t J0 / 2) has condition number e^(t (lmax - lmin) / 2), which
-    bounds how much of the roundoff reaches J(t)."""
+    bounds how much of the roundoff reaches J(t): a spread max |t| (lmax -
+    lmin) above ``AKS_MAX_SPREAD`` raises ValueError, so the gap to an
+    integrator stays its own error, not the oracle's."""
     j0 = _jacobi_matrix(y, alpha)
     w, v = np.linalg.eigh(j0)
-    t = np.asarray(times, dtype=float)[:, None, None]
+    t = np.asarray(times, dtype=float)
+    spread = float(np.max(np.abs(t), initial=0.0)) * float(w[-1] - w[0])
+    if not spread <= AKS_MAX_SPREAD:
+        raise ValueError(f"t (lmax - lmin) = {spread:.6g} exceeds the AKS "
+                         f"bound {AKS_MAX_SPREAD}")
+    t = t[:, None, None]
     q, _ = np.linalg.qr((v * np.exp(-0.5 * t * w)) @ v.T)
     jt = np.swapaxes(q, -1, -2) @ j0 @ q
     k = np.arange(j0.shape[-1])

@@ -425,3 +425,31 @@ def test_bidiagonal_flow_converges_at_fourth_order_to_the_aks_solution():
                         rhs=td.bidiagonal_rhs(state.alpha)).states[-1]
         errors.append(np.max(np.abs(td._bidiagonal_matrix(end) + pair.a - exact)))
     assert 12.0 < errors[0] / errors[1] < 20.0
+
+
+@pytest.mark.parametrize("n, seed", [(4, 96), (10, 25), (14, 98), (16, 88)])
+def test_aks_solution_holds_just_below_its_spread_bound(n, seed):
+    # one part in 1e12 under AKS_MAX_SPREAD, one solve to t and two of t / 2
+    # agree 100 times under verify's 1e-9 gate: these are the worst states
+    # of seeds 0-99 and 2024 at their N (1.5e-12 at most)
+    assert np.exp(td.AKS_MAX_SPREAD / 2) * np.finfo(float).eps <= 1e-11
+    state = seeded_random_state(seed, "toda", n)
+    y = td._flaschka_coords(state.x, state.p, state.lam)
+    w = np.linalg.eigvalsh(td._jacobi_matrix(y, state.alpha))
+    t = td.AKS_MAX_SPREAD / (w[-1] - w[0]) * (1.0 - 1e-12)
+    full = td._aks_coords(y, state.alpha, [0.0, t])
+    half = td._aks_coords(y, state.alpha, [0.5 * t])[0]
+    twice = td._aks_coords(half, state.alpha, [0.5 * t])[0]
+    assert np.max(np.abs(full[0] - y)) <= 1e-14
+    assert np.max(np.abs(full[1] - twice)) <= 1e-11
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_aks_solution_raises_just_above_its_spread_bound(sign):
+    # the bound is on max |t| (lmax - lmin), one part in 1e12 over it
+    state = seeded_random_state(2024, "toda", 4)
+    y = td._flaschka_coords(state.x, state.p, state.lam)
+    w = np.linalg.eigvalsh(td._jacobi_matrix(y, state.alpha))
+    t = sign * td.AKS_MAX_SPREAD / (w[-1] - w[0]) * (1.0 + 1e-12)
+    with pytest.raises(ValueError, match="AKS bound"):
+        td._aks_coords(y, state.alpha, [0.0, 0.5 * t, t])

@@ -112,7 +112,7 @@ def test_trajectory_row_compares_the_canonical_run_with_the_aks_solution():
     row = next(r for r in results if r.name == "toda_canonical_vs_lax_trajectory")
     assert row.passed and row.tol == 1e-9
     state = seeded_random_state(2024, "toda", 4)
-    cfg = it.IntegratorConfig(dt=1e-3, steps=1000, stride=100)
+    cfg = it.IntegratorConfig(dt=1e-3, steps=500, stride=50)
     canonical = it.evolve(td.pack(state), cfg, rhs=td.canonical_rhs(state))
     m = state.n - 1
     pushed = td._flaschka_coords(canonical.states[:, :m], canonical.states[:, m:],
@@ -125,8 +125,8 @@ def test_trajectory_row_compares_the_canonical_run_with_the_aks_solution():
 def test_trajectory_row_turns_red_on_a_wrong_time_scale(monkeypatch):
     # every RK4 step advances dt (1 + 1e-6) while the records are stamped
     # k dt: the flow conserves its energy, and only the exact solution sees
-    # it (2.1e-7 or more over seeds 0-99 and 2024, even dims 4-16, where the
-    # honest rows reach 7.3e-12)
+    # it (146 times the gate or more over seeds 0-99 and 2024, even dims
+    # 4-16, where the honest rows reach 1.4e-12)
     step = it.rk4_step
     monkeypatch.setattr(it, "rk4_step",
                         lambda rhs, t, y, dt: step(rhs, t, y, dt * (1.0 + 1e-6)))
@@ -137,8 +137,8 @@ def test_trajectory_row_turns_red_on_a_wrong_time_scale(monkeypatch):
 
 
 def test_toda_group_takes_one_rk4_run(monkeypatch):
-    # the canonical run of 1000 steps; the Lax flow it is compared with is
-    # the closed-form AKS solution
+    # the canonical run of 500 steps to t = 0.5; the Lax flow it is compared
+    # with is the closed-form AKS solution
     steps = 0
     step = it.rk4_step
 
@@ -149,7 +149,18 @@ def test_toda_group_takes_one_rk4_run(monkeypatch):
 
     monkeypatch.setattr(it, "rk4_step", counting)
     vf._toda_checks(vf._fixtures(2024, 4))
-    assert steps == 1000
+    assert steps == 500
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2024])
+def test_toda_rows_keep_their_slack(seed):
+    # the run to t = 0.5 at dt 1e-3: worst over seeds 0-99 and 2024 at even
+    # dims 4-16 is gate / 47 for the energy and gate / 731 for the AKS gap
+    rows = {r.name: r for r in vf._toda_checks(vf._fixtures(seed, 4))}
+    energy = rows["toda_energy_drift"]
+    assert energy.tol == 1e-10 and energy.defect <= energy.tol / 30
+    aks = rows["toda_canonical_vs_lax_trajectory"]
+    assert aks.tol == 1e-9 and aks.defect <= aks.tol / 100
 
 
 def test_coverage_reports_an_uncalled_public_function(monkeypatch):
@@ -287,10 +298,10 @@ def test_kks_pairing_row_is_green_at_the_orbit_kks_cap(seed):
 
 
 def test_dynamics_group_takes_the_steps_its_rows_can_see(monkeypatch):
-    # RK4: the mean-field energy flow 500, the order reference 128, the
-    # order runs 8 + 16, the collective pair 2 x 20; isospectral: the order
-    # runs 16 + 32 (the LvN flow conjugates by one propagator); evolve looks
-    # both up in the module at every step
+    # RK4: the mean-field energy flow 500, the order runs 8 + 16 + 32, the
+    # collective pair 2 x 20; isospectral: the order runs 16 + 32 (the LvN
+    # flow conjugates by one propagator); evolve looks both up in the
+    # module at every step
     steps = dict.fromkeys(("rk4_step", "isospectral_step"), 0)
 
     def counting(name, step):
@@ -302,7 +313,7 @@ def test_dynamics_group_takes_the_steps_its_rows_can_see(monkeypatch):
     for name in steps:
         monkeypatch.setattr(it, name, counting(name, getattr(it, name)))
     vf._dynamics_checks(vf._fixtures(2024, 4))
-    assert steps == {"rk4_step": 692, "isospectral_step": 48}
+    assert steps == {"rk4_step": 596, "isospectral_step": 48}
 
 
 def _low_order_rk4_step(rhs, t, y, dt):
@@ -323,6 +334,25 @@ def test_energy_row_turns_red_on_a_low_order_step(monkeypatch):
     row = rows["lvn_rk4_energy_drift"]
     assert not row.passed and row.defect >= 2 * row.tol
     assert rows["lvn_noether_drift"].passed
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2024])
+def test_trajectory_row_turns_red_on_a_low_order_step(monkeypatch, seed):
+    # a second-order step is off the exact solution by O(t dt^2): 13 times
+    # the gate or more at dim 4 over these seeds
+    monkeypatch.setattr(it, "rk4_step", _low_order_rk4_step)
+    rows = {r.name: r for r in vf._toda_checks(vf._fixtures(seed, 4))}
+    row = rows["toda_canonical_vs_lax_trajectory"]
+    assert not row.passed and row.defect >= 2 * row.tol
+
+
+def test_order_ratio_turns_red_on_a_low_order_step(monkeypatch):
+    # a second-order step halves its error 4-fold, not 16-fold:
+    # |y8 - y16| / |y16 - y32| reads about 4, so |ratio / 16 - 1| about 0.75
+    monkeypatch.setattr(it, "rk4_step", _low_order_rk4_step)
+    rows = {r.name: r for r in vf._dynamics_checks(vf._fixtures(2024, 4))}
+    row = rows["rk4_order_ratio"]
+    assert not row.passed and row.defect >= 3 * row.tol
 
 
 @pytest.mark.parametrize("seed", [*range(12), 2024])
