@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,16 +51,6 @@ from .verification import (_check, _contraction_check, _kks_checks,
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main", "run"]
 
-COMMANDS = ("verify", "lvn-run", "toda-run", "reduce-demo", "orbit-kks")
-
-DEFAULT_OUTPUT = {
-    "verify": "report.json",
-    "lvn-run": "lvn_trajectory.csv",
-    "toda-run": "toda_trajectory.csv",
-    "reduce-demo": "reduction_report.json",
-    "orbit-kks": "orbit_report.json",
-}
-
 # reduce-demo kinds, and the reduction kind each one builds
 REDUCE_KINDS = {"measurement": "measurement", "lower": "lower_triangularize",
                 "group": "group_average"}
@@ -71,17 +61,21 @@ REDUCE_KINDS = {"measurement": "measurement", "lower": "lower_triangularize",
 ORBIT_MAX_N = 32
 # each sample costs O(N^3): 1000 take ~0.25 s at N = 4 and ~2.7 s at N = 32
 ORBIT_MAX_SAMPLES = 1000
-# verify takes ~1.1 s at dim 16.  The cap bounds cost only: full_bracket_leibniz
-# scales its tolerance with its terms, and seed 2024 stays green up to dim 32
+# verify takes ~1.1 s at dim 16.  The cap also keeps verify inside the dims
+# where every gate holds: at dim 32, seed 2024 fails the absolute 1e-10 gate
+# of full_casimir_brackets_vanish with 1.11e-10
 VERIFY_MAX_DIM = 16
 # lvn-run's default 1000 RK4 steps of dense N x N products: ~2.6 s at N = 64
 LVN_MAX_N = 64
 # toda-run writes 2 N^2 CSV columns per recorded Lax state: ~1.1 s at N = 128
 TODA_MAX_N = 128
+# the integrator.steps of lvn-run and toda-run: a step costs 38-734 us for
+# lvn-run and 47-54 us for toda-run, and a cold lvn-run at N = 64 takes
+# 5.6 s for MAX_STEPS RK4 steps, the slowest accepted config
+MAX_STEPS = 10_000
 # records x 2 N^2 values of the N x N matrix each lvn-run or toda-run record
-# keeps (3.3e6 for the default toda-run at TODA_MAX_N); at the cap, stride 1:
-# 160 MB and 2 s for toda-run at N >= 33, 163-191 MB and 40-45 s at N = 2,
-# 235 MB and 92 s for lvn-run at N = 1
+# keeps (3.3e6 for the default toda-run at TODA_MAX_N); at stride 1 it binds
+# from N = 15, below which MAX_STEPS bounds the records
 MAX_RECORDED_VALUES = 4_000_000
 # reduce-demo "lower" applies R and R* five times, each a sum of N
 # sandwiches of N x N products, O(N^4): ~0.25 s at N = 96 (best of 5)
@@ -104,9 +98,10 @@ class ConfigError(ValueError):
 class RunConfig:
     """A validated run with resolved ``params``: every key set (defaults
     applied), explicit matrices as arrays, an explicit Toda ``initial`` as a
-    ``TodaState``, tags left for ``run`` to draw, ``t_end`` in the
-    ``integrator`` grid, and lvn-run's ``integrator.method``, the one choice
-    of step a command has, as ``params["method"]``."""
+    ``TodaState``, tags left for ``run`` to draw, and lvn-run's
+    ``integrator.method``, the one choice of step a command has, as
+    ``params["method"]``.  ``integrator`` is the grid as parsed; its
+    ``steps`` is a run's one length."""
 
     command: str
     seed: int
@@ -131,9 +126,8 @@ def _uint(raw, label: str, default: int) -> int:
     return raw
 
 
-def _positive_number(raw, label: str, default=None) -> float:
+def _positive_number(raw, label: str, default: float) -> float:
     if raw is None:
-        _require(default is not None, f"{label} is required")
         return default
     # the upper bound also keeps float(raw) from overflowing on huge integers
     _require(isinstance(raw, (int, float)) and not isinstance(raw, bool)
@@ -156,14 +150,6 @@ def _only_keys(mapping: dict, allowed, label: str) -> None:
     _require(not unknown, f"unknown {label} keys: {', '.join(unknown)}")
 
 
-_PARAM_KEYS = {
-    "verify": {"dim"},
-    "lvn-run": {"N", "hamiltonian", "initial_state"},
-    "toda-run": {"N", "initial", "flow", "hk_max", "t_end"},
-    "reduce-demo": {"N", "kind", "state"},
-    "orbit-kks": {"N", "state", "samples"},
-}
-
 _INTEGRATOR_KEYS = {"dt", "steps", "stride", "method"}
 METHODS = ("rk4", "isospectral")  # integrator.method: evolve's rhs or hgrad
 
@@ -174,7 +160,8 @@ def _build_integrator(raw: Optional[dict], command: str) -> tuple:
     _only_keys(raw, _INTEGRATOR_KEYS, "integrator")
     dt = _positive_number(raw.get("dt"), "integrator.dt", 1e-3)
     steps = _uint(raw.get("steps"), "integrator.steps", 1000)
-    _require(steps >= 1, "integrator.steps must be >= 1")
+    _require(1 <= steps <= MAX_STEPS,
+             f"integrator.steps must be in 1..{MAX_STEPS}")
     stride = _uint(raw.get("stride"), "integrator.stride", max(1, steps // 100))
     _require(stride >= 1, "integrator.stride must be >= 1")
     method = _choice(raw.get("method"), "integrator.method", METHODS, "rk4")
@@ -185,7 +172,8 @@ def _build_integrator(raw: Optional[dict], command: str) -> tuple:
 
 def load_config(path: str, command: str, out_dir: str) -> RunConfig:
     """Parse, validate and resolve a config file; raises ConfigError for
-    every config fault, also one that needs the parsed data."""
+    every config fault, also one that needs the parsed data, and for a run
+    past its limits (size, steps, recorded values)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -201,8 +189,9 @@ def load_config(path: str, command: str, out_dir: str) -> RunConfig:
                  f"config command {cfg_command!r} does not match {command!r}")
     seed = _uint(raw.get("seed"), "seed", 2024)
     params = raw.get("params", {})
-    _only_keys(params, _PARAM_KEYS[command], f"{command} params")
-    output_path = raw.get("output_path", DEFAULT_OUTPUT[command])
+    keys, default_output, _ = _COMMANDS[command]
+    _only_keys(params, keys, f"{command} params")
+    output_path = raw.get("output_path", default_output)
     _require(isinstance(output_path, str) and output_path,
              "output_path must be a non-empty string")
     _require(output_path not in (".", "..") and "\0" not in output_path
@@ -228,7 +217,7 @@ def load_config(path: str, command: str, out_dir: str) -> RunConfig:
     else:
         _require("integrator" not in raw,
                  f"{command} takes no integrator block")
-    params, integrator = _resolve_params(command, params, integrator)
+    params = _resolve_params(command, params, integrator)
     if command == "lvn-run":
         params["method"] = method
     return RunConfig(command=command, seed=seed, params=params,
@@ -273,14 +262,14 @@ def _require_recorded_size(integrator: IntegratorConfig, n: int) -> None:
              f"than the {MAX_RECORDED_VALUES} allowed; raise integrator.stride")
 
 
-def _resolve_params(command: str, p: dict, integrator):
+def _resolve_params(command: str, p: dict, integrator) -> dict:
     """The params with every default applied and every explicit input parsed
-    and checked, and the integrator with a toda-run ``t_end`` folded in."""
+    and checked against the sizes and the integrator grid they allow."""
     if command == "verify":
         dim = _uint(p.get("dim"), "dim", 4)
         _require(4 <= dim <= VERIFY_MAX_DIM and dim % 2 == 0,
                  f"dim must be an even integer in 4..{VERIFY_MAX_DIM}")
-        return {"dim": dim}, integrator
+        return {"dim": dim}
     if command == "lvn-run":
         h = _matrix_or_tag(p, "hamiltonian", _HAMILTONIAN_TAGS)
         rho = _matrix_or_tag(p, "initial_state", _DENSITY_TAGS)
@@ -298,7 +287,7 @@ def _resolve_params(command: str, p: dict, integrator):
         _require(isinstance(h, str)
                  or op.validate(op.ClassTag.HERMITIAN, h, tol=1e-10),
                  "hamiltonian must be Hermitian")
-        return {"N": n, "hamiltonian": h, "initial_state": rho}, integrator
+        return {"N": n, "hamiltonian": h, "initial_state": rho}
     if command == "toda-run":
         initial = p.get("initial", "random")
         if initial == "random":
@@ -314,17 +303,8 @@ def _resolve_params(command: str, p: dict, integrator):
         flow = _choice(p.get("flow"), "flow", ("canonical", "lax"), "canonical")
         hk_max = _uint(p.get("hk_max"), "hk_max", 4)
         _require(1 <= hk_max <= 8, "hk_max must be in 1..8")
-        if "t_end" in p:
-            # the span replaces the step count; the stride never exceeds it
-            t_end = _positive_number(p["t_end"], "t_end")
-            _require(math.isfinite(t_end / integrator.dt),
-                     "t_end / integrator.dt must give a finite step count")
-            steps = max(1, int(round(t_end / integrator.dt)))
-            integrator = replace(integrator, steps=steps,
-                                 stride=min(integrator.stride, steps))
         _require_recorded_size(integrator, n)
-        return {"N": n, "initial": initial, "flow": flow,
-                "hk_max": hk_max}, integrator
+        return {"N": n, "initial": initial, "flow": flow, "hk_max": hk_max}
     if command == "reduce-demo":
         n = _uint(p.get("N"), "N", 4)
         _require(2 <= n <= REDUCE_MAX_N, f"N must be in 2..{REDUCE_MAX_N}")
@@ -332,14 +312,14 @@ def _resolve_params(command: str, p: dict, integrator):
         _require(kind != "group" or n % 2 == 0,
                  "the demo sign group needs an even N")
         state = _matrix_or_tag(p, "state", _DENSITY_TAGS, n)
-        return {"N": n, "kind": kind, "state": state}, integrator
+        return {"N": n, "kind": kind, "state": state}
     n = _uint(p.get("N"), "N", 4)  # orbit-kks
     _require(2 <= n <= ORBIT_MAX_N, f"N must be in 2..{ORBIT_MAX_N}")
     state = _matrix_or_tag(p, "state", _ORBIT_TAGS, n)
     samples = _uint(p.get("samples"), "samples", 6)
     _require(1 <= samples <= ORBIT_MAX_SAMPLES,
              f"samples must be in 1..{ORBIT_MAX_SAMPLES}")
-    return {"N": n, "state": state, "samples": samples}, integrator
+    return {"N": n, "state": state, "samples": samples}
 
 
 # -------------------------------------------------------------- reporting
@@ -359,6 +339,16 @@ def _relative_drift(series: np.ndarray) -> float:
     # A pure ratio would blow up on invariants that start at zero, e.g. the
     # total Toda momentum tr(L) with centered initial momenta.
     return _drift(series) / max(abs(float(series[0])), 1.0)
+
+
+def _write_trajectory(rc: RunConfig, traj: Trajectory, rows: list,
+                      columns=None) -> int:
+    """Write the trajectory CSV and the summary of ``rows``; the rows come
+    before either file, so an overflow in them writes nothing."""
+    csv_path = _artifact_path(rc)
+    traj.to_csv(csv_path, columns)
+    summary = _artifact_path(rc, _summary_name(rc.output_path))
+    return _write_report(summary, rows, f"trajectory: {csv_path}")
 
 
 # ---------------------------------------------------------------- commands
@@ -390,40 +380,13 @@ def _run_lvn(rc: RunConfig) -> int:
                       rhs=lambda t, r: op._commutator(gen, r))
     # the energy tr(h rho) and the Casimirs T1..T4 = tr(rho^k)/k of all
     # recorded states at once
-    traj.monitors["energy"] = np.real(np.trace(h @ traj.states,
-                                               axis1=-2, axis2=-1))
+    traj.monitors["energy"] = op._trace_pairing(h, traj.states).real
     for k in (1, 2, 3, 4):
         traj.monitors[f"T{k}"] = op._power_traces(traj.states, k)
-    # the rows come before the CSV, so an overflow in them writes nothing
     rows = [_check(f"{key}_relative_drift", _relative_drift(traj.monitors[key]),
                    DRIFT_TOL)
             for key in ("T1", "T2", "T3", "T4", "energy")]
-    csv_path = _artifact_path(rc)
-    traj.to_csv(csv_path)
-    summary = _artifact_path(rc, _summary_name(rc.output_path))
-    return _write_report(summary, rows, f"trajectory: {csv_path}")
-
-
-def _lax_invariants(coords: np.ndarray, alpha, hk_max: int):
-    """h1..h_kmax of the Lax matrix L = rho + a of each row of the
-    (R, 2N - 1) coordinates (p, b), and the (R, N) stack of their spectra.
-
-    L is real and tridiagonal, and both come from the one real (R, N, N)
-    stack ``toda._lax_matrix``: h_k = tr(L^k)/k by ``_power_traces``, in the
-    bits of the per-matrix formula.  Where every alpha_i b_i >= 0, L is
-    similar to the real symmetric Jacobi matrix of ``toda._jacobi_matrix``
-    and the spectra are its ``eigvalsh``, real and ascending; otherwise L
-    can have complex eigenvalues, and they are the ``eigvals`` of the real
-    L, unordered.  ``eigvals`` returns a real stack when every eigenvalue
-    in it is real, and ``integrators._paired_drift`` pairs such a stack in
-    ascending order, the optimal pairing of real numbers; a complex stack
-    it pairs nearest neighbour to nearest neighbour.
-    """
-    lax = td._lax_matrix(coords, alpha)
-    hk = {f"h{k}": op._power_traces(lax, k) for k in range(1, hk_max + 1)}
-    if (alpha * coords[:, lax.shape[-1]:] >= 0).all():
-        return hk, np.linalg.eigvalsh(td._jacobi_matrix(coords, alpha))
-    return hk, np.linalg.eigvals(lax)
+    return _write_trajectory(rc, traj, rows)
 
 
 def _run_toda(rc: RunConfig) -> int:
@@ -457,18 +420,14 @@ def _run_toda(rc: RunConfig) -> int:
     # every column is evaluated once, on the (R, 2N - 1) recorded
     # coordinates (p, b) and the real (R, N, N) stack of L = rho + a they
     # give; the stacked calls give the per-matrix bits
-    hk, spectrum = _lax_invariants(coords, state0.alpha, p["hk_max"])
-    # the rows come before the CSV, so an overflow in them writes nothing
+    hk, spectrum = td._lax_invariants(coords, state0.alpha, p["hk_max"])
     rows = [_check(f"{name}_relative_drift", _relative_drift(column), DRIFT_TOL)
             for name, column in hk.items()]
     spread = max(float(np.max(np.abs(spectrum[0]))), 1e-30)
     rows.append(_check("lax_spectrum_relative_drift",
                        _paired_drift(spectrum) / spread, DRIFT_TOL))
-
-    csv_path = _artifact_path(rc)
-    Trajectory(traj.times, states, hk).to_csv(csv_path, columns)
-    summary = _artifact_path(rc, _summary_name(rc.output_path))
-    return _write_report(summary, rows, f"trajectory: {csv_path}")
+    return _write_trajectory(rc, Trajectory(traj.times, states, hk), rows,
+                             columns)
 
 
 def _run_reduce(rc: RunConfig) -> int:
@@ -525,13 +484,18 @@ def _run_orbit(rc: RunConfig) -> int:
         kks_form_rank=int(form_rank), samples=samples)
 
 
-_RUNNERS = {
-    "verify": _run_verify,
-    "lvn-run": _run_lvn,
-    "toda-run": _run_toda,
-    "reduce-demo": _run_reduce,
-    "orbit-kks": _run_orbit,
+# each command: its params keys, its default output file and its runner
+_COMMANDS = {
+    "verify": ({"dim"}, "report.json", _run_verify),
+    "lvn-run": ({"N", "hamiltonian", "initial_state"}, "lvn_trajectory.csv",
+                _run_lvn),
+    "toda-run": ({"N", "initial", "flow", "hk_max"}, "toda_trajectory.csv",
+                 _run_toda),
+    "reduce-demo": ({"N", "kind", "state"}, "reduction_report.json",
+                    _run_reduce),
+    "orbit-kks": ({"N", "state", "samples"}, "orbit_report.json", _run_orbit),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(rc: RunConfig) -> int:
@@ -540,7 +504,7 @@ def run(rc: RunConfig) -> int:
     the first overflow or NaN of any command is a numerical abort."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _RUNNERS[rc.command](rc)
+            return _COMMANDS[rc.command][2](rc)
     except (NumericalAbort, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

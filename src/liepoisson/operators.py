@@ -90,9 +90,11 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _commutator(*_matrix_pair(x, y))
 
 
-def _trace_pairing(x: np.ndarray, rho: np.ndarray) -> complex:
-    # tr(x rho) = sum_ij x_ij rho_ji without forming the product.
-    return complex((x * rho.T).sum())
+def _trace_pairing(x: np.ndarray, rho: np.ndarray):
+    """tr(x rho) = sum_ij x_ij rho_ji without forming the product; for an
+    (R, N, N) stack of rho, the (R,) array of tr(x rho_r)."""
+    pairs = (x * rho.mT).sum(axis=(-2, -1))
+    return pairs if pairs.ndim else complex(pairs)
 
 
 def _power_traces(stack: np.ndarray, k: int) -> np.ndarray:

@@ -53,9 +53,11 @@ limit, reaches the integrator's finiteness check instead of failing inside
 a stage.
 
 The Lax matrix L = rho + a of y = (p, b) is real and tridiagonal: diagonal
-p, subdiagonal b, superdiagonal alpha (``_lax_matrix``).  ``toda-run``
-evaluates h_1..h_kmax on the real stack of the L it records, and builds the
-complex rho (``_bidiagonal_matrix``) only for the Lax flow's CSV columns.
+p, subdiagonal b, superdiagonal alpha (``_lax_matrix``).  ``_lax_invariants``
+takes h_1..h_kmax and the spectra of a recorded stack of y from the real
+stack of L: ``toda-run`` and verify's ``toda_lax_spectrum_drift`` take the
+spectra from it, and ``toda-run`` builds the complex rho
+(``_bidiagonal_matrix``) only for the Lax flow's CSV columns.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 from .brackets import (LOWER_COINDUCED, Observable, _canonical_grad,
                        _coinduced_field, casimir, lp_bracket)
 from .integrators import NumericalAbort
-from .operators import _json_size, as_matrix
+from .operators import _json_size, _power_traces, as_matrix
 
 __all__ = [
     "LaxPair",
@@ -284,6 +286,28 @@ def _jacobi_matrix(y, alpha) -> np.ndarray:
     n = (y.shape[-1] + 1) // 2
     off = np.sqrt(alpha * y[..., n:])
     return _tridiagonal(y[..., :n], off, off)
+
+
+def _lax_invariants(coords: np.ndarray, alpha, hk_max: int):
+    """h1..h_kmax of the Lax matrix L = rho + a of each row of the
+    (R, 2N - 1) coordinates (p, b), and the (R, N) stack of their spectra.
+
+    L is real and tridiagonal, and both come from the one real (R, N, N)
+    stack ``_lax_matrix``: h_k = tr(L^k)/k by ``_power_traces``, in the
+    bits of the per-matrix formula.  Where every alpha_i b_i >= 0, L is
+    similar to the real symmetric Jacobi matrix of ``_jacobi_matrix`` and
+    the spectra are its ``eigvalsh``, real and ascending; otherwise L can
+    have complex eigenvalues, and they are the ``eigvals`` of the real L,
+    unordered.  ``eigvals`` returns a real stack when every eigenvalue in
+    it is real, and ``integrators._paired_drift`` pairs such a stack in
+    ascending order, the optimal pairing of real numbers; a complex stack
+    it pairs nearest neighbour to nearest neighbour.
+    """
+    lax = _lax_matrix(coords, alpha)
+    hk = {f"h{k}": _power_traces(lax, k) for k in range(1, hk_max + 1)}
+    if (alpha * coords[:, lax.shape[-1]:] >= 0).all():
+        return hk, np.linalg.eigvalsh(_jacobi_matrix(coords, alpha))
+    return hk, np.linalg.eigvals(lax)
 
 
 def _flaschka_coords(x, p, lam) -> np.ndarray:

@@ -688,9 +688,11 @@ def _toda_checks(fx) -> List[CheckResult]:
                       np.max(np.abs(pushed - td._aks_coords(y, state.alpha,
                                                             traj.times))), 1e-9))
 
-    lax_l = td._bidiagonal_matrix(pushed) + pair.a
-    out.append(_check("toda_lax_spectrum_drift",
-                      it.spectral_drift(it.Trajectory(traj.times, lax_l)), 1e-8))
+    # the spectra of L = rho + a along the pushed records, taken as toda-run
+    # takes them
+    _, spectra = td._lax_invariants(pushed, state.alpha, hk_max=0)
+    out.append(_check("toda_lax_spectrum_drift", it._paired_drift(spectra),
+                      1e-8))
 
     back = td.toda_from_json(json.loads(json.dumps(td.toda_to_json(state))))
     d = max(float(np.max(np.abs(back.x - state.x))),

@@ -110,8 +110,8 @@ def test_lvn_run_rejects_non_hermitian_hamiltonian(tmp_path):
 def test_toda_run_canonical_csv_layout(tmp_path):
     payload = {
         "seed": 9,
-        "params": {"N": 4, "t_end": 0.2},
-        "integrator": {"dt": 1e-3, "stride": 50},
+        "params": {"N": 4},
+        "integrator": {"dt": 1e-3, "steps": 200, "stride": 50},
     }
     code, out_dir = _run(tmp_path, "toda-run", payload)
     assert code == 0
@@ -125,8 +125,8 @@ def test_toda_run_canonical_csv_layout(tmp_path):
 def test_toda_run_lax_flow(tmp_path):
     payload = {
         "seed": 9,
-        "params": {"N": 4, "flow": "lax", "t_end": 0.2},
-        "integrator": {"dt": 1e-3, "stride": 50},
+        "params": {"N": 4, "flow": "lax"},
+        "integrator": {"dt": 1e-3, "steps": 200, "stride": 50},
     }
     code, out_dir = _run(tmp_path, "toda-run", payload)
     assert code == 0
@@ -269,7 +269,7 @@ def test_stacked_invariants_give_the_per_matrix_bits(tmp_path, flow, n):
     assert (state0.alpha * coords[:, n:] > 0).all()
     spectra = np.array([np.linalg.eigvalsh(_reference_jacobi(y, state0.alpha))
                         for y in coords])
-    hk, spectrum = cli._lax_invariants(coords, state0.alpha, hk_max)
+    hk, spectrum = td._lax_invariants(coords, state0.alpha, hk_max)
     assert spectrum.tobytes() == spectra.tobytes()
     # and they are the real spectra of L itself, in ascending order
     dense = np.array([np.sort(np.linalg.eigvals(lax).real) for lax in laxes])
@@ -319,7 +319,7 @@ def test_real_h_columns_stay_within_roundoff_of_the_complex_traces(signs):
         elif signs == "mixed":
             alpha *= rng.choice([-1.0, 1.0], n - 1)
         coords = np.concatenate([p, b], axis=1)
-        hk, _ = cli._lax_invariants(coords, alpha, hk_max)
+        hk, _ = td._lax_invariants(coords, alpha, hk_max)
         lax = td._lax_matrix(coords, alpha)
         for k in range(1, hk_max + 1):
             dense = op._power_traces(lax.astype(complex), k)
@@ -415,7 +415,7 @@ def test_mixed_sign_real_spectrum_pairs_in_ascending_order():
     p = np.array([2.0, 0.0, -2.0]) + 0.01 * t * np.array([1.0, 0.0, -1.0])
     coords = np.concatenate([p, np.tile([0.1, 0.2], (5, 1))], axis=1)
     alpha = np.array([1.0, -0.5])
-    _, spectrum = cli._lax_invariants(coords, alpha, 2)
+    _, spectrum = td._lax_invariants(coords, alpha, 2)
     assert not np.iscomplexobj(spectrum)
     drift = it._paired_drift(spectrum)
     assert drift == it._paired_drift(spectrum.astype(complex))
@@ -475,8 +475,8 @@ def test_lvn_run_casimirs_give_the_per_matrix_bits(tmp_path, method):
 
 
 def test_toda_run_is_byte_identical_across_runs(tmp_path):
-    payload = {"params": {"N": 3, "t_end": 0.1},
-               "integrator": {"dt": 1e-3, "stride": 25}}
+    payload = {"params": {"N": 3},
+               "integrator": {"dt": 1e-3, "steps": 100, "stride": 25}}
     _, first = _run(tmp_path, "toda-run", payload, out="a")
     _, second = _run(tmp_path, "toda-run", payload, out="b")
     assert ((first / "toda_trajectory.csv").read_bytes()
@@ -565,18 +565,20 @@ def test_canonical_toda_run_that_loses_its_momentum_aborts(tmp_path, capsys):
 
 
 def test_toda_run_rejects_non_finite_time_spans(tmp_path):
-    cases = [
-        {"params": {"t_end": float("inf")}},
-        {"params": {"t_end": float("nan")}},
-        {"params": {"t_end": 10**400}},
-        {"params": {"t_end": 1.0}, "integrator": {"dt": float("inf")}},
-        # each number is finite, but t_end / dt overflows
-        {"params": {"t_end": 1e300}, "integrator": {"dt": 1e-10}},
-    ]
-    for k, payload in enumerate(cases):
+    for k, dt in enumerate((float("inf"), float("nan"))):
+        payload = {"integrator": {"dt": dt}}
         code, out_dir = _run(tmp_path, "toda-run", payload, out=f"out{k}")
         assert code == 2, payload
         assert not out_dir.exists()
+
+
+def test_toda_run_refuses_a_t_end_span(tmp_path, capsys):
+    # integrator.steps is a run's one length; a span is an unknown key
+    code, out_dir = _run(tmp_path, "toda-run", {"params": {"t_end": 0.25}})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown toda-run params keys: t_end\n")
+    assert not out_dir.exists()
 
 
 def test_reduce_demo_all_kinds(tmp_path):
@@ -1039,7 +1041,7 @@ def test_load_config_resolves_every_param(tmp_path):
         rc = _load(tmp_path, command, {})
         # lvn-run, the one command with a choice of step, carries the method
         method = {"method"} if command == "lvn-run" else set()
-        want = (cli._PARAM_KEYS[command] | method) - {"t_end"}
+        want = cli._COMMANDS[command][0] | method
         assert set(rc.params) == want, command
     assert _load(tmp_path, "lvn-run", {}).params == {
         "N": 6, "hamiltonian": "random", "initial_state": "random-psd",
@@ -1053,14 +1055,6 @@ def test_load_config_resolves_every_param(tmp_path):
     rc = _load(tmp_path, "toda-run", {"params": {"initial": TODA3}})
     assert isinstance(rc.params["initial"], cli.td.TodaState)
     assert rc.params["N"] == 3
-
-
-def test_t_end_is_folded_into_the_integrator(tmp_path):
-    rc = _load(tmp_path, "toda-run", {"params": {"t_end": 0.005},
-                                      "integrator": {"dt": 1e-3}})
-    # the default stride (steps // 100 = 10) is clamped to the 5 steps
-    assert (rc.integrator.steps, rc.integrator.stride) == (5, 5)
-    assert "t_end" not in rc.params
 
 
 def test_explicit_inputs_are_parsed_once(tmp_path, monkeypatch, capsys):
@@ -1182,35 +1176,45 @@ def test_sizes_are_capped_by_load_config(tmp_path, command, key, limit, step):
 
 
 def test_recorded_values_are_capped_by_load_config(tmp_path):
-    # a record holds 2 N^2 values: 2 for an lvn-run at N = 1, 8 for a
-    # toda-run at N = 2; the first state is recorded, and so is the last
-    # when the stride does not divide the steps
+    # a record holds 2 N^2 values, 800 at N = 20, so the cap allows 5000
+    # records, within MAX_STEPS at stride 1 and 2; the first state is
+    # recorded, and so is the last when the stride does not divide the steps
     cap = cli.MAX_RECORDED_VALUES
     for command, params, per_record, stride in (
-            ("lvn-run", {"N": 1}, 2, 1), ("lvn-run", {"N": 1}, 2, 3),
-            ("toda-run", {"N": 2}, 8, 1),
-            ("toda-run", {"N": 2, "flow": "lax"}, 8, 7)):
+            ("lvn-run", {"N": 20}, 800, 1), ("lvn-run", {"N": 20}, 800, 2),
+            ("toda-run", {"N": 20}, 800, 1),
+            ("toda-run", {"N": 20, "flow": "lax"}, 800, 2)):
         assert cap % per_record == 0
         steps = (cap // per_record - 1) * stride
+        assert steps + 1 <= cli.MAX_STEPS
         rc = _load(tmp_path, command, {"params": params, "integrator": {
             "dt": 1e-3, "steps": steps, "stride": stride}})
         assert rc.integrator.steps == steps
         with pytest.raises(cli.ConfigError, match=str(cap)):
             _load(tmp_path, command, {"params": params, "integrator": {
                 "dt": 1e-3, "steps": steps + 1, "stride": stride}})
-    # a t_end span counts the steps it resolves to
-    _load(tmp_path, "toda-run", {"params": {"N": 2, "t_end": 499.999},
-                                 "integrator": {"dt": 1e-3, "stride": 1}})
+    # below N = 15 the step limit keeps a stride-1 run under the cap
+    records = cli.MAX_STEPS + 1
+    assert records * 2 * 14 ** 2 <= cap < records * 2 * 15 ** 2
+    # 10^4 records of the N = 64 states, 82 million values
     with pytest.raises(cli.ConfigError, match=str(cap)):
-        _load(tmp_path, "toda-run", {"params": {"N": 2, "t_end": 500.0},
-                                     "integrator": {"dt": 1e-3, "stride": 1}})
-    # 10^8 records, and about 6.5 TB of lvn-run states at N = 64
-    for command, params, integrator in (
-            ("toda-run", {"N": 8, "t_end": 1e5}, {"dt": 1e-3, "stride": 1}),
-            ("lvn-run", {"N": 64}, {"dt": 1e-3, "steps": 10**8, "stride": 1})):
-        with pytest.raises(cli.ConfigError, match=str(cap)):
-            _load(tmp_path, command, {"params": params,
-                                      "integrator": integrator})
+        _load(tmp_path, "lvn-run", {"params": {"N": 64}, "integrator": {
+            "dt": 1e-3, "steps": cli.MAX_STEPS, "stride": 1}})
+
+
+@pytest.mark.parametrize("command, params", [
+    ("lvn-run", {"N": 2}), ("toda-run", {"N": 2}),
+    ("toda-run", {"N": 2, "flow": "lax"})])
+def test_steps_are_capped_by_load_config(tmp_path, command, params):
+    # the default stride keeps the records far below their own cap
+    limit = cli.MAX_STEPS
+    rc = _load(tmp_path, command, {"params": params,
+                                   "integrator": {"steps": limit}})
+    assert rc.integrator.steps == limit
+    for steps in (limit + 1, 10**12):
+        with pytest.raises(cli.ConfigError, match=str(limit)):
+            _load(tmp_path, command, {"params": params, "integrator": {
+                "steps": steps, "stride": steps}})
 
 
 def test_explicit_matrices_are_capped_too(tmp_path):
@@ -1269,7 +1273,7 @@ def _configs(command):
             st.sampled_from(["dt", "steps", "stride", "method"]),
             st.integers(1, 20) | st.floats(1e-4, 0.1) | _SCALARS, max_size=4)
     params = st.fixed_dictionaries({}, optional={
-        key: _BY_KEY.get(key, _VALUES) for key in cli._PARAM_KEYS[command]})
+        key: _BY_KEY.get(key, _VALUES) for key in cli._COMMANDS[command][0]})
     config = st.fixed_dictionaries({"params": params}, optional=optional)
     # a well-formed top level reaches the params; _JSON covers the rest
     return st.tuples(st.just(command), (config | _JSON).map(json.dumps))

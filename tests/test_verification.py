@@ -105,6 +105,16 @@ def test_intertwining_row_checks_the_bidiagonal_field():
     assert row.passed
 
 
+def _pushed_canonical_records(state):
+    """The times and the Flaschka push (p, b) of the toda group's canonical
+    records: 500 RK4 steps at dt 1e-3, stride 50."""
+    cfg = it.IntegratorConfig(dt=1e-3, steps=500, stride=50)
+    canonical = it.evolve(td.pack(state), cfg, rhs=td.canonical_rhs(state))
+    m = state.n - 1
+    return canonical.times, td._flaschka_coords(
+        canonical.states[:, :m], canonical.states[:, m:], state.lam)
+
+
 def test_trajectory_row_compares_the_canonical_run_with_the_aks_solution():
     # the Flaschka push of the canonical records against the exact (p, b)
     # of the Lax flow gives the row's defect bit for bit
@@ -112,14 +122,23 @@ def test_trajectory_row_compares_the_canonical_run_with_the_aks_solution():
     row = next(r for r in results if r.name == "toda_canonical_vs_lax_trajectory")
     assert row.passed and row.tol == 1e-9
     state = seeded_random_state(2024, "toda", 4)
-    cfg = it.IntegratorConfig(dt=1e-3, steps=500, stride=50)
-    canonical = it.evolve(td.pack(state), cfg, rhs=td.canonical_rhs(state))
-    m = state.n - 1
-    pushed = td._flaschka_coords(canonical.states[:, :m], canonical.states[:, m:],
-                                 state.lam)
+    times, pushed = _pushed_canonical_records(state)
     exact = td._aks_coords(td._flaschka_coords(state.x, state.p, state.lam),
-                           state.alpha, canonical.times)
+                           state.alpha, times)
     assert row.defect == np.max(np.abs(pushed - exact))
+
+
+@pytest.mark.parametrize("seed", [2024, 0, 1])
+def test_spectrum_row_pairs_the_toda_spectra_of_the_pushed_records(seed):
+    # the row takes the spectra of L = rho + a from toda._lax_invariants,
+    # the route of toda-run, and pairs them with _paired_drift
+    rows = {r.name: r for r in vf._toda_checks(vf._fixtures(seed, 4))}
+    row = rows["toda_lax_spectrum_drift"]
+    assert row.passed and row.tol == 1e-8
+    state = seeded_random_state(seed, "toda", 4)
+    _, pushed = _pushed_canonical_records(state)
+    _, spectra = td._lax_invariants(pushed, state.alpha, 1)
+    assert row.defect == it._paired_drift(spectra)
 
 
 def test_trajectory_row_turns_red_on_a_wrong_time_scale(monkeypatch):

@@ -153,7 +153,7 @@ CONFIGS = [
      {"seed": BENCH_SEED + 5, "params": {"N": 8},
       "integrator": {"dt": 1e-2, "steps": 200, "stride": 10,
                      "method": "isospectral"}}),
-    # explicit matrices and states, and a t_end span
+    # explicit matrices and states
     ("lvn-explicit", "lvn-run",
      {"params": {"hamiltonian": H3, "initial_state": RHO3},
       "integrator": {"dt": 1e-2, "steps": 100, "stride": 20}}),
@@ -189,11 +189,13 @@ CONFIGS = [
     ("toda-complex-lax-dt0.2-drift-tol", "toda-run",
      {"params": {"initial": TODA2_COMPLEX, "flow": "lax", "drift_tol": 1e300},
       "integrator": {"dt": 0.2, "steps": 10}}),
+    # the (steps, stride) that the spans t_end = 0.25 and 0.005 at dt 1e-3
+    # resolved to while toda-run took a span
     ("toda-t-end", "toda-run",
-     {"params": {"N": 4, "t_end": 0.25}, "integrator": {"dt": 1e-3, "stride": 40}}),
+     {"params": {"N": 4}, "integrator": {"dt": 1e-3, "steps": 250, "stride": 40}}),
     ("toda-t-end-clamps-stride", "toda-run",
-     {"params": {"N": 4, "flow": "lax", "t_end": 0.005},
-      "integrator": {"dt": 1e-3}}),
+     {"params": {"N": 4, "flow": "lax"},
+      "integrator": {"dt": 1e-3, "steps": 5, "stride": 5}}),
     # numerical aborts: exit 3, nothing written
     *[(f"toda-diverging-{flow}", "toda-run",
        {"seed": 1, "params": {"N": 8, "flow": flow},
@@ -258,8 +260,13 @@ CONFIGS = [
     # --out holds a directory named like an artifact (see PREMADE_DIRS)
     ("reduce-report-is-directory", "reduce-demo", {}),
     ("toda-summary-is-directory", "toda-run", {"integrator": {"steps": 5}}),
+    # t_end is no key: integrator.steps is a run's one length
     ("toda-t-end-overflow", "toda-run",
      {"params": {"t_end": 1e300}, "integrator": {"dt": 1e-10}}),
+    # one step past cli.MAX_STEPS (a revision without the limit runs them)
+    ("lvn-steps-over-limit", "lvn-run",
+     {"params": {"N": 2}, "integrator": {"steps": 10_001, "stride": 10_001}}),
+    ("toda-steps-over-limit", "toda-run", {"integrator": {"steps": 10_001}}),
     ("lvn-hamiltonian-dim-inf", "lvn-run",
      {"params": {"hamiltonian": INF_DIM}, "integrator": {"steps": 5}}),
     ("lvn-initial-state-dim-inf", "lvn-run",
