@@ -93,7 +93,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _trace_pairing(x: np.ndarray, rho: np.ndarray):
     """tr(x rho) = sum_ij x_ij rho_ji without forming the product; for an
     (R, N, N) stack of rho, the (R,) array of tr(x rho_r)."""
-    pairs = (x * rho.mT).sum(axis=(-2, -1))
+    pairs = (x * rho.swapaxes(-1, -2)).sum(axis=(-2, -1))
     return pairs if pairs.ndim else complex(pairs)
 
 
